@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__
 from .depths import (
+    DEPTH_KERNELS,
     DepthSpec,
     MEDIAN_HEURISTIC,
     compute_depth,
@@ -47,8 +47,6 @@ EXIT_REJECT = 2
 EXIT_PARAMETER = 3
 EXIT_NUMERICAL = 4
 
-_DEPTH_CHOICES = ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd")
-
 
 def _add_io_flags(sub):
     sub.add_argument("--input", required=True, help="wide CSV dataset (group column, grid header)")
@@ -61,7 +59,7 @@ def _add_io_flags(sub):
 
 
 def _add_depth_flags(sub):
-    sub.add_argument("--depth", choices=_DEPTH_CHOICES, default="ltr", help="depth function")
+    sub.add_argument("--depth", choices=DEPTH_KERNELS, default="ltr", help="depth function")
     sub.add_argument("--primed", action="store_true", help="augment the depth with derivatives")
     sub.add_argument("--projections", type=int, default=20, help="number of random directions (rp)")
     sub.add_argument("--band-order", type=int, default=2, help="maximal band order (mbd)")
@@ -145,30 +143,21 @@ def _load_dataset(args) -> FunctionalDataset:
         deriv_path = mode[len("file="):]
     elif mode != "finite-diff":
         raise ParameterError("--derivatives must be 'finite-diff' or 'file=PATH'")
-    ds = load_csv(args.input, derivatives_path=deriv_path)
-    if getattr(args, "primed", False) and ds.derivatives is None:
-        ds = ds.with_finite_difference_derivatives()
-    return ds
+    return load_csv(args.input, derivatives_path=deriv_path)
 
 
 def _depth_spec(args) -> DepthSpec:
     bw = args.bandwidth
-    if isinstance(bw, str) and bw != MEDIAN_HEURISTIC:
+    if bw != MEDIAN_HEURISTIC:
         try:
             bw = float(bw)
         except ValueError:
             raise ParameterError(
                 f"--bandwidth must be a positive number or {MEDIAN_HEURISTIC!r}, got {bw!r}"
             ) from None
-    return DepthSpec(
-        kind=args.depth,
-        use_derivatives=args.primed,
-        num_projections=args.projections,
-        band_order=args.band_order,
-        channel_weights=tuple(args.weights),
-        kernel_bandwidth=bw,
-        rng_seed=args.seed,
-    )
+    node = {"kind": args.depth, "primed": args.primed, "projections": args.projections,
+            "band_order": args.band_order, "weights": args.weights, "bandwidth": bw}
+    return _depth_spec_from_json(node, args.seed)
 
 
 def _table(rows) -> str:
@@ -232,21 +221,12 @@ def cmd_mc(args) -> int:
 def cmd_depth(args) -> int:
     ds = _load_dataset(args)
     spec = _depth_spec(args)
-    ds_eff = ds
-    if spec.use_derivatives and ds.derivatives is None:
-        ds_eff = ds.with_finite_difference_derivatives()
-    dv = compute_depth(ds_eff, spec)
-    rv = depth_ranks(ds_eff, spec)
+    dv = compute_depth(ds, spec)
+    rv = depth_ranks(ds, spec)
     if args.format == "json":
         _emit(json.dumps(depths_to_json(ds, dv, rv), indent=2), args.output)
     else:
-        if args.output:
-            save_depths_csv(ds, dv, rv, args.output)
-        else:
-            with tempfile.NamedTemporaryFile("r+", suffix=".csv") as tmp:
-                save_depths_csv(ds, dv, rv, tmp.name)
-                tmp.seek(0)
-                print(tmp.read(), end="")
+        save_depths_csv(ds, dv, rv, args.output or None)
     return EXIT_OK
 
 
@@ -388,13 +368,7 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         _emit(json.dumps(result.to_dict(), indent=2), args.output)
     else:
-        if args.output:
-            save_study_csv(result, args.output)
-        else:
-            with tempfile.NamedTemporaryFile("r+", suffix=".csv") as tmp:
-                save_study_csv(result, tmp.name)
-                tmp.seek(0)
-                print(tmp.read(), end="")
+        save_study_csv(result, args.output or None)
     return EXIT_OK
 
 

@@ -17,16 +17,13 @@ evaluation order or thread count.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .exceptions import DataError, ParameterError
-from .fdata import FunctionalDataset, differentiate
-
-_KINDS = ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd")
+from .fdata import FunctionalDataset, differentiate, write_csv
 
 MEDIAN_HEURISTIC = "median-heuristic"
 
@@ -60,8 +57,10 @@ class DepthSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ParameterError(f"unknown depth kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind not in DEPTH_KERNELS:
+            raise ParameterError(
+                f"unknown depth kind {self.kind!r}; expected one of {tuple(DEPTH_KERNELS)}"
+            )
         if self.num_projections < 1:
             raise ParameterError("num_projections must be >= 1")
         if self.band_order < 2:
@@ -128,8 +127,8 @@ def _channels(ds: FunctionalDataset, use_derivatives: bool, queries):
     """Sample/query value matrices per channel (curves, then derivatives).
 
     ``queries`` may be None (evaluate the sample curves themselves), another
-    dataset on the same grid, or a raw array of curve values; the raw form
-    computes derivative queries by finite differences when needed.
+    dataset on the same grid, or a raw array of curve values; queries
+    without a derivative channel get one by finite differences when needed.
     """
     if queries is None:
         queries = ds
@@ -138,27 +137,50 @@ def _channels(ds: FunctionalDataset, use_derivatives: bool, queries):
             raise DataError("query grid does not match sample grid")
         q_curves = queries.curves
         q_deriv = queries.derivatives
-        if use_derivatives and q_deriv is None:
-            q_deriv = differentiate(q_curves, ds.grid)
     else:
         q_curves = np.atleast_2d(np.asarray(queries, dtype=float))
         if q_curves.shape[1] != ds.grid.m:
             raise DataError(
                 f"query curves have {q_curves.shape[1]} values, expected {ds.grid.m}"
             )
-        q_deriv = differentiate(q_curves, ds.grid) if use_derivatives else None
+        q_deriv = None
     chans = [(ds.curves, q_curves)]
     if use_derivatives:
         if ds.derivatives is None:
             raise DataError(
                 "derivative-augmented depth requested but the derivative channel is missing"
             )
+        if q_deriv is None:
+            q_deriv = differentiate(q_curves, ds.grid)
         chans.append((ds.derivatives, q_deriv))
     return chans
 
 
-def _weights(grid):
-    return grid.trapezoid_weights
+def _channel_depth(ds, spec, queries, channel_fn, *args) -> DepthVector:
+    """``channel_fn(sample, queries, w, *args)`` on the curves; primed, the
+    average w0 * (curve depth) + w1 * (derivative depth) with the spec's
+    channel weights."""
+    chans = _channels(ds, spec.use_derivatives, queries)
+    w = ds.grid.trapezoid_weights
+    vals = channel_fn(*chans[0], w, *args)
+    if spec.use_derivatives:
+        w0, w1 = spec.channel_weights
+        vals = w0 * vals
+        vals += w1 * channel_fn(*chans[1], w, *args)
+    return DepthVector(vals, spec)
+
+
+def _strict_counts(sample, qs):
+    """Per grid point, the numbers of sample values strictly below and
+    strictly above each query value."""
+    n, m = sample.shape
+    below = np.empty((qs.shape[0], m))
+    above = np.empty((qs.shape[0], m))
+    for t in range(m):
+        col = np.sort(sample[:, t])
+        below[:, t] = np.searchsorted(col, qs[:, t], side="left")
+        above[:, t] = n - np.searchsorted(col, qs[:, t], side="right")
+    return below, above
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +207,7 @@ def ltr_depth(ds: FunctionalDataset, p: int = 0, queries=None) -> DepthVector:
     if p not in (0, 1):
         raise ParameterError(f"p must be 0 or 1, got {p}")
     chans = _channels(ds, p == 1, queries)
-    w = _weights(ds.grid)
+    w = ds.grid.trapezoid_weights
     total = np.zeros(chans[0][1].shape[0])
     for sample, qs in chans:
         total += np.sqrt(_mean_sq_distance(sample, qs, w))
@@ -210,7 +232,7 @@ def ltr_rank_scores(ds: FunctionalDataset, use_derivatives: bool = False) -> np.
     (a, b) = (1, 4) and (2.25, 2.25) tie here (3 = 3) but give 3.650 and
     3.606 under the depth.
     """
-    w = _weights(ds.grid)
+    w = ds.grid.trapezoid_weights
     if not use_derivatives:
         return (ds.curves * ds.curves) @ w
     if ds.derivatives is None:
@@ -224,17 +246,15 @@ def ltr_rank_scores(ds: FunctionalDataset, use_derivatives: bool = False) -> np.
 # random projection depth
 # ---------------------------------------------------------------------------
 
-def _rp_directions(m: int, count: int, step: float, rng) -> np.ndarray:
+def _rp_directions(w: np.ndarray, count: int, rng) -> np.ndarray:
     """Random unit-norm direction curves: white noise smoothed with a
-    5-point moving average, then normalized in L2."""
-    raw = rng.standard_normal((count, m))
+    5-point moving average, then normalized in L2 under the quadrature
+    weights ``w``."""
+    raw = rng.standard_normal((count, w.size))
     kernel = np.full(5, 0.2)
     smooth = np.empty_like(raw)
     for i in range(count):
         smooth[i] = np.convolve(raw[i], kernel, mode="same")
-    w = np.full(m, step)
-    w[0] *= 0.5
-    w[-1] *= 0.5
     norms = np.sqrt((smooth * smooth) @ w)
     norms[norms == 0.0] = 1.0
     return smooth / norms[:, None]
@@ -254,8 +274,8 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
     unit-norm directions u, with the mid-rank empirical CDF."""
     chans = _channels(ds, False, queries)
     sample, qs = chans[0]
-    w = _weights(ds.grid)
-    dirs = _rp_directions(ds.grid.m, spec.num_projections, ds.grid.step, derive_rng(spec.rng_seed, 0))
+    w = ds.grid.trapezoid_weights
+    dirs = _rp_directions(w, spec.num_projections, derive_rng(spec.rng_seed, 0))
     proj_s = sample @ (dirs * w).T
     proj_q = qs @ (dirs * w).T
     depth = np.zeros(qs.shape[0])
@@ -281,8 +301,8 @@ def rp_depth_deriv(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> Dept
     """
     chans = _channels(ds, True, queries)
     (s0, q0), (s1, q1) = chans
-    w = _weights(ds.grid)
-    dirs = _rp_directions(ds.grid.m, spec.num_projections, ds.grid.step, derive_rng(spec.rng_seed, 0))
+    w = ds.grid.trapezoid_weights
+    dirs = _rp_directions(w, spec.num_projections, derive_rng(spec.rng_seed, 0))
     n = s0.shape[0]
     depth = np.zeros(q0.shape[0])
     # identical sample rows make a channel degenerate in every direction;
@@ -369,16 +389,11 @@ def mfhd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """
     chans = _channels(ds, spec.use_derivatives, queries)
     sample, qs = chans[0]
-    w = _weights(ds.grid)
-    n = sample.shape[0]
+    w = ds.grid.trapezoid_weights
     if not spec.use_derivatives:
-        hd = np.empty((qs.shape[0], ds.grid.m))
-        for t in range(ds.grid.m):
-            col = np.sort(sample[:, t])
-            le = np.searchsorted(col, qs[:, t], side="right")
-            ge = n - np.searchsorted(col, qs[:, t], side="left")
-            hd[:, t] = np.minimum(le, ge) / n
-        return DepthVector(hd @ w, spec)
+        n = sample.shape[0]
+        below, above = _strict_counts(sample, qs)
+        return DepthVector((np.minimum(n - above, n - below) / n) @ w, spec)
     dsample, dqs = chans[1]
     hd = np.empty((qs.shape[0], ds.grid.m))
     for t in range(ds.grid.m):
@@ -405,13 +420,7 @@ def _mbd_channel(sample, qs, w, order: int) -> np.ndarray:
     bands are delimited by k-subsets of sample curves (weak inequalities,
     own pairings included when the query is in the sample)."""
     n = sample.shape[0]
-    m = sample.shape[1]
-    strictly_below = np.empty((qs.shape[0], m))
-    strictly_above = np.empty((qs.shape[0], m))
-    for t in range(m):
-        col = np.sort(sample[:, t])
-        strictly_below[:, t] = np.searchsorted(col, qs[:, t], side="left")
-        strictly_above[:, t] = n - np.searchsorted(col, qs[:, t], side="right")
+    strictly_below, strictly_above = _strict_counts(sample, qs)
     depth = np.zeros(qs.shape[0])
     for k in range(2, order + 1):
         total = math.comb(n, k)
@@ -425,14 +434,7 @@ def _mbd_channel(sample, qs, w, order: int) -> np.ndarray:
 def mbd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Modified band depth; the primed variant averages the curve and
     derivative channel depths with the spec's channel weights."""
-    chans = _channels(ds, spec.use_derivatives, queries)
-    w = _weights(ds.grid)
-    if not spec.use_derivatives:
-        return DepthVector(_mbd_channel(*chans[0], w, spec.band_order), spec)
-    w0, w1 = spec.channel_weights
-    vals = w0 * _mbd_channel(*chans[0], w, spec.band_order)
-    vals += w1 * _mbd_channel(*chans[1], w, spec.band_order)
-    return DepthVector(vals, spec)
+    return _channel_depth(ds, spec, queries, _mbd_channel, spec.band_order)
 
 
 # ---------------------------------------------------------------------------
@@ -455,14 +457,7 @@ def _spatial_channel(sample, qs, w) -> np.ndarray:
 def spatial_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Functional spatial depth; primed variant is the weighted average of
     the per-channel depths."""
-    chans = _channels(ds, spec.use_derivatives, queries)
-    w = _weights(ds.grid)
-    if not spec.use_derivatives:
-        return DepthVector(_spatial_channel(*chans[0], w), spec)
-    w0, w1 = spec.channel_weights
-    vals = w0 * _spatial_channel(*chans[0], w)
-    vals += w1 * _spatial_channel(*chans[1], w)
-    return DepthVector(vals, spec)
+    return _channel_depth(ds, spec, queries, _spatial_channel)
 
 
 def _pairwise_sq_dists(a, b, w) -> np.ndarray:
@@ -508,39 +503,41 @@ def _ksd_channel(sample, qs, w, bandwidth) -> np.ndarray:
 def ksd_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Kernelized spatial depth with the Gaussian kernel, evaluated through
     the kernel trick; primed variant averages per-channel depths."""
-    chans = _channels(ds, spec.use_derivatives, queries)
-    w = _weights(ds.grid)
-    if not spec.use_derivatives:
-        return DepthVector(_ksd_channel(*chans[0], w, spec.kernel_bandwidth), spec)
-    w0, w1 = spec.channel_weights
-    vals = w0 * _ksd_channel(*chans[0], w, spec.kernel_bandwidth)
-    vals += w1 * _ksd_channel(*chans[1], w, spec.kernel_bandwidth)
-    return DepthVector(vals, spec)
+    return _channel_depth(ds, spec, queries, _ksd_channel, spec.kernel_bandwidth)
 
 
 # ---------------------------------------------------------------------------
 # dispatch and ranking
 # ---------------------------------------------------------------------------
 
+# kind -> fn(ds, spec, queries); the order is the one --help and errors show
+DEPTH_KERNELS = {
+    "ltr": lambda ds, spec, queries: DepthVector(
+        ltr_depth(ds, p=int(spec.use_derivatives), queries=queries).values, spec
+    ),
+    "rp": lambda ds, spec, queries: (
+        rp_depth_deriv if spec.use_derivatives else rp_depth
+    )(ds, spec, queries),
+    "mfhd": mfhd,
+    "mbd": mbd,
+    "spatial": spatial_depth,
+    "ksd": ksd_depth,
+}
+
+
+def _with_derivatives(ds: FunctionalDataset, spec: DepthSpec) -> FunctionalDataset:
+    """``ds``, with its derivative channel filled by finite differences when
+    the spec is primed and the channel is missing."""
+    if spec.use_derivatives and ds.derivatives is None:
+        return ds.with_finite_difference_derivatives()
+    return ds
+
+
 def compute_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Evaluate the depth described by ``spec`` for every curve of
-    ``queries`` (default: the dataset itself) against the pooled sample."""
-    if spec.kind == "ltr":
-        result = ltr_depth(ds, p=1 if spec.use_derivatives else 0, queries=queries)
-        return DepthVector(result.values, spec)
-    if spec.kind == "rp":
-        if spec.use_derivatives:
-            return rp_depth_deriv(ds, spec, queries)
-        return rp_depth(ds, spec, queries)
-    if spec.kind == "mfhd":
-        return mfhd(ds, spec, queries)
-    if spec.kind == "mbd":
-        return mbd(ds, spec, queries)
-    if spec.kind == "spatial":
-        return spatial_depth(ds, spec, queries)
-    if spec.kind == "ksd":
-        return ksd_depth(ds, spec, queries)
-    raise ParameterError(f"unknown depth kind {spec.kind!r}")
+    ``queries`` (default: the dataset itself) against the pooled sample.
+    A primed spec fills a missing derivative channel by finite differences."""
+    return DEPTH_KERNELS[spec.kind](_with_derivatives(ds, spec), spec, queries)
 
 
 def depth_sort_keys(ds: FunctionalDataset, spec: DepthSpec) -> np.ndarray:
@@ -548,14 +545,8 @@ def depth_sort_keys(ds: FunctionalDataset, spec: DepthSpec) -> np.ndarray:
     deepest).  The L2-root path negates the norm scores instead of
     estimating depths."""
     if spec.kind == "ltr":
-        ds_eff = ds
-        if spec.use_derivatives and ds.derivatives is None:
-            ds_eff = ds.with_finite_difference_derivatives()
-        return -ltr_rank_scores(ds_eff, spec.use_derivatives)
-    ds_eff = ds
-    if spec.use_derivatives and ds.derivatives is None:
-        ds_eff = ds.with_finite_difference_derivatives()
-    return compute_depth(ds_eff, spec).values
+        return -ltr_rank_scores(_with_derivatives(ds, spec), spec.use_derivatives)
+    return compute_depth(ds, spec).values
 
 
 def ranks_with_tiebreak(keys, seed: int) -> RankVector:
@@ -590,11 +581,9 @@ def depth_table(ds: FunctionalDataset, dv: DepthVector, rv: RankVector):
 
 
 def save_depths_csv(ds: FunctionalDataset, dv: DepthVector, rv: RankVector, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "group", "depth", "rank"])
-        for row in depth_table(ds, dv, rv):
-            writer.writerow([row[0], row[1], format(row[2], ".17g"), row[3]])
+    """(index, group, depth, rank) CSV to ``path``; None writes to stdout."""
+    rows = [[i, g, format(d, ".17g"), r] for i, g, d, r in depth_table(ds, dv, rv)]
+    write_csv([["index", "group", "depth", "rank"]] + rows, path)
 
 
 def depths_to_json(ds: FunctionalDataset, dv: DepthVector, rv: RankVector) -> dict:

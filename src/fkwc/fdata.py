@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -133,8 +134,10 @@ class FunctionalDataset:
     """N curves on a common grid with group labels 1..J.
 
     ``derivatives`` optionally carries externally computed derivative
-    curves of the same shape; when absent, consumers fall back to
-    :func:`differentiate`.
+    curves of the same shape.  When it is absent, every primed depth
+    evaluation (``compute_depth``, ``depth_ranks``, ``fkwc_test``,
+    ``steel_mc``, studies and the CLI) fills it with :func:`differentiate`;
+    the per-kind depth functions raise instead.
     """
 
     grid: Grid
@@ -244,21 +247,29 @@ def _format_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def write_csv(rows, path=None) -> None:
+    """Write CSV rows to ``path`` with the csv module's \\r\\n line ends, or
+    to stdout with \\n line ends when ``path`` is None."""
+    if path is None:
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
+        return
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def save_csv(ds: FunctionalDataset, path, derivatives_path=None) -> None:
     """Write the dataset in wide CSV form; optionally write the derivative
     channel to a second file of identical layout."""
-    def write(file_path, matrix):
-        with open(file_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["group"] + [_format_float(t) for t in ds.grid.points])
-            for g, row in zip(ds.groups, matrix):
-                writer.writerow([int(g)] + [_format_float(v) for v in row])
+    def rows(matrix):
+        yield ["group"] + [_format_float(t) for t in ds.grid.points]
+        for g, row in zip(ds.groups, matrix):
+            yield [int(g)] + [_format_float(v) for v in row]
 
-    write(path, ds.curves)
+    write_csv(rows(ds.curves), path)
     if derivatives_path is not None:
         if ds.derivatives is None:
             raise DataError("dataset has no derivative channel to save")
-        write(derivatives_path, ds.derivatives)
+        write_csv(rows(ds.derivatives), derivatives_path)
 
 
 def _parse_wide_csv(path):

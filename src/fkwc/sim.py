@@ -9,7 +9,6 @@ regardless of worker count.
 
 from __future__ import annotations
 
-import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -18,7 +17,7 @@ import numpy as np
 
 from .depths import derive_seed
 from .exceptions import NumericalError, ParameterError
-from .fdata import FunctionalDataset, Grid
+from .fdata import FunctionalDataset, Grid, write_csv
 from .testing import TestConfig, fkwc_test
 
 _FAMILIES = ("gaussian", "t1", "skew_gaussian", "eigen")
@@ -288,23 +287,20 @@ def run_study(spec: StudySpec, n_jobs: int = 1) -> StudyResult:
 
 
 def save_study_csv(result: StudyResult, path) -> None:
-    """Tidy CSV: one row per depth spec."""
+    """Tidy CSV, one row per depth spec, to ``path``; None writes to stdout."""
     spec = result.spec
-    families = sorted({m.family for m in spec.models})
-    family = "+".join(families)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "family", "param", "value", "N", "rate", "se", "R"])
-        for dspec, rate, se in zip(spec.depth_specs, result.rejection_rates, result.std_errors):
-            writer.writerow(
-                [
-                    dspec.label,
-                    family,
-                    spec.param_name,
-                    spec.param_value,
-                    spec.n_total,
-                    format(float(rate), ".6g"),
-                    format(float(se), ".6g"),
-                    spec.replications,
-                ]
-            )
+    family = "+".join(sorted({m.family for m in spec.models}))
+    rows = [
+        [
+            dspec.label,
+            family,
+            spec.param_name,
+            spec.param_value,
+            spec.n_total,
+            format(float(rate), ".6g"),
+            format(float(se), ".6g"),
+            spec.replications,
+        ]
+        for dspec, rate, se in zip(spec.depth_specs, result.rejection_rates, result.std_errors)
+    ]
+    write_csv([["depth", "family", "param", "value", "N", "rate", "se", "R"]] + rows, path)

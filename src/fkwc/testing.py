@@ -157,10 +157,7 @@ def fkwc_test(ds: FunctionalDataset, config: TestConfig = TestConfig()) -> TestR
     """
     if ds.n_groups < 2:
         raise ParameterError("need at least two groups")
-    ds_eff = ds
-    if config.depth_spec.use_derivatives and ds.derivatives is None:
-        ds_eff = ds.with_finite_difference_derivatives()
-    rv = depth_ranks(ds_eff, config.depth_spec)
+    rv = depth_ranks(ds, config.depth_spec)
     ranks = rv.ranks.astype(float)
     groups = ds.groups
     n = ranks.size
@@ -287,13 +284,10 @@ def steel_mc(
     m = correction_count if correction_count is not None else len(pairs)
     if m < 1:
         raise ParameterError("correction_count must be >= 1")
-    ds_eff = ds
-    if spec.use_derivatives and ds.derivatives is None:
-        ds_eff = ds.with_finite_difference_derivatives()
     raw = np.ones((j, j))
     raw_list = []
     for pair_index, (a, b) in enumerate(pairs):
-        sub = ds_eff.subset([a, b])
+        sub = ds.subset([a, b])
         pair_spec = replace(spec, rng_seed=derive_seed(spec.rng_seed, 2, pair_index))
         keys = depth_sort_keys(sub, pair_spec)
         p = wilcoxon_rank_sum(keys[sub.groups == 1], keys[sub.groups == 2], method=method)

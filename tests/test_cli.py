@@ -169,6 +169,15 @@ class TestCmdDepth:
         ranks = sorted(int(line.split(",")[3]) for line in lines[1:])
         assert ranks == list(range(1, 51))
 
+    def test_stdout_matches_output_file(self, identical_groups_csv, tmp_path, capsys):
+        argv = ["depth", "--input", str(identical_groups_csv), "--depth", "rp", "--primed"]
+        out = tmp_path / "depths.csv"
+        assert main(argv + ["--output", str(out)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "\r" not in stdout
+        assert stdout == out.read_bytes().decode().replace("\r\n", "\n")
+
     def test_json_output(self, identical_groups_csv, capsys):
         code = main(["depth", "--input", str(identical_groups_csv), "--depth", "ltr",
                      "--format", "json"])
@@ -272,6 +281,18 @@ class TestCmdSimulate:
         assert main(["simulate", "--spec", str(path), "--output", str(out)]) == EXIT_OK
         header = out.read_text().splitlines()[0]
         assert header == "depth,family,param,value,N,rate,se,R"
+
+    def test_stdout_matches_output_file(self, tmp_path, capsys):
+        spec_json = {"scenario": 1, "sizes": [10, 10], "replications": 3, "seed": 2,
+                     "depths": [{"kind": "ltr"}, {"kind": "mbd", "primed": True}]}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(spec_json))
+        out = tmp_path / "res.csv"
+        assert main(["simulate", "--spec", str(path), "--output", str(out)]) == EXIT_OK
+        assert main(["simulate", "--spec", str(path)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "\r" not in stdout
+        assert stdout == out.read_bytes().decode().replace("\r\n", "\n")
 
 
 class TestParser:

@@ -11,8 +11,10 @@ from fkwc import (
     FunctionalDataset,
     Grid,
     ParameterError,
+    TestConfig,
     compute_depth,
     depth_ranks,
+    fkwc_test,
     ltr_depth,
     ltr_rank_scores,
     mbd,
@@ -21,6 +23,7 @@ from fkwc import (
     rp_depth,
     rp_depth_deriv,
     spatial_depth,
+    steel_mc,
     ksd_depth,
 )
 from fkwc.depths import _spatial_channel
@@ -388,6 +391,27 @@ class TestValueRanges:
         for kind in ("mfhd", "spatial", "ksd"):
             vals = compute_depth(ds, DepthSpec(kind=kind)).values
             assert np.all((0.0 <= vals) & (vals <= 1.0)), kind
+
+
+class TestDerivativeChannel:
+    """A primed spec on a dataset without derivatives gives, at every entry
+    point, exactly the result on the finite-difference-filled dataset."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_missing_channel_filled_everywhere(self, kind, grid21):
+        rng = np.random.default_rng(81)
+        ds = make_ds(rng.normal(size=(18, grid21.m)), groups=np.repeat([1, 2, 3], 6),
+                     grid=grid21)
+        filled = ds.with_finite_difference_derivatives()
+        spec = DepthSpec(kind=kind, use_derivatives=True, rng_seed=5)
+        got, want = compute_depth(ds, spec).values, compute_depth(filled, spec).values
+        assert got.tobytes() == want.tobytes()
+        assert depth_ranks(ds, spec).ranks.tobytes() == depth_ranks(filled, spec).ranks.tobytes()
+        config = TestConfig(depth_spec=spec)
+        assert fkwc_test(ds, config) == fkwc_test(filled, config)
+        mc, mc_filled = steel_mc(ds, spec), steel_mc(filled, spec)
+        assert mc.pairwise_raw_p.tobytes() == mc_filled.pairwise_raw_p.tobytes()
+        assert mc.pairwise_adjusted_p.tobytes() == mc_filled.pairwise_adjusted_p.tobytes()
 
 
 class TestErrors:
