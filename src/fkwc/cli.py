@@ -6,13 +6,15 @@ power / sample size from a JSON spec), ``simulate`` (replicated studies from
 a JSON spec).
 
 Exit codes: 0 success (no rejection), 2 rejection at level alpha (``test``
-only), 1 input error, 3 parameter error, 4 numerical error.
+only), 1 input error or standard output closed by its reader (broken pipe),
+3 parameter error, 4 numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -107,7 +109,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="family size m for the correction (default: number of pairs)",
     )
     p_mc.add_argument("--method", choices=("normal", "exact"), default="normal",
-                      help="rank-sum p-value computation")
+                      help="rank-sum p-value: normal approximation, or the exact null "
+                           "(up to about 100 vs 100 curves per group pair)")
     p_mc.add_argument("--format", choices=("json", "table"), default="json")
 
     p_depth = subs.add_parser("depth", help="per-curve depth values and ranks")
@@ -385,7 +388,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader left (e.g. `| head`); the interpreter flushes stdout again
+        # at exit, so point fd 1 at devnull to keep that flush from raising
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
     except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -10,10 +10,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.stats import chi2, poisson
 
-from .exceptions import InfeasibleError, ParameterError
+from .exceptions import InfeasibleError, NumericalError, ParameterError
 from .fdata import differentiate
 
 _POISSON_TAIL = 1e-12
+_MAX_BINS = 10**6
 
 
 @dataclass(frozen=True)
@@ -69,12 +70,32 @@ def density_from_callable(
     return SupportDensity(pts, np.asarray(fn(pts), dtype=float))
 
 
+def _fd_bin_count(draws: np.ndarray) -> int:
+    """NumPy's Freedman-Diaconis bin count (width 2*IQR*n^(-1/3), one bin
+    when the IQR is 0), refusing counts above ``_MAX_BINS``."""
+    width = 2.0 * np.subtract(*np.percentile(draws, [75, 25])) * draws.size ** (-1.0 / 3.0)
+    if not width:
+        return 1
+    count = (draws.max() - draws.min()) / width
+    if count > _MAX_BINS:
+        raise NumericalError(
+            f"the Freedman-Diaconis rule asks for {count:.3g} histogram bins, "
+            f"more than {_MAX_BINS:.0e}; the draws are too heavy-tailed"
+        )
+    return int(np.ceil(count))
+
+
 def density_from_samples(draws, bins="fd") -> SupportDensity:
     """Histogram density (Freedman-Diaconis bins by default) evaluated at
-    bin midpoints, for Monte Carlo draws of a squared-norm statistic."""
+    bin midpoints, for Monte Carlo draws of a squared-norm statistic.
+
+    Raises ``NumericalError`` when the default rule needs more than 10^6
+    bins, as heavy-tailed draws such as t1 squared norms do."""
     draws = np.asarray(draws, dtype=float)
     if draws.size < 10:
         raise ParameterError("need at least 10 draws to build a histogram density")
+    if isinstance(bins, str) and bins == "fd":
+        bins = _fd_bin_count(draws)
     dens, edges = np.histogram(draws, bins=bins, density=True)
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)

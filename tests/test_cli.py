@@ -1,10 +1,14 @@
 """Command-line interface: flows, exit codes, determinism, help coverage."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fkwc
 from fkwc import (
     DepthSpec,
     FunctionalDataset,
@@ -14,7 +18,15 @@ from fkwc import (
     scenario_models,
     wilcoxon_rank_sum,
 )
-from fkwc.cli import EXIT_INPUT, EXIT_OK, EXIT_PARAMETER, EXIT_REJECT, build_parser, main
+from fkwc.cli import (
+    EXIT_INPUT,
+    EXIT_NUMERICAL,
+    EXIT_OK,
+    EXIT_PARAMETER,
+    EXIT_REJECT,
+    build_parser,
+    main,
+)
 from fkwc.depths import depth_sort_keys
 
 SUBCOMMAND_FLAGS = {
@@ -241,6 +253,19 @@ class TestCmdPower:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tau"] == pytest.approx(13.5095, rel=0.10)
 
+    def test_heavy_tailed_model_density_is_numerical_error(self, tmp_path, capsys):
+        # t1 squared norms span so many Freedman-Diaconis bin widths that the
+        # histogram would need far more than 10^6 bins
+        spec = {
+            "deltas": [0.0, 0.3],
+            "thetas": [0.5, 0.5],
+            "density": {"kind": "model", "family": "t1", "draws": 20000, "seed": 5},
+        }
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        assert main(["power", "--spec", str(path)]) == EXIT_NUMERICAL
+        assert "bins" in capsys.readouterr().err
+
 
 class TestCmdSimulate:
     def test_matches_library_run(self, tmp_path, capsys, grid101):
@@ -293,6 +318,26 @@ class TestCmdSimulate:
         stdout = capsys.readouterr().out
         assert "\r" not in stdout
         assert stdout == out.read_bytes().decode().replace("\r\n", "\n")
+
+    def test_closed_stdout_pipe_exits_quietly(self, tmp_path):
+        spec_json = {"scenario": 1, "sizes": [10, 10], "replications": 3, "seed": 2,
+                     "depths": [{"kind": "ltr"}]}
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps(spec_json))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(fkwc.__file__))}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "fkwc.cli", "simulate", "--spec", str(path)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        stderr = proc.stderr.decode()
+        assert proc.returncode == EXIT_INPUT
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
 
 class TestParser:

@@ -9,6 +9,7 @@ from fkwc import (
     Grid,
     InfeasibleError,
     LocalAlternativeSpec,
+    NumericalError,
     ParameterError,
     ProcessModel,
     density_from_callable,
@@ -133,6 +134,11 @@ class TestLocalTau:
         exact = 24.0 / (32.0 * float(mp.gamma(2.5)) ** 2)
         assert dens.delta_g() == pytest.approx(exact, abs=0.02)
 
+    def test_heavy_tailed_draws_refuse_oversized_histogram(self):
+        # squared Cauchy draws: Freedman-Diaconis asks for about 9e9 bins
+        rng = np.random.default_rng(9)
+        with pytest.raises(NumericalError, match="bins"):
+            density_from_samples(rng.standard_cauchy(size=20_000) ** 2)
 
 def mp_ncx2_sf(x, df, tau):
     """Quadrature of the Bessel-form noncentral density (test oracle)."""

@@ -5,9 +5,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
 from fkwc import (
     DepthSpec,
@@ -181,6 +181,30 @@ class TestFkwcTest:
         assert r1.p_value == pytest.approx(r2.p_value, abs=1e-12)
 
 
+def enumerated_exact_p(x, y):
+    """Two-sided exact rank-sum p-value by enumerating all C(n, n1) splits
+    of the doubled mid-ranks (test oracle for the counting path)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n1, n = x.size, x.size + y.size
+    ranks = rankdata(np.concatenate([x, y]))
+    doubled = np.round(2.0 * ranks).astype(int)
+    obs = int(round(2.0 * ranks[:n1].sum()))
+    mu2 = doubled.sum() * n1 / n
+    dev_obs = abs(obs - mu2)
+    hits = 0
+    total = 0
+    for comb_idx in itertools.combinations(range(n), n1):
+        t2 = sum(doubled[i] for i in comb_idx)
+        if abs(t2 - mu2) >= dev_obs - 1e-9:
+            hits += 1
+        total += 1
+    return hits / total
+
+
+small_tied_sample = st.lists(st.integers(0, 3), min_size=1, max_size=8)
+
+
 class TestWilcoxon:
     def test_matches_exact_on_small_sample(self):
         rng = np.random.default_rng(31)
@@ -207,9 +231,25 @@ class TestWilcoxon:
         y = rng.normal(size=60) + 2.0
         assert wilcoxon_rank_sum(x, y) < 1e-6
 
+    @given(small_tied_sample, small_tied_sample)
+    @example([2], [0, 1, 2, 3, 3])
+    @example([0, 1, 1, 3, 3, 0, 2], [3, 0, 1])
+    @example([1, 1, 1, 1], [1, 1, 1, 1, 1, 1])
+    @example([3], [3])
+    @settings(max_examples=100, deadline=None)
+    def test_exact_counts_equal_enumeration(self, x, y):
+        assert wilcoxon_rank_sum(x, y, method="exact") == enumerated_exact_p(x, y)
+
+    def test_exact_near_normal_at_40_vs_40(self):
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=40)
+        y = rng.normal(size=40) + 0.4
+        p_exact = wilcoxon_rank_sum(x, y, method="exact")
+        assert abs(p_exact - wilcoxon_rank_sum(x, y, method="normal")) < 0.01
+
     def test_exact_guard(self):
         with pytest.raises(ParameterError):
-            wilcoxon_rank_sum(np.arange(40), np.arange(40), method="exact")
+            wilcoxon_rank_sum(np.arange(150), np.arange(150), method="exact")
 
 
 class TestAdjustments:
