@@ -13,14 +13,9 @@ from .exceptions import (
 from .fdata import (
     FunctionalDataset,
     Grid,
-    center_by_deepest,
     differentiate,
-    inner_product,
-    l2_norm,
     load_csv,
-    load_json,
     save_csv,
-    save_json,
 )
 from .depths import (
     DepthSpec,

@@ -1,15 +1,13 @@
 """Grid-based functional samples and their L2 geometry.
 
 Curves are held as rows of an (N, m) array of values on a shared equispaced
-grid over [0, 1].  Inner products and norms discretize the L2([0,1]) inner
-product with the trapezoid rule; derivatives use second-order finite
-differences unless supplied externally.
+grid over [0, 1].  L2([0,1]) integrals use the grid's trapezoid weights;
+derivatives use second-order finite differences unless supplied externally.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 import sys
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -18,46 +16,28 @@ import numpy as np
 
 from .exceptions import DataError
 
-_ENDPOINT_TOL = 1e-12
-_SPACING_RTOL = 1e-9
+_HEADER_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Grid:
-    """Equispaced evaluation points on [0, 1], endpoints included."""
+    """m equispaced evaluation points on [0, 1], endpoints included."""
 
-    points: np.ndarray
+    m: int
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        if pts.ndim != 1 or pts.size < 3:
-            raise DataError(f"grid needs at least 3 points, got shape {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise DataError("grid points must be finite")
-        if abs(pts[0]) > _ENDPOINT_TOL or abs(pts[-1] - 1.0) > _ENDPOINT_TOL:
-            raise DataError(
-                f"grid must span [0, 1]; got endpoints {pts[0]!r}, {pts[-1]!r}"
-            )
-        diffs = np.diff(pts)
-        if np.any(diffs <= 0):
-            raise DataError("grid points must be strictly increasing")
-        step = 1.0 / (pts.size - 1)
-        if np.any(np.abs(diffs - step) > _SPACING_RTOL * max(step, 1.0)):
-            raise DataError("grid points must be equispaced over [0, 1]")
-        pts = pts.copy()
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
+        if not isinstance(self.m, (int, np.integer)) or self.m < 3:
+            raise DataError(f"grid needs an integer count of at least 3 points, got {self.m!r}")
+        object.__setattr__(self, "m", int(self.m))
 
     @classmethod
     def regular(cls, m: int) -> "Grid":
         """Uniform grid with m points on [0, 1]."""
-        if m < 3:
-            raise DataError(f"grid needs at least 3 points, got m={m}")
-        return cls(np.linspace(0.0, 1.0, m))
+        return cls(m)
 
     @property
-    def m(self) -> int:
-        return self.points.size
+    def points(self) -> np.ndarray:
+        return np.linspace(0.0, 1.0, self.m)
 
     @property
     def step(self) -> float:
@@ -71,15 +51,6 @@ class Grid:
         w.setflags(write=False)
         return w
 
-    def __eq__(self, other):
-        return isinstance(other, Grid) and np.array_equal(self.points, other.points)
-
-    def __hash__(self):
-        return hash(("Grid", self.m))
-
-    def __repr__(self):
-        return f"Grid(m={self.m})"
-
 
 def _as_curves(values, grid: Grid, what: str = "curve") -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -92,27 +63,6 @@ def _as_curves(values, grid: Grid, what: str = "curve") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{what} values must be finite")
     return arr
-
-
-def inner_product(f, g, grid: Grid):
-    """Trapezoid-rule approximation of the L2 inner product of f and g.
-
-    Accepts single curves (length-m vectors) or stacks of curves; the
-    result is a scalar or a vector accordingly.
-    """
-    fa = np.asarray(f, dtype=float)
-    ga = np.asarray(g, dtype=float)
-    if fa.shape[-1] != grid.m or ga.shape[-1] != grid.m:
-        raise DataError(
-            f"curve lengths {fa.shape[-1]}, {ga.shape[-1]} do not match grid m={grid.m}"
-        )
-    out = (fa * ga) @ grid.trapezoid_weights
-    return float(out) if np.ndim(out) == 0 else out
-
-def l2_norm(f, grid: Grid):
-    """L2([0,1]) norm of a curve (or each row of a stack) under the grid."""
-    sq = inner_product(f, f, grid)
-    return np.sqrt(sq)
 
 
 def differentiate(f, grid: Grid):
@@ -193,9 +143,6 @@ class FunctionalDataset:
     def group_sizes(self) -> np.ndarray:
         return np.bincount(self.groups, minlength=self.n_groups + 1)[1:]
 
-    def group_indices(self, label: int) -> np.ndarray:
-        return np.flatnonzero(self.groups == label)
-
     def with_finite_difference_derivatives(self) -> "FunctionalDataset":
         """Return a copy whose derivative channel is filled by finite
         differences (no-op when derivatives are already present)."""
@@ -216,31 +163,9 @@ class FunctionalDataset:
         return FunctionalDataset(self.grid, self.curves[mask], new_groups, deriv)
 
 
-def center_by_deepest(ds: FunctionalDataset, spec) -> FunctionalDataset:
-    """Subtract each group's deepest curve from every curve of that group.
-
-    Depth is computed within the group's own sample.  Ties for the maximum
-    break toward the lowest curve index.  The derivative channel, when
-    present, is shifted by the deepest curve's derivative.
-    """
-    from .depths import compute_depth
-
-    curves = np.array(ds.curves)
-    deriv = None if ds.derivatives is None else np.array(ds.derivatives)
-    for j in range(1, ds.n_groups + 1):
-        idx = ds.group_indices(j)
-        sub = ds.subset([j])
-        depth = compute_depth(sub, spec).values
-        best = idx[int(np.argmax(depth))]
-        curves[idx] -= ds.curves[best]
-        if deriv is not None:
-            deriv[idx] -= ds.derivatives[best]
-    return FunctionalDataset(ds.grid, curves, ds.groups, deriv)
-
-
 # ---------------------------------------------------------------------------
-# File formats: wide CSV (header "group", grid points; one row per curve)
-# and a JSON mirror of the same shape.
+# File format: wide CSV (header "group", then the m grid points; one row
+# per curve).
 # ---------------------------------------------------------------------------
 
 def _format_float(x: float) -> str:
@@ -284,8 +209,12 @@ def _parse_wide_csv(path):
         points = np.array([float(c) for c in header[1:]])
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric grid point in header ({exc})") from None
-    grid = Grid(points)
-    m = grid.m
+    m = points.size
+    if m < 3 or not (np.abs(points - np.linspace(0.0, 1.0, m)) <= _HEADER_TOL).all():
+        raise DataError(
+            f"{path}: header grid must be at least 3 equispaced points from 0 to 1"
+        )
+    grid = Grid(m)
     groups, values = [], []
     for r, row in enumerate(rows[1:], start=2):
         if not row:
@@ -326,30 +255,3 @@ def load_csv(path, derivatives_path=None) -> FunctionalDataset:
         if not np.array_equal(dgroups, groups):
             raise DataError(f"{derivatives_path}: group column does not match {path}")
     return FunctionalDataset(grid, curves, groups, deriv)
-
-
-def save_json(ds: FunctionalDataset, path) -> None:
-    payload = {
-        "grid": ds.grid.points.tolist(),
-        "groups": ds.groups.tolist(),
-        "curves": ds.curves.tolist(),
-        "derivatives": None if ds.derivatives is None else ds.derivatives.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def load_json(path) -> FunctionalDataset:
-    with open(path) as fh:
-        payload = json.load(fh)
-    try:
-        grid = Grid(np.array(payload["grid"], dtype=float))
-        deriv = payload.get("derivatives")
-        return FunctionalDataset(
-            grid,
-            np.array(payload["curves"], dtype=float),
-            np.array(payload["groups"]),
-            None if deriv is None else np.array(deriv, dtype=float),
-        )
-    except KeyError as exc:
-        raise DataError(f"{path}: missing field {exc}") from None

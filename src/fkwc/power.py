@@ -71,11 +71,14 @@ def density_from_callable(
 
 
 def _fd_bin_count(draws: np.ndarray) -> int:
-    """NumPy's Freedman-Diaconis bin count (width 2*IQR*n^(-1/3), one bin
-    when the IQR is 0), refusing counts above ``_MAX_BINS``."""
+    """NumPy's Freedman-Diaconis bin count (width 2*IQR*n^(-1/3)), refusing
+    an IQR of 0 (one bin, no density) and counts above ``_MAX_BINS``."""
     width = 2.0 * np.subtract(*np.percentile(draws, [75, 25])) * draws.size ** (-1.0 / 3.0)
     if not width:
-        return 1
+        raise ParameterError(
+            "the draws have an interquartile range of 0, so the Freedman-Diaconis "
+            "rule gives 1 histogram bin; a density needs at least 2"
+        )
     count = (draws.max() - draws.min()) / width
     if count > _MAX_BINS:
         raise NumericalError(
@@ -90,7 +93,8 @@ def density_from_samples(draws, bins="fd") -> SupportDensity:
     bin midpoints, for Monte Carlo draws of a squared-norm statistic.
 
     Raises ``NumericalError`` when the default rule needs more than 10^6
-    bins, as heavy-tailed draws such as t1 squared norms do."""
+    bins, as heavy-tailed draws such as t1 squared norms do, and
+    ``ParameterError`` when the draws have an interquartile range of 0."""
     draws = np.asarray(draws, dtype=float)
     if draws.size < 10:
         raise ParameterError("need at least 10 draws to build a histogram density")

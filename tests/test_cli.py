@@ -266,6 +266,14 @@ class TestCmdPower:
         assert main(["power", "--spec", str(path)]) == EXIT_NUMERICAL
         assert "bins" in capsys.readouterr().err
 
+    def test_zero_iqr_samples_density_is_parameter_error(self, tmp_path, capsys):
+        spec = {"deltas": [0.0, 0.3], "thetas": [0.5, 0.5],
+                "density": {"kind": "samples", "values": [1.0] * 20 + [2.0]}}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        assert main(["power", "--spec", str(path)]) == EXIT_PARAMETER
+        assert "interquartile range of 0" in capsys.readouterr().err
+
 
 class TestCmdSimulate:
     def test_matches_library_run(self, tmp_path, capsys, grid101):

@@ -2,22 +2,17 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fkwc import (
     DataError,
-    DepthSpec,
     FunctionalDataset,
     Grid,
-    center_by_deepest,
     differentiate,
-    inner_product,
-    l2_norm,
     load_csv,
-    load_json,
+    ltr_rank_scores,
     save_csv,
-    save_json,
 )
 
 
@@ -40,71 +35,88 @@ class TestGrid:
         with pytest.raises(DataError):
             Grid.regular(2)
 
-    def test_not_equispaced(self):
-        with pytest.raises(DataError):
-            Grid(np.array([0.0, 0.3, 1.0]))
+    def test_not_equispaced(self, tmp_path):
+        path = tmp_path / "uneven.csv"
+        path.write_text("group,0,0.3,1\n1,1,2,3\n")
+        with pytest.raises(DataError, match="uneven.csv"):
+            load_csv(path)
 
-    def test_bad_endpoints(self):
-        with pytest.raises(DataError):
-            Grid(np.array([0.1, 0.5, 1.0]))
+    def test_bad_endpoints(self, tmp_path):
+        path = tmp_path / "ends.csv"
+        path.write_text("group,0.1,0.5,1\n1,1,2,3\n")
+        with pytest.raises(DataError, match="ends.csv"):
+            load_csv(path)
 
     def test_weights_sum_to_one(self, grid101):
         assert abs(grid101.trapezoid_weights.sum() - 1.0) < 1e-12
 
+    def test_equal_to_regular_with_equal_hash(self):
+        assert Grid(101) == Grid.regular(101)
+        assert hash(Grid(101)) == hash(Grid.regular(101))
+        assert Grid(101) != Grid(102)
+
+    def test_repr(self):
+        assert repr(Grid(101)) == "Grid(m=101)"
+
+    @pytest.mark.parametrize("m", [3, 21, 101, 1000])
+    def test_points_are_linspace_bit_for_bit(self, m):
+        pts = Grid(m).points
+        assert pts.tobytes() == np.linspace(0, 1, m).tobytes()
+
+    @pytest.mark.parametrize("m", [2, 3.5, np.linspace(0, 1, 5)], ids=["two", "float", "array"])
+    def test_refuses_non_integer_or_small_counts(self, m):
+        with pytest.raises(DataError):
+            Grid(m)
+
+    def test_numpy_integer_accepted(self):
+        g = Grid(np.int64(5))
+        assert g == Grid(5)
+        assert repr(g) == "Grid(m=5)"
+
 
 class TestInnerProduct:
+    """The trapezoid-rule L2 inner product (f * g) @ w that the kernels use."""
+
     def test_constant_one(self, grid101):
         one = np.ones(grid101.m)
-        assert inner_product(one, one, grid101) == pytest.approx(1.0, abs=1e-12)
+        assert (one * one) @ grid101.trapezoid_weights == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_times_one_is_half(self, grid101):
         t = grid101.points
-        assert inner_product(t, np.ones_like(t), grid101) == pytest.approx(0.5, abs=1e-12)
+        assert t @ grid101.trapezoid_weights == pytest.approx(0.5, abs=1e-12)
 
     def test_fourier_orthogonality(self):
         g = Grid.regular(201)
         t = g.points
-        val = inner_product(np.sin(2 * np.pi * t), np.cos(2 * np.pi * t), g)
+        val = (np.sin(2 * np.pi * t) * np.cos(2 * np.pi * t)) @ g.trapezoid_weights
         assert abs(val) < 1e-8
 
-    def test_grid_mismatch(self, grid101, grid21):
-        with pytest.raises(DataError):
-            inner_product(np.ones(grid21.m), np.ones(grid21.m), grid101)
 
-    @given(curve_arrays(m=11, n=2))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetry_exact(self, pair):
-        g = Grid.regular(11)
-        assert inner_product(pair[0], pair[1], g) == inner_product(pair[1], pair[0], g)
-
-    @given(curve_arrays(m=11, n=2), st.floats(-5, 5), st.floats(-5, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_bilinearity(self, pair, a, b):
-        g = Grid.regular(11)
-        f, h = pair
-        lhs = inner_product(a * f + b * h, f, g)
-        rhs = a * inner_product(f, f, g) + b * inner_product(h, f, g)
-        assert lhs == pytest.approx(rhs, abs=1e-8 * (1 + abs(rhs)))
+def ltr_norms(curves, grid):
+    """Root of the squared L2 norms that ``ltr`` ranks."""
+    curves = np.atleast_2d(curves)
+    ds = FunctionalDataset(grid, curves, np.ones(curves.shape[0], dtype=int))
+    return np.sqrt(ltr_rank_scores(ds))
 
 
 class TestNorm:
     def test_zero(self, grid101):
-        assert l2_norm(np.zeros(grid101.m), grid101) == 0.0
+        assert ltr_norms(np.zeros(grid101.m), grid101)[0] == 0.0
 
     def test_constant(self, grid101):
-        assert l2_norm(-3.0 * np.ones(grid101.m), grid101) == pytest.approx(3.0, abs=1e-12)
+        assert ltr_norms(-3.0 * np.ones(grid101.m), grid101)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_unit_sine(self):
         g = Grid.regular(201)
         f = np.sqrt(2.0) * np.sin(2 * np.pi * g.points)
-        assert l2_norm(f, g) == pytest.approx(1.0, abs=1e-6)
+        assert ltr_norms(f, g)[0] == pytest.approx(1.0, abs=1e-6)
 
     @given(curve_arrays(m=11, n=2))
     @settings(max_examples=50, deadline=None)
     def test_triangle_inequality(self, pair):
         g = Grid.regular(11)
-        f, h = pair
-        assert l2_norm(f + h, g) <= l2_norm(f, g) + l2_norm(h, g) + 1e-12
+        f, h = ltr_norms(pair, g)
+        assert ltr_norms(pair[0] + pair[1], g)[0] <= f + h + 1e-12
 
 
 class TestDifferentiate:
@@ -196,51 +208,38 @@ class TestCsvJson:
         np.testing.assert_array_equal(back.groups, ds.groups)
         np.testing.assert_array_equal(back.grid.points, ds.grid.points)
 
-    def test_json_roundtrip(self, tmp_path, two_group_dataset):
-        path = tmp_path / "data.json"
-        save_json(two_group_dataset, path)
-        back = load_json(path)
-        np.testing.assert_array_equal(back.curves, two_group_dataset.curves)
-        assert back.derivatives is None
+    @pytest.mark.parametrize(
+        "header", ["0,nan,1", "0,1", "1,0.5,0"], ids=["nan", "two-points", "decreasing"]
+    )
+    def test_bad_header_rejected_naming_file(self, tmp_path, header):
+        m = header.count(",") + 1
+        path = tmp_path / "head.csv"
+        path.write_text(f"group,{header}\n1," + ",".join(["1"] * m) + "\n")
+        with pytest.raises(DataError, match="head.csv"):
+            load_csv(path)
 
+    def test_header_within_tolerance_accepted(self, tmp_path):
+        path = tmp_path / "close.csv"
+        path.write_text("group,0,0.5000000001,1\n1,1,2,3\n")
+        assert load_csv(path).grid == Grid(3)
 
-class TestCenterByDeepest:
-    def test_single_curve_group_becomes_zero(self, grid21):
-        rng = np.random.default_rng(3)
-        ds = FunctionalDataset(
-            grid21, np.vstack([rng.normal(size=grid21.m), rng.normal(size=(3, grid21.m))]),
-            [1, 2, 2, 2],
-        )
-        out = center_by_deepest(ds, DepthSpec(kind="mbd"))
-        np.testing.assert_array_equal(out.curves[0], np.zeros(grid21.m))
+    def test_derivative_grid_mismatch_rejected(self, tmp_path):
+        cpath = tmp_path / "c.csv"
+        dpath = tmp_path / "d.csv"
+        cpath.write_text("group,0,0.5,1\n1,1,2,3\n")
+        dpath.write_text("group,0,0.25,0.5,0.75,1\n1,1,2,3,4,5\n")
+        with pytest.raises(DataError, match="d.csv"):
+            load_csv(cpath, derivatives_path=dpath)
 
-    def test_ordered_constants_mbd_subtracts_middle(self, grid21):
-        curves = np.vstack([np.full(grid21.m, v) for v in (0.0, 1.0, 2.0)])
-        ds = FunctionalDataset(grid21, curves, [1, 1, 1])
-        out = center_by_deepest(ds, DepthSpec(kind="mbd"))
-        np.testing.assert_allclose(out.curves, curves - 1.0)
-
-    def test_double_centering_ltr_leaves_zero_curve_per_group(self, two_group_dataset):
-        spec = DepthSpec(kind="ltr")
-        once = center_by_deepest(two_group_dataset, spec)
-        twice = center_by_deepest(once, spec)
-        for j in (1, 2):
-            rows = twice.curves[twice.group_indices(j)]
-            assert np.any(np.all(rows == 0.0, axis=1))
-
-    def test_depth_tie_breaks_to_lowest_index(self, grid21):
-        f = np.sin(2 * np.pi * grid21.points)
-        ds = FunctionalDataset(grid21, np.vstack([f, -f]), [1, 1])
-        out = center_by_deepest(ds, DepthSpec(kind="ltr"))
-        np.testing.assert_allclose(out.curves[0], 0.0)
-        np.testing.assert_allclose(out.curves[1], -2 * f)
-
-    def test_derivative_channel_recomputed(self, grid21):
-        rng = np.random.default_rng(8)
-        ds = FunctionalDataset(
-            grid21, rng.normal(size=(4, grid21.m)), [1, 1, 2, 2]
-        ).with_finite_difference_derivatives()
-        out = center_by_deepest(ds, DepthSpec(kind="mbd"))
-        np.testing.assert_allclose(
-            out.derivatives, differentiate(out.curves, grid21), atol=1e-10
-        )
+    @given(st.integers(3, 400), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_roundtrip_any_grid_size(self, tmp_path, m, seed):
+        rng = np.random.default_rng(seed)
+        ds = FunctionalDataset(Grid(m), rng.standard_cauchy((3, m)), [1, 2, 2])
+        path = tmp_path / "any.csv"
+        save_csv(ds, path)
+        back = load_csv(path)
+        assert back.grid == Grid(m)
+        assert back.curves.tobytes() == ds.curves.tobytes()
+        np.testing.assert_array_equal(back.groups, ds.groups)

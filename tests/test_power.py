@@ -140,6 +140,11 @@ class TestLocalTau:
         with pytest.raises(NumericalError, match="bins"):
             density_from_samples(rng.standard_cauchy(size=20_000) ** 2)
 
+    def test_zero_iqr_draws_say_why(self):
+        # 20 equal draws and one outlier: one Freedman-Diaconis bin
+        with pytest.raises(ParameterError, match="interquartile range of 0"):
+            density_from_samples(np.r_[np.ones(20), 2.0])
+
 def mp_ncx2_sf(x, df, tau):
     """Quadrature of the Bessel-form noncentral density (test oracle)."""
     if tau == 0:

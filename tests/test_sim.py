@@ -14,7 +14,6 @@ from fkwc import (
     gen_gp,
     gen_skew_gp,
     gen_t1,
-    inner_product,
     run_study,
     save_study_csv,
     scenario_eigenvalues,
@@ -167,10 +166,11 @@ class TestEigenFamily:
 
     def test_basis_orthonormal(self, grid101):
         basis = fourier_basis(grid101, 11)
+        w = grid101.trapezoid_weights
         for i in range(11):
             for j in range(i, 11):
                 want = 1.0 if i == j else 0.0
-                got = inner_product(basis[i], basis[j], grid101)
+                got = (basis[i] * basis[j]) @ w
                 assert got == pytest.approx(want, abs=5e-4)
 
     def test_score_variances_match_eigenvalues(self, grid101):
