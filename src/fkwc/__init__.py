@@ -66,10 +66,6 @@ from .sim import (
     StudyResult,
     StudySpec,
     fourier_basis,
-    gen_eigen,
-    gen_gp,
-    gen_skew_gp,
-    gen_t1,
     generate,
     run_study,
     save_study_csv,

@@ -18,6 +18,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.stats import chi2
 
 from . import __version__
 from .depths import (
@@ -40,7 +41,7 @@ from .power import (
     power_from_pairwise,
     required_sample_size,
 )
-from .sim import ProcessModel, StudySpec, run_study, save_study_csv, scenario_models
+from .sim import ProcessModel, StudySpec, generate, run_study, save_study_csv, scenario_models
 from .testing import TestConfig, fkwc_test, steel_mc
 
 EXIT_OK = 0
@@ -245,10 +246,8 @@ def _density_from_json(node) -> SupportDensity:
         df = float(node.get("df", 1))
         if df <= 0:
             raise ParameterError("chi2 df must be positive")
-        from scipy.stats import chi2 as chi2_dist
-
-        hi = float(chi2_dist.ppf(1.0 - 1e-10, df))
-        return density_from_callable(lambda z: chi2_dist.pdf(z, df), (0.0, hi))
+        hi = float(chi2.ppf(1.0 - 1e-10, df))
+        return density_from_callable(lambda z: chi2.pdf(z, df), (0.0, hi))
     if kind == "histogram":
         edges = np.asarray(node["edges"], dtype=float)
         dens = np.asarray(node["densities"], dtype=float)
@@ -261,8 +260,6 @@ def _density_from_json(node) -> SupportDensity:
     if kind == "model":
         # base squared-norm law estimated from Monte Carlo draws of a
         # generative model
-        from .sim import generate
-
         grid = Grid.regular(int(node.get("grid_points", 101)))
         model = _model_from_json(node, grid)
         draws = int(node.get("draws", 20_000))

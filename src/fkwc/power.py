@@ -12,9 +12,12 @@ from scipy.stats import chi2, poisson
 
 from .exceptions import InfeasibleError, NumericalError, ParameterError
 from .fdata import differentiate
+from .sim import generate
 
 _POISSON_TAIL = 1e-12
 _MAX_BINS = 10**6
+# curves per draw in mc_rank_prob, which keeps its memory flat in reps
+_RANK_PROB_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -188,29 +191,33 @@ def tau_from_pairwise(probs, thetas, group_sizes, n_total: float) -> float:
 def mc_rank_prob(model_j, model_k, p: int = 0, reps: int = 10_000, seed: int = 0) -> RankProbability:
     """Monte Carlo Pr(D(X_j) <= D(X_k)) under L2-root ranking, i.e. the
     probability that the summed channel norms of X_k fall below those of
-    X_j; channels are the curve plus p finite-difference derivatives."""
-    from .sim import generate  # local import to avoid a module cycle
-
+    X_j; channels are the curve plus p finite-difference derivatives.
+    Curves are drawn in chunks, so memory does not grow with ``reps``."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     if p not in (0, 1):
         raise ParameterError("p must be 0 or 1")
     grid = model_j.grid
     w = grid.trapezoid_weights
+    rng_j = np.random.default_rng((seed, 11))
+    rng_k = np.random.default_rng((seed, 13))
 
-    def scores(model, rng_seed):
-        x = generate(model, reps, rng_seed)
+    def scores(model, size, rng):
+        x = generate(model, size, rng)
         s = np.sqrt((x * x) @ w)
         if p == 1:
             d = differentiate(x, grid)
             s = s + np.sqrt((d * d) @ w)
         return s
 
-    s_j = scores(model_j, (seed, 11))
-    s_k = scores(model_k, (seed, 13))
-    hits = np.mean(s_k <= s_j)
-    se = math.sqrt(max(hits * (1 - hits), 1e-12) / reps)
-    return RankProbability(float(hits), se, reps)
+    hits = 0
+    for start in range(0, reps, _RANK_PROB_CHUNK):
+        size = min(_RANK_PROB_CHUNK, reps - start)
+        s_j = scores(model_j, size, rng_j)
+        hits += int(np.count_nonzero(scores(model_k, size, rng_k) <= s_j))
+    prob = hits / reps
+    se = math.sqrt(max(prob * (1 - prob), 1e-12) / reps)
+    return RankProbability(prob, se, reps)
 
 
 def local_tau(spec: LocalAlternativeSpec) -> float:

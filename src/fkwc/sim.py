@@ -1,16 +1,18 @@
 """Generative process models and replicated size/power studies.
 
-Four curve generators share a squared-exponential kernel family or an
-explicit eigenvalue expansion in an orthonormal Fourier basis (constant
-first, then sine/cosine pairs).  Replicated studies derive every random
-stream from (base seed, replicate, role) so results are bit-identical
-regardless of worker count.
+``generate`` is the one way to draw curves from a ``ProcessModel``.  Three
+families share a squared-exponential kernel, which a model factors once, at
+its first draw; the fourth is an explicit eigenvalue expansion in an
+orthonormal Fourier basis (constant first, then sine/cosine pairs).
+Replicated studies derive every random stream from (base seed, replicate,
+role) so results are bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -57,24 +59,28 @@ class ProcessModel:
         if self.family == "skew_gaussian" and self.skew_shape < 0:
             raise ParameterError("skew shape must be >= 0")
 
+    @cached_property
+    def kernel_factor(self) -> np.ndarray:
+        """Read-only lower Cholesky factor of the kernel plus the first
+        jitter*beta on the ladder that factors; computed at the first draw."""
+        kmat = squared_exponential_kernel(self.grid, self.alpha, self.beta)
+        for jitter in _JITTER_LADDER:
+            try:
+                chol = np.linalg.cholesky(kmat + jitter * self.beta * np.eye(self.grid.m))
+            except np.linalg.LinAlgError:
+                continue
+            chol.setflags(write=False)
+            return chol
+        raise NumericalError(
+            f"kernel matrix not positive definite after jitter up to {_JITTER_LADDER[-1]}*beta "
+            f"(alpha={self.alpha}, beta={self.beta}, m={self.grid.m})"
+        )
+
 
 def squared_exponential_kernel(grid: Grid, alpha: float, beta: float) -> np.ndarray:
     t = grid.points
     diff = t[:, None] - t[None, :]
     return beta * np.exp(-(diff * diff) / (2.0 * alpha * alpha))
-
-
-def _kernel_cholesky(grid: Grid, alpha: float, beta: float) -> np.ndarray:
-    kmat = squared_exponential_kernel(grid, alpha, beta)
-    for jitter in _JITTER_LADDER:
-        try:
-            return np.linalg.cholesky(kmat + jitter * beta * np.eye(grid.m))
-        except np.linalg.LinAlgError:
-            continue
-    raise NumericalError(
-        f"kernel matrix not positive definite after jitter up to {_JITTER_LADDER[-1]}*beta "
-        f"(alpha={alpha}, beta={beta}, m={grid.m})"
-    )
 
 
 def fourier_basis(grid: Grid, size: int) -> np.ndarray:
@@ -93,64 +99,39 @@ def fourier_basis(grid: Grid, size: int) -> np.ndarray:
     return np.array(rows)
 
 
-def gen_gp(model: ProcessModel, n: int, seed) -> np.ndarray:
-    """Zero-mean Gaussian process sample paths via one Cholesky factor."""
-    rng = np.random.default_rng(seed)
-    chol = _kernel_cholesky(model.grid, model.alpha, model.beta)
-    z = rng.standard_normal((n, model.grid.m))
-    return z @ chol.T
-
-
-def gen_t1(model: ProcessModel, n: int, seed) -> np.ndarray:
-    """Student-t process with one degree of freedom: a Gaussian draw
-    divided by an independent per-curve chi(1) scale."""
-    rng = np.random.default_rng(seed)
-    chol = _kernel_cholesky(model.grid, model.alpha, model.beta)
-    z = rng.standard_normal((n, model.grid.m))
-    wdiv = rng.chisquare(1.0, size=n)
-    for i in range(n):
-        while wdiv[i] < 1e-300:
-            wdiv[i] = rng.chisquare(1.0)
-    return (z @ chol.T) / np.sqrt(wdiv)[:, None]
-
-
-def gen_skew_gp(model: ProcessModel, n: int, seed) -> np.ndarray:
-    """Skewed Gaussian process: delta |Z1| + sqrt(1-delta^2) Z2 from two
-    independent draws with the same kernel, recentered by the analytic
-    pointwise mean delta sqrt(2 beta / pi)."""
-    rng = np.random.default_rng(seed)
-    chol = _kernel_cholesky(model.grid, model.alpha, model.beta)
-    a = model.skew_shape
-    delta = a / np.sqrt(1.0 + a * a)
-    z1 = rng.standard_normal((n, model.grid.m)) @ chol.T
-    z2 = rng.standard_normal((n, model.grid.m)) @ chol.T
-    x = delta * np.abs(z1) + np.sqrt(1.0 - delta * delta) * z2
-    return x - delta * np.sqrt(2.0 * model.beta / np.pi)
-
-
-def gen_eigen(model: ProcessModel, n: int, seed) -> np.ndarray:
-    """Finite-rank Gaussian expansion sum_k sqrt(lambda_k) xi_k phi_k with
-    standard normal scores in the orthonormal Fourier basis."""
-    rng = np.random.default_rng(seed)
-    lams = np.asarray(model.eigenvalues, dtype=float)
-    basis = fourier_basis(model.grid, lams.size)
-    xi = rng.standard_normal((n, lams.size))
-    return (xi * np.sqrt(lams)) @ basis
-
-
-_GENERATORS = {
-    "gaussian": gen_gp,
-    "t1": gen_t1,
-    "skew_gaussian": gen_skew_gp,
-    "eigen": gen_eigen,
-}
-
-
 def generate(model: ProcessModel, n: int, seed) -> np.ndarray:
-    """Draw n curves from the model as an (n, m) array."""
+    """Draw n curves from the model as an (n, m) array.  ``seed`` is
+    anything ``np.random.default_rng`` accepts, a ``Generator`` included.
+
+    gaussian: z L^T with L the model's ``kernel_factor``.  t1: that draw
+    divided by a per-curve chi(1) scale.  skew_gaussian: delta |Z1| +
+    sqrt(1-delta^2) Z2 from two such draws, minus the pointwise mean
+    delta sqrt(2 beta / pi).  eigen: sum_k sqrt(lambda_k) xi_k phi_k in the
+    orthonormal Fourier basis."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    return _GENERATORS[model.family](model, n, seed)
+    rng = np.random.default_rng(seed)
+    if model.family == "eigen":
+        lams = np.asarray(model.eigenvalues, dtype=float)
+        xi = rng.standard_normal((n, lams.size))
+        return (xi * np.sqrt(lams)) @ fourier_basis(model.grid, lams.size)
+    # the factor exactly as np.linalg.cholesky returns it: a contiguous copy
+    # of its transpose may take another BLAS path and change the last digits
+    chol = model.kernel_factor
+    z = rng.standard_normal((n, model.grid.m)) @ chol.T
+    if model.family == "gaussian":
+        return z
+    if model.family == "t1":
+        wdiv = rng.chisquare(1.0, size=n)
+        for i in np.flatnonzero(wdiv < 1e-300):
+            while wdiv[i] < 1e-300:
+                wdiv[i] = rng.chisquare(1.0)
+        return z / np.sqrt(wdiv)[:, None]
+    a = model.skew_shape
+    delta = a / np.sqrt(1.0 + a * a)
+    z2 = rng.standard_normal((n, model.grid.m)) @ chol.T
+    x = delta * np.abs(z) + np.sqrt(1.0 - delta * delta) * z2
+    return x - delta * np.sqrt(2.0 * model.beta / np.pi)
 
 
 # ---------------------------------------------------------------------------

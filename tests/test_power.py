@@ -1,10 +1,13 @@
 """Noncentrality, local-alternative tau, noncentral chi-square series, and
 sample-size search."""
 
+import tracemalloc
+
 import mpmath as mp
 import numpy as np
 import pytest
 
+import fkwc.power
 from fkwc import (
     Grid,
     InfeasibleError,
@@ -14,12 +17,15 @@ from fkwc import (
     ProcessModel,
     density_from_callable,
     density_from_samples,
+    differentiate,
+    generate,
     local_tau,
     mc_rank_prob,
     noncentral_chisq_sf,
     power_from_pairwise,
     predicted_power,
     required_sample_size,
+    scenario_models,
     tau_from_pairwise,
 )
 
@@ -94,6 +100,29 @@ class TestMcRankProb:
         m2 = ProcessModel(family="eigen", grid=g, eigenvalues=(2.0, 2.0))
         est = mc_rank_prob(m2, m1, p=1, reps=5000, seed=5)
         assert est.estimate > 0.5
+
+    def test_chunked_count_equals_one_shot(self):
+        m1, m2 = scenario_models(1)
+        reps = int(2.5 * fkwc.power._RANK_PROB_CHUNK)
+        w = m1.grid.trapezoid_weights
+
+        def scores(model, seed):
+            x = generate(model, reps, seed)
+            d = differentiate(x, model.grid)
+            return np.sqrt((x * x) @ w) + np.sqrt((d * d) @ w)
+
+        want = np.mean(scores(m2, (7, 13)) <= scores(m1, (7, 11)))
+        assert mc_rank_prob(m1, m2, p=1, reps=reps, seed=7).estimate == want
+
+    def test_memory_flat_in_reps(self):
+        m1, m2 = scenario_models(1)
+        tracemalloc.start()
+        try:
+            mc_rank_prob(m1, m2, p=1, reps=100_000, seed=9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestLocalTau:

@@ -1,25 +1,127 @@
 """Process generators and the replicated study harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+import fkwc.sim as sim_mod
 from fkwc import (
     DepthSpec,
+    Grid,
     ParameterError,
     ProcessModel,
     StudySpec,
     fourier_basis,
-    gen_eigen,
-    gen_gp,
-    gen_skew_gp,
-    gen_t1,
+    generate,
     run_study,
     save_study_csv,
     scenario_eigenvalues,
     scenario_models,
     squared_exponential_kernel,
 )
+
+
+def reference_cholesky(grid, alpha, beta):
+    kmat = squared_exponential_kernel(grid, alpha, beta)
+    for jitter in (1e-10, 1e-8, 1e-6):
+        try:
+            return np.linalg.cholesky(kmat + jitter * beta * np.eye(grid.m))
+        except np.linalg.LinAlgError:
+            continue
+    raise AssertionError("reference kernel does not factor")
+
+
+def reference_draw(model, n, seed):
+    """The four per-family generators as they stood before ``generate``
+    took their bodies: each draw factors the kernel afresh."""
+    rng = np.random.default_rng(seed)
+    if model.family == "eigen":
+        lams = np.asarray(model.eigenvalues, dtype=float)
+        basis = fourier_basis(model.grid, lams.size)
+        xi = rng.standard_normal((n, lams.size))
+        return (xi * np.sqrt(lams)) @ basis
+    chol = reference_cholesky(model.grid, model.alpha, model.beta)
+    if model.family == "gaussian":
+        z = rng.standard_normal((n, model.grid.m))
+        return z @ chol.T
+    if model.family == "t1":
+        z = rng.standard_normal((n, model.grid.m))
+        wdiv = rng.chisquare(1.0, size=n)
+        for i in range(n):
+            while wdiv[i] < 1e-300:
+                wdiv[i] = rng.chisquare(1.0)
+        return (z @ chol.T) / np.sqrt(wdiv)[:, None]
+    a = model.skew_shape
+    delta = a / np.sqrt(1.0 + a * a)
+    z1 = rng.standard_normal((n, model.grid.m)) @ chol.T
+    z2 = rng.standard_normal((n, model.grid.m)) @ chol.T
+    x = delta * np.abs(z1) + np.sqrt(1.0 - delta * delta) * z2
+    return x - delta * np.sqrt(2.0 * model.beta / np.pi)
+
+
+FAMILIES = ("gaussian", "t1", "skew_gaussian", "eigen")
+
+
+def _model(family, grid, alpha=0.05, beta=1.0):
+    lams = (1.0, 2.0, 3.0, 0.5) if family == "eigen" else None
+    return ProcessModel(family=family, grid=grid, alpha=alpha, beta=beta, eigenvalues=lams)
+
+
+class TestGenerate:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bit_identical_to_reference(self, family):
+        for alpha in (0.01, 0.05, 1.0):
+            for m in (21, 101):
+                model = _model(family, Grid(m), alpha)
+                for n in (1, 3, 40, 100):
+                    for seed in (0, 7, 123456789, (5, 11)):
+                        want = reference_draw(model, n, seed)
+                        for _ in range(2):
+                            np.testing.assert_array_equal(generate(model, n, seed), want)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generator_seed_is_drawn_from(self, family, grid21):
+        model = _model(family, grid21)
+        rng, ref = np.random.default_rng(42), np.random.default_rng(42)
+        for n in (5, 3):
+            np.testing.assert_array_equal(generate(model, n, rng), reference_draw(model, n, ref))
+
+    def test_kernel_factored_once_per_model(self, grid101, monkeypatch):
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(a):
+            calls.append(a.shape)
+            return cholesky(a)
+
+        monkeypatch.setattr(sim_mod.np.linalg, "cholesky", counting)
+        model = _model("gaussian", grid101)
+        for seed in range(3):
+            generate(model, 4, seed)
+        assert len(calls) == 1
+        eigen = _model("eigen", grid101)
+        generate(eigen, 4, 0)
+        assert "kernel_factor" not in vars(eigen)
+        assert len(calls) == 1
+
+    def test_replaced_model_has_its_own_factor(self, grid21):
+        model = _model("t1", grid21)
+        generate(model, 2, 0)
+        doubled = replace(model, beta=2.0)
+        assert doubled == _model("t1", grid21, beta=2.0)
+        assert model == _model("t1", grid21)
+        assert hash(model) == hash(_model("t1", grid21))
+        assert "kernel_factor" not in vars(doubled)
+        np.testing.assert_array_equal(doubled.kernel_factor, reference_cholesky(grid21, 0.05, 2.0))
+        np.testing.assert_array_equal(model.kernel_factor, reference_cholesky(grid21, 0.05, 1.0))
+
+    def test_kernel_factor_read_only(self, grid21):
+        factor = _model("gaussian", grid21).kernel_factor
+        assert not factor.flags.writeable
+        with pytest.raises(ValueError):
+            factor[0, 0] = 1.0
 
 
 class TestKernel:
@@ -35,13 +137,12 @@ class TestKernel:
     @pytest.mark.parametrize("alpha", [0.01, 0.05, 1.0])
     def test_cholesky_succeeds_across_length_scales(self, grid101, alpha):
         model = ProcessModel(family="gaussian", grid=grid101, alpha=alpha, beta=1.0)
-        x = gen_gp(model, 3, 0)
+        x = generate(model, 3, 0)
         assert x.shape == (3, grid101.m)
         assert np.all(np.isfinite(x))
 
     def test_factorization_failure_reported(self, grid101, monkeypatch):
         from fkwc import NumericalError
-        import fkwc.sim as sim_mod
 
         def always_fail(_):
             raise np.linalg.LinAlgError("not positive definite")
@@ -49,13 +150,13 @@ class TestKernel:
         monkeypatch.setattr(sim_mod.np.linalg, "cholesky", always_fail)
         model = ProcessModel(family="gaussian", grid=grid101, alpha=0.05, beta=1.0)
         with pytest.raises(NumericalError, match="jitter"):
-            gen_gp(model, 2, 0)
+            generate(model, 2, 0)
 
 
 class TestGaussianProcess:
     def test_pointwise_covariance_matches_kernel(self, grid101):
         model = ProcessModel(family="gaussian", grid=grid101, alpha=0.05, beta=1.0)
-        x = gen_gp(model, 20_000, 12)
+        x = generate(model, 20_000, 12)
         s, t = 10, 14  # grid points 0.10 and 0.14
         k = squared_exponential_kernel(grid101, 0.05, 1.0)
         emp = np.mean(x[:, s] * x[:, t])
@@ -64,7 +165,7 @@ class TestGaussianProcess:
 
     def test_covariance_matrix_frobenius(self, grid101):
         model = ProcessModel(family="gaussian", grid=grid101, alpha=0.05, beta=1.0)
-        x = gen_gp(model, 20_000, 13)
+        x = generate(model, 20_000, 13)
         emp = (x.T @ x) / x.shape[0]
         k = squared_exponential_kernel(grid101, 0.05, 1.0)
         dist = np.linalg.norm(emp - k) / np.linalg.norm(k)
@@ -72,21 +173,21 @@ class TestGaussianProcess:
 
     def test_zero_mean(self, grid101):
         model = ProcessModel(family="gaussian", grid=grid101, alpha=0.05, beta=1.0)
-        x = gen_gp(model, 20_000, 14)
+        x = generate(model, 20_000, 14)
         assert np.abs(x.mean(axis=0)).max() < 4.0 / np.sqrt(x.shape[0])
 
 
 class TestStudentT1:
     def test_pointwise_median_near_zero(self, grid101):
         model = ProcessModel(family="t1", grid=grid101, alpha=0.05, beta=1.0)
-        x = gen_t1(model, 5000, 21)
+        x = generate(model, 5000, 21)
         med = np.median(x, axis=0)
         iqr = np.subtract(*np.percentile(x, [75, 25], axis=0))
         assert np.all(np.abs(med) < 3 * iqr / np.sqrt(x.shape[0]))
 
     def test_heavy_tails_blow_up_kurtosis(self, grid101):
         model = ProcessModel(family="t1", grid=grid101, alpha=0.05, beta=1.0)
-        x = gen_t1(model, 5000, 22)
+        x = generate(model, 5000, 22)
         v = x[:, 50]
         kurt = np.mean((v - v.mean()) ** 4) / np.var(v) ** 2
         assert kurt > 20
@@ -94,8 +195,8 @@ class TestStudentT1:
     def test_beta_scaling_matches_direct_scaling(self, grid101):
         m1 = ProcessModel(family="t1", grid=grid101, alpha=0.05, beta=1.0)
         m4 = ProcessModel(family="t1", grid=grid101, alpha=0.05, beta=4.0)
-        a = 2.0 * gen_t1(m1, 5000, 23)[:, 30]
-        b = gen_t1(m4, 5000, 24)[:, 30]
+        a = 2.0 * generate(m1, 5000, 23)[:, 30]
+        b = generate(m4, 5000, 24)[:, 30]
         assert ks_2samp(a, b).statistic < 0.05
 
 
@@ -104,8 +205,8 @@ class TestSkewGaussian:
         skew = ProcessModel(family="skew_gaussian", grid=grid101, alpha=0.05, beta=1.0,
                             skew_shape=0.0)
         gauss = ProcessModel(family="gaussian", grid=grid101, alpha=0.05, beta=1.0)
-        a = gen_skew_gp(skew, 5000, 31)[:, 40]
-        b = gen_gp(gauss, 5000, 32)[:, 40]
+        a = generate(skew, 5000, 31)[:, 40]
+        b = generate(gauss, 5000, 32)[:, 40]
         assert ks_2samp(a, b).statistic < 0.05
 
     def test_skewness_positive_and_increasing(self, grid101):
@@ -113,7 +214,7 @@ class TestSkewGaussian:
         for a in (1.0, 4.0, 10.0):
             model = ProcessModel(family="skew_gaussian", grid=grid101, alpha=0.05,
                                  beta=1.0, skew_shape=a)
-            v = gen_skew_gp(model, 10_000, int(a))[:, 55]
+            v = generate(model, 10_000, int(a))[:, 55]
             skews.append(np.mean((v - v.mean()) ** 3) / np.var(v) ** 1.5)
         assert skews[0] > 0
         assert skews[0] < skews[1] < skews[2]
@@ -123,7 +224,7 @@ class TestSkewGaussian:
         delta2 = a * a / (1 + a * a)
         model = ProcessModel(family="skew_gaussian", grid=grid101, alpha=0.05,
                              beta=beta, skew_shape=a)
-        x = gen_skew_gp(model, 20_000, 35)
+        x = generate(model, 20_000, 35)
         v = x[:, 60]
         want = beta * (1 - 2 * delta2 / np.pi)
         emp = np.var(v)
@@ -134,7 +235,7 @@ class TestSkewGaussian:
     def test_mean_centering(self, grid101):
         model = ProcessModel(family="skew_gaussian", grid=grid101, alpha=0.05,
                              beta=1.0, skew_shape=4.0)
-        x = gen_skew_gp(model, 20_000, 36)
+        x = generate(model, 20_000, 36)
         assert np.abs(x.mean(axis=0)).max() < 4.0 / np.sqrt(x.shape[0])
 
 
@@ -176,7 +277,7 @@ class TestEigenFamily:
     def test_score_variances_match_eigenvalues(self, grid101):
         lams = (4.0, 2.0, 1.0, 0.5, 0.25)
         model = ProcessModel(family="eigen", grid=grid101, eigenvalues=lams)
-        x = gen_eigen(model, 10_000, 41)
+        x = generate(model, 10_000, 41)
         basis = fourier_basis(grid101, len(lams))
         w = grid101.trapezoid_weights
         for k, lam in enumerate(lams):
