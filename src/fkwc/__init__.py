@@ -3,6 +3,8 @@ functional data, built on functional-data-depth ranks."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .exceptions import (
     DataError,
     FkwcError,
@@ -74,4 +76,8 @@ from .sim import (
     squared_exponential_kernel,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the submodules are bound here by the imports above but are not public names
+__all__ = sorted(
+    name for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -346,39 +346,93 @@ def rp_depth_deriv(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> Dept
 # integrated (multivariate functional) halfspace depth
 # ---------------------------------------------------------------------------
 
+# queries x points per block of halfspace_depth_2d.  Its temporaries peak at
+# about 120 bytes a cell (2 MB a block); blocks of 65,536 cells ran about
+# 1.7x slower per cell at n = 200 and 400.  A 100 x 100 call is one block.
+_HALFSPACE_BLOCK_CELLS = 1 << 14
+
+
 def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Exact bivariate Tukey depth of each query against ``points``.
 
-    Rotating-line formulation: with the query at the origin, the minimal
-    closed-halfplane count equals (#coincident points) + K - (max open
-    half-circle count over the K nonzero direction angles); the maximum is
-    scanned at the 2K arc breakpoints in O(K log K).
+    Rotating-line formulation (Rousseeuw & Ruts, AS 307, 1996): with the
+    query at the origin, the minimal closed-halfplane count is n minus the
+    largest number of the K nonzero direction angles in a half-open arc
+    (b, b + pi], scanned at the 2K arcs that start or end at an angle.
+    All queries of a block are swept at once.  Per query, with a the
+    sorted angles, p = fl(a + pi) and s = fl(a + 2 pi):
+
+    * X_j = #{a <= p_j} + #{s <= p_j};
+    * Y_j = #{a <= a_j} + #{s <= a_j}, the end of a_j's run of ties (plus
+      the s that equal pi when a_j = pi, possible only when some a = -pi);
+      X_j - Y_j is only needed at those run ends, where Y_j = j + 1;
+    * Z_j = K + #{s <= s_j}, K plus the end of s_j's run of ties;
+
+    and the depth is (n - max_j max(X_j - Y_j, Z_j - X_j)) / n.  These
+    compare the same floats as the per-query sweep, so the counts are
+    identical to it.  X is a batched right-sided search: every comparison
+    behind it is between non-negative floats (a negative a is below every
+    p), whose bit patterns sort like their values, so one row-wise sort of
+    ``bits << 1 | tag`` keys, the tag putting a sample angle before a p it
+    equals, places each p after exactly X of them.
+
+    Cost: O(q n log n) time in a fixed number of NumPy calls per block of
+    at most ``_HALFSPACE_BLOCK_CELLS`` query-point pairs (one block for
+    q = n = 100), against about 15 calls per query for a sweep one query
+    at a time; O(block) memory.
     """
     pts = np.asarray(points, dtype=float)
-    qs = np.atleast_2d(np.asarray(queries, dtype=float))
-    n = pts.shape[0]
+    qs = np.asarray(queries, dtype=float)
+    if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != 2:
+        raise DataError(f"points must have shape (n >= 1, 2), got {pts.shape}")
+    if qs.ndim != 2 or qs.shape[1] != 2:
+        raise DataError(f"queries must have shape (q, 2), got {qs.shape}")
+    if not (np.isfinite(pts).all() and np.isfinite(qs).all()):
+        raise DataError("points and queries must be finite")
+    rows = max(1, _HALFSPACE_BLOCK_CELLS // pts.shape[0])
     out = np.empty(qs.shape[0])
-    for i, q in enumerate(qs):
-        d = pts - q
-        nonzero = (d[:, 0] != 0.0) | (d[:, 1] != 0.0)
-        coincident = n - int(np.count_nonzero(nonzero))
-        dd = d[nonzero]
-        if dd.shape[0] == 0:
-            out[i] = 1.0
-            continue
-        ang = np.sort(np.arctan2(dd[:, 1], dd[:, 0]))
-        k = ang.size
-        shifted = ang + 2.0 * np.pi
-        doubled = np.concatenate([ang, shifted])
-        # piece starting at angle a counts the half-open arc (a, a+pi];
-        # pieces starting at a-pi are evaluated as (a+pi, a+2pi] against the
-        # wrapped copies, whose floats must match `shifted` exactly
-        starts = np.concatenate([ang, ang + np.pi])
-        ends = np.concatenate([ang + np.pi, shifted])
-        hi = np.searchsorted(doubled, ends, side="right")
-        lo = np.searchsorted(doubled, starts, side="right")
-        out[i] = (coincident + k - int((hi - lo).max())) / n
+    for lo in range(0, qs.shape[0], rows):
+        out[lo:lo + rows] = _halfspace_block(pts, qs[lo:lo + rows])
     return out
+
+
+def _halfspace_block(pts: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    n = pts.shape[0]
+    q = qs.shape[0]
+    px, py = pts.T.copy()
+    qx, qy = qs.T.copy()
+    dx = px - qx[:, None]
+    dy = py - qy[:, None]
+    coincident = (dx == 0.0) & (dy == 0.0)
+    a = np.arctan2(dy, dx)
+    a[coincident] = np.inf  # no angle: sorts after the K real ones
+    a.sort(axis=1)
+    p = a + np.pi
+    s = a + 2.0 * np.pi
+    # X: a clipped at 0 stays below every p; the shift drops the sign bit,
+    # so a -0.0 keys as 0, and tag 1 marks the p
+    keys = np.concatenate([np.maximum(a, 0.0), s, p], axis=1)
+    keys = keys.view(np.uint64) << np.uint64(1)
+    keys[:, 2 * n:] |= np.uint64(1)
+    keys.sort(axis=1)
+    tagged = np.flatnonzero((keys & np.uint64(1)).astype(bool)).reshape(q, n)
+    x = tagged - (3 * n * np.arange(q)[:, None] + np.arange(n))
+    counts = np.arange(1, n + 1)
+    # ties of a_j share X_j, so X_j - Y_j peaks at the end of their run,
+    # where Y_j = j + 1; the +inf padding ends no run
+    run_end = np.empty((q, n), dtype=bool)
+    np.not_equal(a[:, 1:], a[:, :-1], out=run_end[:, :-1])
+    run_end[:, -1] = a[:, -1] < np.inf
+    first = np.where(run_end, x - counts, 0)
+    # s_i = pi exactly when a_i = -pi, and then s_i <= a_j for a_j = pi
+    if (a[:, 0] == -np.pi).any():
+        first -= (a == np.pi) * np.count_nonzero(a == -np.pi, axis=1)[:, None]
+    # Z_j = K + #{s <= s_j}, carried back from the end of s_j's run of ties
+    np.not_equal(s[:, 1:], s[:, :-1], out=run_end[:, :-1])
+    run_end[:, -1] = True
+    z = np.minimum.accumulate(np.where(run_end, counts, n)[:, ::-1], axis=1)[:, ::-1]
+    z += n - np.count_nonzero(coincident, axis=1)[:, None]
+    return (n - np.maximum(first, z - x).max(axis=1)) / n
 
 
 def mfhd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:

@@ -197,6 +197,10 @@ def mc_rank_prob(model_j, model_k, p: int = 0, reps: int = 10_000, seed: int = 0
         raise ParameterError("reps must be >= 1")
     if p not in (0, 1):
         raise ParameterError("p must be 0 or 1")
+    if model_j.grid != model_k.grid:
+        raise ParameterError(
+            f"models must share one grid, got {model_j.grid!r} and {model_k.grid!r}"
+        )
     grid = model_j.grid
     w = grid.trapezoid_weights
     rng_j = np.random.default_rng((seed, 11))

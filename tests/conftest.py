@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import fkwc.testing
 from fkwc import FunctionalDataset, Grid
+
+# every property draws the same examples on every run, so a failure
+# reproduces on rerun; no time limit per example on a loaded machine
+settings.register_profile("fkwc", derandomize=True, deadline=None)
+settings.load_profile("fkwc")
 
 # not a test class despite the name
 fkwc.testing.TestConfig.__test__ = False

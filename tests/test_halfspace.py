@@ -1,10 +1,23 @@
-"""Bivariate Tukey depth: independent halfplane-counting oracle and
-degenerate hand-verified configurations."""
+"""Bivariate Tukey depth: independent halfplane-counting oracle,
+degenerate hand-verified configurations, and the per-query sweep that the
+batched kernel must reproduce count for count."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fkwc import halfspace_depth_2d
+import fkwc.depths
+from fkwc import (
+    DataError,
+    DepthSpec,
+    FunctionalDataset,
+    Grid,
+    ProcessModel,
+    generate,
+    halfspace_depth_2d,
+    mfhd,
+)
 
 
 def halfspace_oracle(points, query):
@@ -36,6 +49,38 @@ def halfspace_oracle(points, query):
             minus = strict + int(np.count_nonzero(boundary & (crosses > 0)))
             best = min(best, plus, minus)
     return (z + best) / n
+
+
+def sweep_reference(points, queries):
+    """The rotating-line sweep of Rousseeuw & Ruts (AS 307), one query at a
+    time: with the query at the origin, the depth is (#coincident points +
+    K - max half-open arc count) / n, the maximum scanned at the 2K arc
+    breakpoints of the K sorted nonzero direction angles."""
+    pts = np.asarray(points, dtype=float)
+    qs = np.atleast_2d(np.asarray(queries, dtype=float))
+    n = pts.shape[0]
+    out = np.empty(qs.shape[0])
+    for i, q in enumerate(qs):
+        d = pts - q
+        nonzero = (d[:, 0] != 0.0) | (d[:, 1] != 0.0)
+        coincident = n - int(np.count_nonzero(nonzero))
+        dd = d[nonzero]
+        if dd.shape[0] == 0:
+            out[i] = 1.0
+            continue
+        ang = np.sort(np.arctan2(dd[:, 1], dd[:, 0]))
+        k = ang.size
+        shifted = ang + 2.0 * np.pi
+        doubled = np.concatenate([ang, shifted])
+        # piece starting at angle a counts the half-open arc (a, a+pi];
+        # pieces starting at a-pi are evaluated as (a+pi, a+2pi] against the
+        # wrapped copies, whose floats must match `shifted` exactly
+        starts = np.concatenate([ang, ang + np.pi])
+        ends = np.concatenate([ang + np.pi, shifted])
+        hi = np.searchsorted(doubled, ends, side="right")
+        lo = np.searchsorted(doubled, starts, side="right")
+        out[i] = (coincident + k - int((hi - lo).max())) / n
+    return out
 
 
 class TestHandCases:
@@ -110,3 +155,106 @@ class TestProperties:
         base = halfspace_depth_2d(pts, pts)
         mapped = halfspace_depth_2d(pts @ amat.T + shift, pts @ amat.T + shift)
         np.testing.assert_allclose(mapped, base, atol=1e-12)
+
+
+@st.composite
+def lattice_cases(draw):
+    """Points on a scaled integer lattice (so ties, collinear triples and
+    duplicates are common), some zeros signed negative, plus a few whose
+    directions from the origin differ by less than an ulp of 2 pi; queried
+    at every point and at lattice points outside the sample's range."""
+    scale = draw(st.sampled_from([1.0, 0.1, 3.0, 1e-3]))
+    spread = draw(st.integers(0, 4))  # 0: every point coincides
+    coord = st.integers(-spread, spread)
+    pts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=30)),
+                   dtype=float) * scale
+    negative_zero = np.array(draw(st.lists(st.tuples(st.booleans(), st.booleans()),
+                                           min_size=len(pts), max_size=len(pts))))
+    pts[negative_zero & (pts == 0.0)] = -0.0
+    side = draw(st.sampled_from([1.0, -1.0]))
+    tilts = draw(st.lists(st.integers(-4, 4), max_size=3))
+    near = np.array([[side, t * 1e-16] for t in tilts]).reshape(-1, 2) * scale
+    pts = np.concatenate([pts, near])
+    far = st.integers(-6, 6)
+    extra = draw(st.lists(st.tuples(far, far), max_size=6))
+    qs = np.concatenate([pts, np.array(extra, dtype=float).reshape(-1, 2) * scale])
+    return pts, qs
+
+
+def _t1_dataset(n):
+    curves = generate(ProcessModel(family="t1"), n, seed=(n, 2021))
+    labels = [1] * (n // 2) + [2] * (n - n // 2)
+    return FunctionalDataset(Grid(101), curves, labels).with_finite_difference_derivatives()
+
+
+class TestBatchedKernel:
+    @given(lattice_cases())
+    @settings(max_examples=300)
+    @example((np.array([[1.0, 0.0]]), np.array([[1.0, 0.0], [0.0, 0.0]])))
+    @example((np.zeros((4, 2)), np.array([[0.0, 0.0], [1e-3, 0.0]])))
+    # angles pi and -pi (the -0.0 offset) about the origin: depth 1/2
+    @example((np.array([[2.0, 0.0], [-2.0, 0.0], [2.0, 0.0], [-1.0, -0.0]]),
+              np.array([[0.0, 0.0]])))
+    # a1 < a2 with fl(a1 + 2 pi) == fl(a2 + 2 pi) but fl(a1 + pi) < fl(a2 + pi)
+    @example((np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-2.0, 2.0], [-1.0, 0.0],
+                        [0.0, -2.0], [1.0, -4e-16]]), np.array([[0.0, 0.0]])))
+    def test_equals_sweep_reference_on_lattices(self, case):
+        pts, qs = case
+        assert np.array_equal(halfspace_depth_2d(pts, qs), sweep_reference(pts, qs))
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_primed_mfhd_equals_sweep_on_t1(self, n, monkeypatch):
+        ds = _t1_dataset(n)
+        spec = DepthSpec(kind="mfhd", use_derivatives=True)
+        got = mfhd(ds, spec).values
+        monkeypatch.setattr(fkwc.depths, "halfspace_depth_2d", sweep_reference)
+        assert np.array_equal(got, mfhd(ds, spec).values)
+
+    def test_primed_mfhd_calls_once_per_grid_point(self, monkeypatch):
+        ds = _t1_dataset(40)
+        calls = []
+
+        def counting(points, queries):
+            calls.append(len(queries))
+            return halfspace_depth_2d(points, queries)
+
+        monkeypatch.setattr(fkwc.depths, "halfspace_depth_2d", counting)
+        mfhd(ds, DepthSpec(kind="mfhd", use_derivatives=True))
+        assert calls == [40] * ds.grid.m
+
+    def test_blocks_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        pts = rng.standard_t(1, size=(60, 2))
+        qs = np.concatenate([pts, rng.standard_t(1, size=(13, 2))])
+        whole = halfspace_depth_2d(pts, qs)
+        monkeypatch.setattr(fkwc.depths, "_HALFSPACE_BLOCK_CELLS", 7 * 60)
+        assert np.array_equal(halfspace_depth_2d(pts, qs), whole)
+        assert np.array_equal(whole, sweep_reference(pts, qs))
+
+    def test_no_queries(self):
+        out = halfspace_depth_2d(np.zeros((3, 2)), np.zeros((0, 2)))
+        assert out.shape == (0,)
+
+
+class TestValidation:
+    @pytest.mark.parametrize(
+        "points, queries",
+        [
+            (np.zeros((3, 3)), np.zeros((1, 3))),  # a third column
+            (np.zeros((3, 2)), np.zeros((1, 3))),
+            (np.zeros((3, 3)), np.zeros((1, 2))),
+            (np.zeros((0, 2)), np.zeros((1, 2))),  # empty sample
+            (np.zeros(2), np.zeros((1, 2))),
+            (np.zeros((3, 2)), np.zeros(2)),
+            (np.array([[0.0, 0.0], [np.nan, 1.0]]), np.zeros((1, 2))),
+            (np.array([[0.0, 0.0], [np.inf, 1.0]]), np.zeros((1, 2))),
+            (np.zeros((3, 2)), np.array([[0.0, np.nan]])),
+            (np.zeros((3, 2)), np.array([[-np.inf, 0.0]])),
+        ],
+        ids=["3-col-both", "3-col-queries", "3-col-points", "empty-sample",
+             "1d-points", "1d-queries", "nan-point", "inf-point", "nan-query",
+             "inf-query"],
+    )
+    def test_bad_input_is_data_error(self, points, queries):
+        with pytest.raises(DataError):
+            halfspace_depth_2d(points, queries)

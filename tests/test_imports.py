@@ -18,6 +18,8 @@ for name in names:
 import fkwc
 stale = [n for n in fkwc.__all__ if n.startswith("gen_")]
 assert not stale, stale
+modules = [n for n in fkwc.__all__ if isinstance(getattr(fkwc, n), type(sys))]
+assert not modules, modules
 """
 
 

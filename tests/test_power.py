@@ -75,6 +75,12 @@ class TestTauFromPairwise:
 
 
 class TestMcRankProb:
+    def test_models_on_different_grids_refused(self):
+        m51 = ProcessModel(grid=Grid(51))
+        m101 = ProcessModel(grid=Grid(101))
+        with pytest.raises(ParameterError, match=r"Grid\(m=51\).*Grid\(m=101\)"):
+            mc_rank_prob(m51, m101, reps=10)
+
     def test_identical_models_half(self):
         g = Grid.regular(51)
         model = ProcessModel(family="gaussian", grid=g, alpha=0.1, beta=1.0)
