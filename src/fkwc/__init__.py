@@ -34,7 +34,6 @@ from .depths import (
     mfhd,
     ranks_with_tiebreak,
     rp_depth,
-    rp_depth_deriv,
     spatial_depth,
 )
 from .testing import (

@@ -13,6 +13,7 @@ only), 1 input error or standard output closed by its reader (broken pipe),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -27,11 +28,9 @@ from .depths import (
     MEDIAN_HEURISTIC,
     compute_depth,
     depth_ranks,
-    depths_to_json,
-    save_depths_csv,
 )
 from .exceptions import DataError, NumericalError, ParameterError
-from .fdata import FunctionalDataset, Grid, load_csv
+from .fdata import FunctionalDataset, Grid, load_csv, write_csv
 from .power import (
     LocalAlternativeSpec,
     SupportDensity,
@@ -62,24 +61,17 @@ def _add_io_flags(sub):
 
 
 def _add_depth_flags(sub):
-    sub.add_argument("--depth", choices=DEPTH_KERNELS, default="ltr", help="depth function")
-    sub.add_argument("--primed", action="store_true", help="augment the depth with derivatives")
-    sub.add_argument("--projections", type=int, default=20, help="number of random directions (rp)")
-    sub.add_argument("--band-order", type=int, default=2, help="maximal band order (mbd)")
-    sub.add_argument(
-        "--bandwidth",
-        default=MEDIAN_HEURISTIC,
-        help="squared kernel bandwidth for ksd, or 'median-heuristic'",
-    )
-    sub.add_argument(
-        "--weights",
-        type=float,
-        nargs=2,
-        default=(0.5, 0.5),
-        metavar=("W0", "W1"),
-        help="channel weights for primed mbd/spatial/ksd",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="seed for projections and tie-breaking")
+    # dests are the JSON depth-node keys; a flag left out stays out of the
+    # namespace, so DepthSpec's own default applies
+    add = functools.partial(sub.add_argument, default=argparse.SUPPRESS)
+    add("--depth", dest="kind", choices=DEPTH_KERNELS, help="depth function")
+    add("--primed", action="store_true", help="augment the depth with derivatives")
+    add("--projections", type=int, help="number of random directions (rp)")
+    add("--band-order", type=int, help="maximal band order (mbd)")
+    add("--bandwidth", help="squared kernel bandwidth for ksd, or 'median-heuristic'")
+    add("--weights", type=float, nargs=2, metavar=("W0", "W1"),
+        help="channel weights for primed mbd/spatial/ksd")
+    add("--seed", type=int, help="seed for projections and tie-breaking")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -151,17 +143,16 @@ def _load_dataset(args) -> FunctionalDataset:
 
 
 def _depth_spec(args) -> DepthSpec:
-    bw = args.bandwidth
+    node = {key: value for key, value in vars(args).items() if key in _DEPTH_FIELDS}
+    bw = node.get("bandwidth", MEDIAN_HEURISTIC)
     if bw != MEDIAN_HEURISTIC:
         try:
-            bw = float(bw)
+            node["bandwidth"] = float(bw)
         except ValueError:
             raise ParameterError(
                 f"--bandwidth must be a positive number or {MEDIAN_HEURISTIC!r}, got {bw!r}"
             ) from None
-    node = {"kind": args.depth, "primed": args.primed, "projections": args.projections,
-            "band_order": args.band_order, "weights": args.weights, "bandwidth": bw}
-    return _depth_spec_from_json(node, args.seed)
+    return _depth_spec_from_json(node)
 
 
 def _table(rows) -> str:
@@ -225,45 +216,83 @@ def cmd_mc(args) -> int:
 def cmd_depth(args) -> int:
     ds = _load_dataset(args)
     spec = _depth_spec(args)
+    if spec.use_derivatives:
+        ds = ds.with_finite_difference_derivatives()  # once, for both calls
     dv = compute_depth(ds, spec)
     rv = depth_ranks(ds, spec)
+    header = ("index", "group", "depth", "rank")
+    columns = (range(len(ds.groups)), ds.groups.tolist(), dv.values.tolist(), rv.ranks.tolist())
+    rows = list(zip(*columns))
     if args.format == "json":
-        _emit(json.dumps(depths_to_json(ds, dv, rv), indent=2), args.output)
+        payload = {
+            "depth": spec.label,
+            "tie_breaks_applied": rv.tie_breaks_applied,
+            "curves": [dict(zip(header, row)) for row in rows],
+        }
+        _emit(json.dumps(payload, indent=2), args.output)
     else:
-        save_depths_csv(ds, dv, rv, args.output or None)
+        rows = [(i, g, format(d, ".17g"), r) for i, g, d, r in rows]
+        write_csv([header] + rows, args.output or None)
     return EXIT_OK
+
+
+_REQUIRED = object()
+
+
+def _read(node, key, cast=None, default=_REQUIRED):
+    """``node[key]`` (or ``default`` when absent) through ``cast``; a missing
+    required key or a value ``cast`` refuses is a parameter error naming
+    the key."""
+    if key not in node and default is _REQUIRED:
+        raise ParameterError(f"spec needs {key!r}")
+    value = node.get(key, default)
+    if cast is None:
+        return value
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ParameterError(f"spec key {key!r} has a malformed value {value!r}") from None
+
+
+def _fields(node, fields) -> dict:
+    """Keyword arguments for the keys of ``node`` that ``fields`` maps as
+    {key: (argument, cast)}; absent keys keep the callee's defaults."""
+    return {arg: _read(node, key, cast) for key, (arg, cast) in fields.items() if key in node}
+
+
+_floats = functools.partial(np.asarray, dtype=float)
 
 
 def _density_from_json(node) -> SupportDensity:
     kind = node.get("kind")
     if kind == "exponential":
-        rate = float(node.get("rate", 1.0))
+        rate = _read(node, "rate", float, 1.0)
         if rate <= 0:
             raise ParameterError("exponential rate must be positive")
         hi = 40.0 / rate
         return density_from_callable(lambda z: rate * np.exp(-rate * z), (0.0, hi))
     if kind == "chi2":
-        df = float(node.get("df", 1))
+        df = _read(node, "df", float, 1)
         if df <= 0:
             raise ParameterError("chi2 df must be positive")
         hi = float(chi2.ppf(1.0 - 1e-10, df))
         return density_from_callable(lambda z: chi2.pdf(z, df), (0.0, hi))
     if kind == "histogram":
-        edges = np.asarray(node["edges"], dtype=float)
-        dens = np.asarray(node["densities"], dtype=float)
+        edges = _read(node, "edges", _floats)
+        dens = _read(node, "densities", _floats)
         if edges.size != dens.size + 1:
             raise ParameterError("histogram needs len(edges) == len(densities) + 1")
         mids = 0.5 * (edges[:-1] + edges[1:])
         return SupportDensity(mids, dens, box_widths=np.diff(edges))
     if kind == "samples":
-        return density_from_samples(np.asarray(node["values"], dtype=float))
+        return density_from_samples(_read(node, "values", _floats))
     if kind == "model":
         # base squared-norm law estimated from Monte Carlo draws of a
         # generative model
-        grid = Grid.regular(int(node.get("grid_points", 101)))
+        grid = Grid.regular(_read(node, "grid_points", int, 101))
         model = _model_from_json(node, grid)
-        draws = int(node.get("draws", 20_000))
-        seed = int(node.get("seed", 0))
+        draws = _read(node, "draws", int, 20_000)
+        seed = _read(node, "seed", int, 0)
         x = generate(model, draws, seed)
         sq_norms = (x * x) @ grid.trapezoid_weights
         return density_from_samples(sq_norms)
@@ -273,25 +302,26 @@ def _density_from_json(node) -> SupportDensity:
 def cmd_power(args) -> int:
     with open(args.spec) as fh:
         spec = json.load(fh)
-    alpha = float(spec.get("alpha", 0.05))
+    alpha = _read(spec, "alpha", float, 0.05)
     if "target_power" in spec:
-        n_req = required_sample_size(
-            spec["probs"], spec["thetas"], float(spec["target_power"]), alpha
-        )
-        result = power_from_pairwise(spec["probs"], spec["thetas"], n_req, alpha)
+        probs, thetas = _read(spec, "probs"), _read(spec, "thetas")
+        n_req = required_sample_size(probs, thetas, _read(spec, "target_power", float), alpha)
+        result = power_from_pairwise(probs, thetas, n_req, alpha)
         payload = result.to_dict()
         payload["required_N"] = n_req
         payload["target_power"] = spec["target_power"]
     elif "probs" in spec:
         if "N" not in spec:
             raise ParameterError("pairwise power spec needs a combined sample size N")
-        result = power_from_pairwise(spec["probs"], spec["thetas"], int(spec["N"]), alpha)
+        result = power_from_pairwise(
+            spec["probs"], _read(spec, "thetas"), _read(spec, "N", int), alpha
+        )
         payload = result.to_dict()
     elif "deltas" in spec:
         las = LocalAlternativeSpec(
-            deltas=tuple(spec["deltas"]),
-            thetas=tuple(spec["thetas"]),
-            density=_density_from_json(spec["density"]),
+            deltas=_read(spec, "deltas", tuple),
+            thetas=_read(spec, "thetas", tuple),
+            density=_density_from_json(_read(spec, "density")),
         )
         result = power_from_local(las, alpha)
         payload = result.to_dict()
@@ -306,55 +336,52 @@ def cmd_power(args) -> int:
     return EXIT_OK
 
 
-def _depth_spec_from_json(node, seed: int) -> DepthSpec:
-    return DepthSpec(
-        kind=node.get("kind", "ltr"),
-        use_derivatives=bool(node.get("primed", False)),
-        num_projections=int(node.get("projections", 20)),
-        band_order=int(node.get("band_order", 2)),
-        channel_weights=tuple(node.get("weights", (0.5, 0.5))),
-        kernel_bandwidth=node.get("bandwidth", MEDIAN_HEURISTIC),
-        rng_seed=int(node.get("seed", seed)),
-    )
+# JSON key -> (keyword argument, cast)
+_DEPTH_FIELDS = {
+    "kind": ("kind", None),
+    "primed": ("use_derivatives", bool),
+    "projections": ("num_projections", int),
+    "band_order": ("band_order", int),
+    "weights": ("channel_weights", tuple),
+    "bandwidth": ("kernel_bandwidth", None),
+    "seed": ("rng_seed", int),
+}
+_MODEL_FIELDS = {
+    "family": ("family", None),
+    "alpha": ("alpha", float),
+    "beta": ("beta", float),
+    "eigenvalues": ("eigenvalues", tuple),
+    "skew_shape": ("skew_shape", float),
+}
+
+
+def _depth_spec_from_json(node) -> DepthSpec:
+    return DepthSpec(**_fields(node, _DEPTH_FIELDS))
 
 
 def _model_from_json(node, grid: Grid) -> ProcessModel:
-    family = node.get("family", "gaussian")
-    kwargs = {"family": family, "grid": grid}
-    if "alpha" in node:
-        kwargs["alpha"] = float(node["alpha"])
-    if "beta" in node:
-        kwargs["beta"] = float(node["beta"])
-    if "eigenvalues" in node:
-        kwargs["eigenvalues"] = tuple(node["eigenvalues"])
-    if "skew_shape" in node:
-        kwargs["skew_shape"] = float(node["skew_shape"])
-    return ProcessModel(**kwargs)
+    return ProcessModel(grid=grid, **_fields(node, _MODEL_FIELDS))
 
 
 def _study_from_json(spec: dict) -> StudySpec:
-    grid = Grid.regular(int(spec.get("grid_points", 101)))
-    seed = int(spec.get("seed", 0))
+    grid = Grid.regular(_read(spec, "grid_points", int, 101))
     if "scenario" in spec:
-        models = scenario_models(int(spec["scenario"]), grid)
-        sizes = tuple(int(s) for s in spec.get("sizes", (100, 100)))
+        models = scenario_models(_read(spec, "scenario", int), grid)
+        sizes = _read(spec, "sizes", lambda v: tuple(int(s) for s in v), (100, 100))
         if len(sizes) != 2:
             raise ParameterError("scenario studies are two-sample; give two sizes")
     elif "groups" in spec:
         models = tuple(_model_from_json(g, grid) for g in spec["groups"])
-        sizes = tuple(int(g["size"]) for g in spec["groups"])
+        sizes = tuple(_read(g, "size", int) for g in spec["groups"])
     else:
         raise ParameterError("study spec needs 'scenario' or 'groups'")
-    depths = tuple(
-        _depth_spec_from_json(node, seed) for node in spec.get("depths", [{"kind": "ltr"}])
-    )
     return StudySpec(
         models=models,
         group_sizes=sizes,
-        depth_specs=depths,
-        alpha=float(spec.get("alpha", 0.05)),
-        replications=int(spec.get("replications", 200)),
-        seed=seed,
+        depth_specs=tuple(_depth_spec_from_json(node) for node in spec.get("depths", [{}])),
+        alpha=_read(spec, "alpha", float, 0.05),
+        replications=_read(spec, "replications", int, 200),
+        seed=_read(spec, "seed", int, 0),
         percentile_r=spec.get("percentile_r"),
         param_name=str(spec.get("param_name", "")),
         param_value=str(spec.get("param_value", "")),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError, ParameterError
-from .fdata import FunctionalDataset, differentiate, write_csv
+from .fdata import FunctionalDataset, differentiate
 
 MEDIAN_HEURISTIC = "median-heuristic"
 
@@ -197,36 +197,34 @@ def _mean_sq_distance(sample, queries, w):
     return np.maximum(out, 0.0)
 
 
-def ltr_depth(ds: FunctionalDataset, p: int = 0, queries=None) -> DepthVector:
-    """L2-root depth against the pooled empirical sample.
+def ltr_depth(ds: FunctionalDataset, spec: DepthSpec | None = None, queries=None) -> DepthVector:
+    """L2-root depth against the pooled empirical sample (``spec`` defaults
+    to ``DepthSpec()``).
 
-    With ``p`` derivative channels the per-channel root mean squared
-    distances are averaged:  D = (1 + (1/(p+1)) sum_k sqrt(mean_j
-    ||x^(k)-X_j^(k)||^2))^-1, values in (0, 1].
+    Primed, the per-channel root mean squared distances are averaged:
+    D = (1 + (1/c) sum_k sqrt(mean_j ||x^(k)-X_j^(k)||^2))^-1 over the c
+    channels, values in (0, 1].
     """
-    if p not in (0, 1):
-        raise ParameterError(f"p must be 0 or 1, got {p}")
-    chans = _channels(ds, p == 1, queries)
+    spec = spec or DepthSpec()
+    chans = _channels(ds, spec.use_derivatives, queries)
     w = ds.grid.trapezoid_weights
     total = np.zeros(chans[0][1].shape[0])
     for sample, qs in chans:
         total += np.sqrt(_mean_sq_distance(sample, qs, w))
-    depth = 1.0 / (1.0 + total / (p + 1))
-    spec = DepthSpec(kind="ltr", use_derivatives=(p == 1))
-    return DepthVector(depth, spec)
+    return DepthVector(1.0 / (1.0 + total / len(chans)), spec)
 
 
 def ltr_rank_scores(ds: FunctionalDataset, use_derivatives: bool = False) -> np.ndarray:
     """Norm scores that the L2-root ranking path ranks in descending order.
 
     Without derivatives the score is the squared L2 norm, whose descending
-    order matches ascending ``ltr_depth(p=0)`` ranks on centered data.  With
-    them it is the sum of the curve and derivative channel norms.  This is
-    the fast ranking path: no empirical-distribution estimate is involved.
+    order matches ascending unprimed ``ltr_depth`` ranks on centered data.
+    With them it is the sum of the curve and derivative channel norms.  This
+    is the fast ranking path: no empirical-distribution estimate is involved.
 
     The derivative-augmented score is the one :func:`fkwc.power.mc_rank_prob`
     uses with ``p=1``, so pairwise power predictions describe these ranks.
-    It is not order-equivalent to ``ltr_depth(p=1)``, even on centered
+    It is not order-equivalent to primed ``ltr_depth``, even on centered
     data: that depth sums sqrt(a + c0) + sqrt(b + c1) over the squared
     channel norms a, b with centering constants c0, c1.  With c0 = c1 = 1,
     (a, b) = (1, 4) and (2.25, 2.25) tie here (3 = 3) but give 3.650 and
@@ -269,40 +267,34 @@ def _midrank_cdf(sample_vals: np.ndarray, query_vals: np.ndarray) -> np.ndarray:
     return (less + 0.5 * (upto - less)) / n
 
 
-def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
-    """Random projection depth: F_u(z)(1 - F_u(z)) averaged over seeded
-    unit-norm directions u, with the mid-rank empirical CDF."""
-    chans = _channels(ds, False, queries)
-    sample, qs = chans[0]
-    w = ds.grid.trapezoid_weights
-    dirs = _rp_directions(w, spec.num_projections, derive_rng(spec.rng_seed, 0))
-    proj_s = sample @ (dirs * w).T
-    proj_q = qs @ (dirs * w).T
-    depth = np.zeros(qs.shape[0])
-    for k in range(spec.num_projections):
-        f = _midrank_cdf(proj_s[:, k], proj_q[:, k])
-        depth += f * (1.0 - f)
-    return DepthVector(depth / spec.num_projections, spec)
-
-
 def _kde_1d(sample: np.ndarray, queries: np.ndarray, bandwidth: float) -> np.ndarray:
     d = (queries[:, None] - sample[None, :]) / bandwidth
     return np.exp(-0.5 * d * d).mean(axis=1) / (bandwidth * math.sqrt(2.0 * math.pi))
 
 
-def rp_depth_deriv(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
-    """Derivative-augmented random projection depth.
+def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
+    """Random projection depth: F_u(z)(1 - F_u(z)) averaged over seeded
+    unit-norm directions u, with the mid-rank empirical CDF.
 
-    For each direction the (curve, derivative) projection pairs are scored
+    Primed, each direction scores the (curve, derivative) projection pairs
     with a product-Gaussian kernel density estimate (Scott bandwidths,
     n^(-1/6) per coordinate); a degenerate coordinate falls back to a
     univariate estimate in the other one.  Only the ranks of the resulting
     values are meaningful.
     """
-    chans = _channels(ds, True, queries)
-    (s0, q0), (s1, q1) = chans
+    chans = _channels(ds, spec.use_derivatives, queries)
     w = ds.grid.trapezoid_weights
     dirs = _rp_directions(w, spec.num_projections, derive_rng(spec.rng_seed, 0))
+    if not spec.use_derivatives:
+        sample, qs = chans[0]
+        proj_s = sample @ (dirs * w).T
+        proj_q = qs @ (dirs * w).T
+        depth = np.zeros(qs.shape[0])
+        for k in range(spec.num_projections):
+            f = _midrank_cdf(proj_s[:, k], proj_q[:, k])
+            depth += f * (1.0 - f)
+        return DepthVector(depth / spec.num_projections, spec)
+    (s0, q0), (s1, q1) = chans
     n = s0.shape[0]
     depth = np.zeros(q0.shape[0])
     # identical sample rows make a channel degenerate in every direction;
@@ -536,8 +528,10 @@ def _ksd_channel(sample, qs, w, bandwidth) -> np.ndarray:
     else:
         sigma2 = float(bandwidth)
     gram_ss = np.exp(-d2_ss / sigma2)
-    d2_qs = _pairwise_sq_dists(qs, sample, w)
-    gram_qs = np.exp(-d2_qs / sigma2)
+    if qs is sample:  # the sample's own curves: the same matrix, bit for bit
+        gram_qs = gram_ss
+    else:
+        gram_qs = np.exp(-_pairwise_sq_dists(qs, sample, w) / sigma2)
     out = np.empty(qs.shape[0])
     for i in range(qs.shape[0]):
         feat_sq = np.maximum(2.0 - 2.0 * gram_qs[i], 0.0)
@@ -566,12 +560,8 @@ def ksd_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVect
 
 # kind -> fn(ds, spec, queries); the order is the one --help and errors show
 DEPTH_KERNELS = {
-    "ltr": lambda ds, spec, queries: DepthVector(
-        ltr_depth(ds, p=int(spec.use_derivatives), queries=queries).values, spec
-    ),
-    "rp": lambda ds, spec, queries: (
-        rp_depth_deriv if spec.use_derivatives else rp_depth
-    )(ds, spec, queries),
+    "ltr": ltr_depth,
+    "rp": rp_depth,
     "mfhd": mfhd,
     "mbd": mbd,
     "spatial": spatial_depth,
@@ -620,32 +610,3 @@ def depth_ranks(ds: FunctionalDataset, spec: DepthSpec) -> RankVector:
     """Ranks 1..N of the pooled sample by ascending depth (rank N =
     deepest), exact ties broken by a seeded uniform shuffle."""
     return ranks_with_tiebreak(depth_sort_keys(ds, spec), spec.rng_seed)
-
-
-# ---------------------------------------------------------------------------
-# export
-# ---------------------------------------------------------------------------
-
-def depth_table(ds: FunctionalDataset, dv: DepthVector, rv: RankVector):
-    """Rows of (index, group, depth, rank) for export."""
-    return [
-        (i, int(g), float(d), int(r))
-        for i, (g, d, r) in enumerate(zip(ds.groups, dv.values, rv.ranks))
-    ]
-
-
-def save_depths_csv(ds: FunctionalDataset, dv: DepthVector, rv: RankVector, path) -> None:
-    """(index, group, depth, rank) CSV to ``path``; None writes to stdout."""
-    rows = [[i, g, format(d, ".17g"), r] for i, g, d, r in depth_table(ds, dv, rv)]
-    write_csv([["index", "group", "depth", "rank"]] + rows, path)
-
-
-def depths_to_json(ds: FunctionalDataset, dv: DepthVector, rv: RankVector) -> dict:
-    return {
-        "depth": dv.spec.label,
-        "tie_breaks_applied": rv.tie_breaks_applied,
-        "curves": [
-            {"index": i, "group": g, "depth": d, "rank": r}
-            for i, g, d, r in depth_table(ds, dv, rv)
-        ],
-    }

@@ -91,19 +91,17 @@ def _fd_bin_count(draws: np.ndarray) -> int:
     return int(np.ceil(count))
 
 
-def density_from_samples(draws, bins="fd") -> SupportDensity:
-    """Histogram density (Freedman-Diaconis bins by default) evaluated at
-    bin midpoints, for Monte Carlo draws of a squared-norm statistic.
+def density_from_samples(draws) -> SupportDensity:
+    """Histogram density with Freedman-Diaconis bins, evaluated at bin
+    midpoints, for Monte Carlo draws of a squared-norm statistic.
 
-    Raises ``NumericalError`` when the default rule needs more than 10^6
-    bins, as heavy-tailed draws such as t1 squared norms do, and
-    ``ParameterError`` when the draws have an interquartile range of 0."""
+    Raises ``NumericalError`` when the rule needs more than 10^6 bins, as
+    heavy-tailed draws such as t1 squared norms do, and ``ParameterError``
+    when the draws have an interquartile range of 0."""
     draws = np.asarray(draws, dtype=float)
     if draws.size < 10:
         raise ParameterError("need at least 10 draws to build a histogram density")
-    if isinstance(bins, str) and bins == "fd":
-        bins = _fd_bin_count(draws)
-    dens, edges = np.histogram(draws, bins=bins, density=True)
+    dens, edges = np.histogram(draws, bins=_fd_bin_count(draws), density=True)
     mids = 0.5 * (edges[:-1] + edges[1:])
     widths = np.diff(edges)
     return SupportDensity(mids, dens, box_widths=widths)

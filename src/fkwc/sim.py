@@ -10,6 +10,7 @@ role) so results are bit-identical regardless of worker count.
 
 from __future__ import annotations
 
+import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -248,17 +249,13 @@ def _study_replicate(spec: StudySpec, rep: int) -> np.ndarray:
     return rejections
 
 
-def _worker(args) -> np.ndarray:
-    return _study_replicate(*args)
-
-
 def run_study(spec: StudySpec, n_jobs: int = 1) -> StudyResult:
     """Run the replicated experiment; the outcome is identical for any
     ``n_jobs`` because all streams derive from (seed, replicate, role)."""
     reps = range(spec.replications)
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(_worker, [(spec, r) for r in reps], chunksize=8))
+            rows = list(pool.map(_study_replicate, itertools.repeat(spec), reps, chunksize=8))
     else:
         rows = [_study_replicate(spec, r) for r in reps]
     hits = np.array(rows, dtype=float)

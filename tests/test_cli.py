@@ -24,6 +24,8 @@ from fkwc.cli import (
     EXIT_OK,
     EXIT_PARAMETER,
     EXIT_REJECT,
+    _depth_spec,
+    _depth_spec_from_json,
     build_parser,
     main,
 )
@@ -198,6 +200,22 @@ class TestCmdDepth:
         assert payload["depth"] == "ltr"
         assert len(payload["curves"]) == 50
 
+    def test_primed_fills_derivative_channel_once(self, identical_groups_csv, monkeypatch,
+                                                  capsys):
+        calls = []
+        original = fkwc.fdata.differentiate
+
+        def counting(curves, grid):
+            calls.append(curves.shape)
+            return original(curves, grid)
+
+        monkeypatch.setattr(fkwc.fdata, "differentiate", counting)
+        monkeypatch.setattr(fkwc.depths, "differentiate", counting)
+        code = main(["depth", "--input", str(identical_groups_csv), "--depth", "ksd",
+                     "--primed"])
+        assert code == EXIT_OK
+        assert len(calls) == 1
+
 
 class TestCmdPower:
     def test_null_tau_gives_alpha(self, tmp_path, capsys):
@@ -352,3 +370,32 @@ class TestParser:
     def test_unknown_command_rejected(self, capsys):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
+
+    def test_defaults_are_depth_spec_defaults(self):
+        args = build_parser().parse_args(["test", "--input", "x.csv"])
+        assert _depth_spec(args) == DepthSpec()
+        assert _depth_spec_from_json({}) == DepthSpec()
+
+
+class TestMalformedSpecs:
+    """A spec value of the wrong type or a missing required key is a
+    parameter error naming the key, not a traceback."""
+
+    STUDY = {"scenario": 1, "sizes": [8, 8], "grid_points": 21, "replications": 3}
+
+    @pytest.mark.parametrize("command, spec, key", [
+        ("simulate", dict(STUDY, depths=[{"kind": "rp", "projections": "abc"}]), "projections"),
+        ("simulate", dict(STUDY, replications=None), "replications"),
+        ("simulate", {"groups": [{"family": "gaussian"}, {"size": 3}]}, "size"),
+        ("power", {"probs": [[0.5, 0.5], [0.5, 0.5]], "N": 10}, "thetas"),
+        ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
+                   "density": {"kind": "chi2", "df": "x"}}, "df"),
+    ], ids=["projections", "replications", "size", "thetas", "df"])
+    def test_exit_parameter(self, command, spec, key, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main([command, "--spec", str(path)]) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error")
+        assert repr(key) in err
+        assert "Traceback" not in err

@@ -1,10 +1,12 @@
 """Depth functions: worked examples, invariances, and brute-force oracles."""
 
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 
+import fkwc.depths
 from fkwc import (
     DataError,
     DepthSpec,
@@ -21,12 +23,11 @@ from fkwc import (
     mfhd,
     ranks_with_tiebreak,
     rp_depth,
-    rp_depth_deriv,
     spatial_depth,
     steel_mc,
     ksd_depth,
 )
-from fkwc.depths import _spatial_channel
+from fkwc.depths import DEPTH_KERNELS, _spatial_channel
 
 ALL_KINDS = ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd")
 
@@ -37,6 +38,13 @@ def make_ds(curves, groups=None, grid=None, derivatives=False):
     groups = groups if groups is not None else [1] * curves.shape[0]
     ds = FunctionalDataset(grid, curves, groups)
     return ds.with_finite_difference_derivatives() if derivatives else ds
+
+
+class TestDepthKernels:
+    def test_each_kind_is_a_public_kernel(self):
+        for kind, fn in DEPTH_KERNELS.items():
+            assert getattr(fkwc, fn.__name__, None) is fn, kind
+            assert list(inspect.signature(fn).parameters) == ["ds", "spec", "queries"], kind
 
 
 class TestDepthSpec:
@@ -166,7 +174,7 @@ class TestRpDerivDepth:
     def test_identical_curves_equal_depth(self, grid21):
         ds = make_ds(np.tile(np.sin(2 * np.pi * grid21.points), (6, 1)),
                      grid=grid21, derivatives=True)
-        vals = rp_depth_deriv(ds, DepthSpec(kind="rp", use_derivatives=True, rng_seed=2)).values
+        vals = rp_depth(ds, DepthSpec(kind="rp", use_derivatives=True, rng_seed=2)).values
         assert np.allclose(vals, vals[0])
 
     def test_scaled_group_is_less_deep(self, grid101):
@@ -175,24 +183,24 @@ class TestRpDerivDepth:
         base = np.cumsum(base, axis=1) * 0.2  # smooth-ish paths
         curves = np.vstack([base, 10.0 * base])
         ds = make_ds(curves, groups=[1] * 40 + [2] * 40, grid=grid101, derivatives=True)
-        vals = rp_depth_deriv(ds, DepthSpec(kind="rp", use_derivatives=True, rng_seed=3)).values
+        vals = rp_depth(ds, DepthSpec(kind="rp", use_derivatives=True, rng_seed=3)).values
         assert vals[40:].mean() < vals[:40].mean()
 
     def test_permutation_equivariance_with_fixed_directions(self, grid21):
         rng = np.random.default_rng(31)
         ds = make_ds(rng.normal(size=(10, grid21.m)), grid=grid21, derivatives=True)
         spec = DepthSpec(kind="rp", use_derivatives=True, rng_seed=6)
-        vals = rp_depth_deriv(ds, spec).values
+        vals = rp_depth(ds, spec).values
         perm = rng.permutation(10)
         ds_p = FunctionalDataset(grid21, ds.curves[perm], [1] * 10, ds.derivatives[perm])
-        vals_p = rp_depth_deriv(ds_p, spec).values
+        vals_p = rp_depth(ds_p, spec).values
         np.testing.assert_allclose(vals_p, vals[perm], rtol=1e-12, atol=1e-15)
 
     def test_degenerate_derivative_channel_falls_back(self, grid21):
         # constant offsets: derivatives identical for all curves
         curves = np.arange(5.0)[:, None] + np.zeros((5, grid21.m))
         ds = make_ds(curves, grid=grid21, derivatives=True)
-        vals = rp_depth_deriv(ds, DepthSpec(kind="rp", use_derivatives=True, rng_seed=8)).values
+        vals = rp_depth(ds, DepthSpec(kind="rp", use_derivatives=True, rng_seed=8)).values
         assert np.all(np.isfinite(vals))
         assert vals[2] == vals.max()  # middle offset is modal
 
@@ -281,6 +289,28 @@ class TestSpatialAndKsd:
     def test_ksd_fixed_bandwidth_runs(self, two_group_dataset):
         vals = ksd_depth(two_group_dataset, DepthSpec(kind="ksd", kernel_bandwidth=2.0)).values
         assert np.all((0.0 <= vals) & (vals <= 1.0))
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_ksd_sample_distances_once_per_channel(self, primed, grid21, monkeypatch):
+        calls = []
+        original = fkwc.depths._pairwise_sq_dists
+
+        def counting(a, b, w):
+            calls.append(a.shape)
+            return original(a, b, w)
+
+        monkeypatch.setattr(fkwc.depths, "_pairwise_sq_dists", counting)
+        ds = make_ds(np.random.default_rng(12).normal(size=(9, grid21.m)), grid=grid21,
+                     derivatives=True)
+        copy = FunctionalDataset(grid21, ds.curves.copy(), ds.groups, ds.derivatives.copy())
+        spec = DepthSpec(kind="ksd", use_derivatives=primed)
+        channels = 2 if primed else 1
+        own = ksd_depth(ds, spec).values
+        assert len(calls) == channels
+        outside = ksd_depth(ds, spec, queries=copy).values
+        assert len(calls) == 3 * channels
+        # the reused matrix is the one the outside queries recompute
+        assert own.tobytes() == outside.tobytes()
 
 
 class TestDepthRanks:

@@ -1,11 +1,15 @@
-"""Each fkwc module imports on its own, so module-level imports form no cycle."""
+"""Each fkwc module imports on its own, so module-level imports form no cycle;
+the names the benchmark traces exist."""
 
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SCRIPT = """
 import importlib, pkgutil, sys
@@ -18,6 +22,7 @@ for name in names:
 import fkwc
 stale = [n for n in fkwc.__all__ if n.startswith("gen_")]
 assert not stale, stale
+assert "rp_depth_deriv" not in fkwc.__all__
 modules = [n for n in fkwc.__all__ if isinstance(getattr(fkwc, n), type(sys))]
 assert not modules, modules
 """
@@ -30,3 +35,27 @@ def test_each_module_imports_alone():
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _traced_names():
+    """(module, attribute) of every entry of ``TRACED`` in perfbench/spans.py,
+    read from its source so the benchmark is not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("perfbench/spans.py defines no TRACED")
+
+
+def test_benchmark_traced_names_exist():
+    names = _traced_names()
+    assert len(names) >= 10
+    missing = [
+        f"{module}.{attr}" for module, attr in names
+        if not callable(getattr(importlib.import_module(module), attr, None))
+    ]
+    assert not missing, missing
+    fdata = importlib.import_module("fkwc.fdata")
+    assert callable(getattr(fdata.FunctionalDataset, "with_finite_difference_derivatives", None))
