@@ -143,16 +143,7 @@ def _load_dataset(args) -> FunctionalDataset:
 
 
 def _depth_spec(args) -> DepthSpec:
-    node = {key: value for key, value in vars(args).items() if key in _DEPTH_FIELDS}
-    bw = node.get("bandwidth", MEDIAN_HEURISTIC)
-    if bw != MEDIAN_HEURISTIC:
-        try:
-            node["bandwidth"] = float(bw)
-        except ValueError:
-            raise ParameterError(
-                f"--bandwidth must be a positive number or {MEDIAN_HEURISTIC!r}, got {bw!r}"
-            ) from None
-    return _depth_spec_from_json(node)
+    return _depth_spec_from_json({k: v for k, v in vars(args).items() if k in _DEPTH_FIELDS})
 
 
 def _table(rows) -> str:
@@ -216,8 +207,6 @@ def cmd_mc(args) -> int:
 def cmd_depth(args) -> int:
     ds = _load_dataset(args)
     spec = _depth_spec(args)
-    if spec.use_derivatives:
-        ds = ds.with_finite_difference_derivatives()  # once, for both calls
     dv = compute_depth(ds, spec)
     rv = depth_ranks(ds, spec)
     header = ("index", "group", "depth", "rank")
@@ -239,11 +228,18 @@ def cmd_depth(args) -> int:
 _REQUIRED = object()
 
 
+def _object(node) -> dict:
+    """``node``, or a parameter error naming it if it is not a JSON object."""
+    if not isinstance(node, dict):
+        raise ParameterError(f"spec node {node!r} must be a JSON object")
+    return node
+
+
 def _read(node, key, cast=None, default=_REQUIRED):
     """``node[key]`` (or ``default`` when absent) through ``cast``; a missing
     required key or a value ``cast`` refuses is a parameter error naming
     the key."""
-    if key not in node and default is _REQUIRED:
+    if key not in _object(node) and default is _REQUIRED:
         raise ParameterError(f"spec needs {key!r}")
     value = node.get(key, default)
     if cast is None:
@@ -257,6 +253,7 @@ def _read(node, key, cast=None, default=_REQUIRED):
 def _fields(node, fields) -> dict:
     """Keyword arguments for the keys of ``node`` that ``fields`` maps as
     {key: (argument, cast)}; absent keys keep the callee's defaults."""
+    node = _object(node)
     return {arg: _read(node, key, cast) for key, (arg, cast) in fields.items() if key in node}
 
 
@@ -264,7 +261,7 @@ _floats = functools.partial(np.asarray, dtype=float)
 
 
 def _density_from_json(node) -> SupportDensity:
-    kind = node.get("kind")
+    kind = _read(node, "kind", default=None)
     if kind == "exponential":
         rate = _read(node, "rate", float, 1.0)
         if rate <= 0:
@@ -304,17 +301,16 @@ def cmd_power(args) -> int:
         spec = json.load(fh)
     alpha = _read(spec, "alpha", float, 0.05)
     if "target_power" in spec:
+        target = _read(spec, "target_power", float)
         probs, thetas = _read(spec, "probs"), _read(spec, "thetas")
-        n_req = required_sample_size(probs, thetas, _read(spec, "target_power", float), alpha)
+        n_req = required_sample_size(probs, thetas, target, alpha)
         result = power_from_pairwise(probs, thetas, n_req, alpha)
         payload = result.to_dict()
         payload["required_N"] = n_req
-        payload["target_power"] = spec["target_power"]
+        payload["target_power"] = target
     elif "probs" in spec:
-        if "N" not in spec:
-            raise ParameterError("pairwise power spec needs a combined sample size N")
         result = power_from_pairwise(
-            spec["probs"], _read(spec, "thetas"), _read(spec, "N", int), alpha
+            _read(spec, "probs"), _read(spec, "thetas"), _read(spec, "N", int), alpha
         )
         payload = result.to_dict()
     elif "deltas" in spec:
@@ -336,6 +332,10 @@ def cmd_power(args) -> int:
     return EXIT_OK
 
 
+def _bandwidth(value):
+    return value if value == MEDIAN_HEURISTIC else float(value)
+
+
 # JSON key -> (keyword argument, cast)
 _DEPTH_FIELDS = {
     "kind": ("kind", None),
@@ -343,7 +343,7 @@ _DEPTH_FIELDS = {
     "projections": ("num_projections", int),
     "band_order": ("band_order", int),
     "weights": ("channel_weights", tuple),
-    "bandwidth": ("kernel_bandwidth", None),
+    "bandwidth": ("kernel_bandwidth", _bandwidth),
     "seed": ("rng_seed", int),
 }
 _MODEL_FIELDS = {
@@ -371,14 +371,15 @@ def _study_from_json(spec: dict) -> StudySpec:
         if len(sizes) != 2:
             raise ParameterError("scenario studies are two-sample; give two sizes")
     elif "groups" in spec:
-        models = tuple(_model_from_json(g, grid) for g in spec["groups"])
-        sizes = tuple(_read(g, "size", int) for g in spec["groups"])
+        groups = _read(spec, "groups", list)
+        models = tuple(_model_from_json(g, grid) for g in groups)
+        sizes = tuple(_read(g, "size", int) for g in groups)
     else:
         raise ParameterError("study spec needs 'scenario' or 'groups'")
     return StudySpec(
         models=models,
         group_sizes=sizes,
-        depth_specs=tuple(_depth_spec_from_json(node) for node in spec.get("depths", [{}])),
+        depth_specs=tuple(map(_depth_spec_from_json, _read(spec, "depths", list, [{}]))),
         alpha=_read(spec, "alpha", float, 0.05),
         replications=_read(spec, "replications", int, 200),
         seed=_read(spec, "seed", int, 0),

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError, ParameterError
-from .fdata import FunctionalDataset, differentiate
+from .fdata import FunctionalDataset
 
 MEDIAN_HEURISTIC = "median-heuristic"
 
@@ -127,33 +127,27 @@ def _channels(ds: FunctionalDataset, use_derivatives: bool, queries):
     """Sample/query value matrices per channel (curves, then derivatives).
 
     ``queries`` may be None (evaluate the sample curves themselves), another
-    dataset on the same grid, or a raw array of curve values; queries
-    without a derivative channel get one by finite differences when needed.
+    dataset on the same grid, or a raw array of curve values, which becomes
+    a one-group dataset on the sample's grid.
     """
     if queries is None:
         queries = ds
-    if isinstance(queries, FunctionalDataset):
-        if queries.grid != ds.grid:
-            raise DataError("query grid does not match sample grid")
-        q_curves = queries.curves
-        q_deriv = queries.derivatives
-    else:
+    elif not isinstance(queries, FunctionalDataset):
         q_curves = np.atleast_2d(np.asarray(queries, dtype=float))
-        if q_curves.shape[1] != ds.grid.m:
-            raise DataError(
-                f"query curves have {q_curves.shape[1]} values, expected {ds.grid.m}"
-            )
-        q_deriv = None
-    chans = [(ds.curves, q_curves)]
+        queries = FunctionalDataset(ds.grid, q_curves, np.ones(q_curves.shape[0], dtype=int))
+    if queries.grid != ds.grid:
+        raise DataError("query grid does not match sample grid")
+    chans = [(ds.curves, queries.curves)]
     if use_derivatives:
-        if ds.derivatives is None:
-            raise DataError(
-                "derivative-augmented depth requested but the derivative channel is missing"
-            )
-        if q_deriv is None:
-            q_deriv = differentiate(q_curves, ds.grid)
-        chans.append((ds.derivatives, q_deriv))
+        chans.append((_finite(ds.derivatives), _finite(queries.derivatives)))
     return chans
+
+
+def _finite(derivatives):
+    """A channel computed from curves may overflow; primed depths refuse it."""
+    if not np.isfinite(derivatives).all():
+        raise DataError("derivative values must be finite")
+    return derivatives
 
 
 def _channel_depth(ds, spec, queries, channel_fn, *args) -> DepthVector:
@@ -171,8 +165,8 @@ def _channel_depth(ds, spec, queries, channel_fn, *args) -> DepthVector:
 
 
 def _strict_counts(sample, qs):
-    """Per grid point, the numbers of sample values strictly below and
-    strictly above each query value."""
+    """Per column (grid point or direction), the numbers of sample values
+    strictly below and strictly above each query value."""
     n, m = sample.shape
     below = np.empty((qs.shape[0], m))
     above = np.empty((qs.shape[0], m))
@@ -233,11 +227,8 @@ def ltr_rank_scores(ds: FunctionalDataset, use_derivatives: bool = False) -> np.
     w = ds.grid.trapezoid_weights
     if not use_derivatives:
         return (ds.curves * ds.curves) @ w
-    if ds.derivatives is None:
-        raise DataError("derivative channel missing for derivative-augmented scores")
-    return np.sqrt((ds.curves * ds.curves) @ w) + np.sqrt(
-        (ds.derivatives * ds.derivatives) @ w
-    )
+    deriv = _finite(ds.derivatives)
+    return np.sqrt((ds.curves * ds.curves) @ w) + np.sqrt((deriv * deriv) @ w)
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +247,6 @@ def _rp_directions(w: np.ndarray, count: int, rng) -> np.ndarray:
     norms = np.sqrt((smooth * smooth) @ w)
     norms[norms == 0.0] = 1.0
     return smooth / norms[:, None]
-
-
-def _midrank_cdf(sample_vals: np.ndarray, query_vals: np.ndarray) -> np.ndarray:
-    """F(z) = (#{sample < z} + 0.5 #{sample = z}) / n at each query value."""
-    n = sample_vals.size
-    srt = np.sort(sample_vals)
-    less = np.searchsorted(srt, query_vals, side="left")
-    upto = np.searchsorted(srt, query_vals, side="right")
-    return (less + 0.5 * (upto - less)) / n
 
 
 def _kde_1d(sample: np.ndarray, queries: np.ndarray, bandwidth: float) -> np.ndarray:
@@ -287,12 +269,12 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
     dirs = _rp_directions(w, spec.num_projections, derive_rng(spec.rng_seed, 0))
     if not spec.use_derivatives:
         sample, qs = chans[0]
-        proj_s = sample @ (dirs * w).T
-        proj_q = qs @ (dirs * w).T
+        n = sample.shape[0]
+        below, above = _strict_counts(sample @ (dirs * w).T, qs @ (dirs * w).T)
+        f = (below + 0.5 * (n - above - below)) / n  # mid-rank CDF per direction
         depth = np.zeros(qs.shape[0])
         for k in range(spec.num_projections):
-            f = _midrank_cdf(proj_s[:, k], proj_q[:, k])
-            depth += f * (1.0 - f)
+            depth += f[:, k] * (1.0 - f[:, k])
         return DepthVector(depth / spec.num_projections, spec)
     (s0, q0), (s1, q1) = chans
     n = s0.shape[0]
@@ -569,19 +551,10 @@ DEPTH_KERNELS = {
 }
 
 
-def _with_derivatives(ds: FunctionalDataset, spec: DepthSpec) -> FunctionalDataset:
-    """``ds``, with its derivative channel filled by finite differences when
-    the spec is primed and the channel is missing."""
-    if spec.use_derivatives and ds.derivatives is None:
-        return ds.with_finite_difference_derivatives()
-    return ds
-
-
 def compute_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Evaluate the depth described by ``spec`` for every curve of
-    ``queries`` (default: the dataset itself) against the pooled sample.
-    A primed spec fills a missing derivative channel by finite differences."""
-    return DEPTH_KERNELS[spec.kind](_with_derivatives(ds, spec), spec, queries)
+    ``queries`` (default: the dataset itself) against the pooled sample."""
+    return DEPTH_KERNELS[spec.kind](ds, spec, queries)
 
 
 def depth_sort_keys(ds: FunctionalDataset, spec: DepthSpec) -> np.ndarray:
@@ -589,7 +562,7 @@ def depth_sort_keys(ds: FunctionalDataset, spec: DepthSpec) -> np.ndarray:
     deepest).  The L2-root path negates the norm scores instead of
     estimating depths."""
     if spec.kind == "ltr":
-        return -ltr_rank_scores(_with_derivatives(ds, spec), spec.use_derivatives)
+        return -ltr_rank_scores(ds, spec.use_derivatives)
     return compute_depth(ds, spec).values
 
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -83,11 +83,9 @@ def differentiate(f, grid: Grid):
 class FunctionalDataset:
     """N curves on a common grid with group labels 1..J.
 
-    ``derivatives`` optionally carries externally computed derivative
-    curves of the same shape.  When it is absent, every primed depth
-    evaluation (``compute_depth``, ``depth_ranks``, ``fkwc_test``,
-    ``steel_mc``, studies and the CLI) fills it with :func:`differentiate`;
-    the per-kind depth functions raise instead.
+    ``derivatives`` is the derivative channel the primed depths read:
+    externally computed derivative curves of the same shape when given,
+    :func:`differentiate` of the curves otherwise.
     """
 
     grid: Grid
@@ -110,21 +108,27 @@ class FunctionalDataset:
         groups = groups.astype(int)
         labels = np.unique(groups)
         j = labels.size
-        if labels[0] != 1 or labels[-1] != j:
+        if j == 0 or labels[0] != 1 or labels[-1] != j:
             raise DataError(
                 f"group labels must cover 1..J with every group present; got {labels.tolist()}"
             )
         deriv = self.derivatives
-        if deriv is not None:
+        if deriv is None:
+            with np.errstate(over="ignore", invalid="ignore"):  # primed depths refuse overflow
+                deriv = differentiate(curves, self.grid)
+        else:
             deriv = _as_curves(deriv, self.grid, what="derivative")
             if deriv.shape != curves.shape:
                 raise DataError(
                     f"derivatives shape {deriv.shape} does not match curves {curves.shape}"
                 )
-            deriv = deriv.copy()
-            deriv.setflags(write=False)
         curves = curves.copy()
         curves.setflags(write=False)
+        # copied last even when just computed: keeping the fresh array left the
+        # heap laid out so that glibc released and re-faulted mfhd' temporaries
+        # on every call in about half the processes measured
+        deriv = deriv.copy()
+        deriv.setflags(write=False)
         groups = groups.copy()
         groups.setflags(write=False)
         object.__setattr__(self, "curves", curves)
@@ -144,11 +148,9 @@ class FunctionalDataset:
         return np.bincount(self.groups, minlength=self.n_groups + 1)[1:]
 
     def with_finite_difference_derivatives(self) -> "FunctionalDataset":
-        """Return a copy whose derivative channel is filled by finite
-        differences (no-op when derivatives are already present)."""
-        if self.derivatives is not None:
-            return self
-        return replace(self, derivatives=differentiate(self.curves, self.grid))
+        """Return ``self``: every dataset carries its derivative channel.
+        Kept for callers that name it, the benchmark's tracer among them."""
+        return self
 
     def subset(self, labels) -> "FunctionalDataset":
         """Restrict to the given group labels, renumbering them 1..len(labels)
@@ -159,7 +161,9 @@ class FunctionalDataset:
             raise DataError(f"no curves in groups {labels}")
         remap = {old: new for new, old in enumerate(labels, start=1)}
         new_groups = np.array([remap[g] for g in self.groups[mask]])
-        deriv = None if self.derivatives is None else self.derivatives[mask]
+        deriv = self.derivatives[mask]
+        if not np.isfinite(deriv).all():
+            deriv = None  # a given channel is finite: this one was computed, so recompute it
         return FunctionalDataset(self.grid, self.curves[mask], new_groups, deriv)
 
 
@@ -183,7 +187,7 @@ def write_csv(rows, path=None) -> None:
 
 
 def save_csv(ds: FunctionalDataset, path, derivatives_path=None) -> None:
-    """Write the dataset in wide CSV form; optionally write the derivative
+    """Write the dataset in wide CSV form; optionally write its derivative
     channel to a second file of identical layout."""
     def rows(matrix):
         yield ["group"] + [_format_float(t) for t in ds.grid.points]
@@ -192,8 +196,6 @@ def save_csv(ds: FunctionalDataset, path, derivatives_path=None) -> None:
 
     write_csv(rows(ds.curves), path)
     if derivatives_path is not None:
-        if ds.derivatives is None:
-            raise DataError("dataset has no derivative channel to save")
         write_csv(rows(ds.derivatives), derivatives_path)
 
 

@@ -141,27 +141,14 @@ def generate(model: ProcessModel, n: int, seed) -> np.ndarray:
 
 def scenario_eigenvalues(scenario: int) -> tuple:
     """Eigenvalue pair (group 1, group 2) for the six catalog scenarios:
-    reversed/scaled short/long linear and long exponential decays."""
-    if scenario == 1:
-        lam1 = tuple(float(k) for k in range(1, 4))
-        lam2 = tuple(float(3 - k + 1) for k in range(1, 4))
-    elif scenario == 2:
-        lam1 = tuple(float(k) for k in range(1, 12))
-        lam2 = tuple(float(11 - k + 1) for k in range(1, 12))
-    elif scenario == 3:
-        lam1 = tuple(float(2**k) for k in range(1, 12))
-        lam2 = tuple(float(2 ** (11 - k + 1)) for k in range(1, 12))
-    elif scenario == 4:
-        lam1 = tuple(float(k) for k in range(1, 4))
-        lam2 = tuple(1.5 * v for v in lam1)
-    elif scenario == 5:
-        lam1 = tuple(float(k) for k in range(1, 12))
-        lam2 = tuple(1.5 * v for v in lam1)
-    elif scenario == 6:
-        lam1 = tuple(float(2**k) for k in range(1, 12))
-        lam2 = tuple(1.5 * v for v in lam1)
-    else:
+    group 1 has lambda_k = k (2^k in scenarios 3 and 6) for k = 1..3 in
+    scenarios 1 and 4 and k = 1..11 otherwise; group 2 reverses that list
+    in scenarios 1-3 and multiplies it by 1.5 in scenarios 4-6."""
+    if scenario not in range(1, 7):
         raise ParameterError(f"scenario must be 1..6, got {scenario!r}")
+    size = 3 if scenario in (1, 4) else 11
+    lam1 = tuple(float(2**k if scenario in (3, 6) else k) for k in range(1, size + 1))
+    lam2 = lam1[::-1] if scenario <= 3 else tuple(1.5 * v for v in lam1)
     return lam1, lam2
 
 
@@ -239,8 +226,6 @@ def _study_replicate(spec: StudySpec, rep: int) -> np.ndarray:
         blocks.append(generate(model, size, derive_seed(spec.seed, rep, g)))
         labels.append(np.full(size, g))
     ds = FunctionalDataset(grid, np.vstack(blocks), np.concatenate(labels))
-    if any(d.use_derivatives for d in spec.depth_specs):
-        ds = ds.with_finite_difference_derivatives()
     rejections = np.zeros(len(spec.depth_specs), dtype=bool)
     for i, dspec in enumerate(spec.depth_specs):
         seeded = replace(dspec, rng_seed=derive_seed(spec.seed, rep, 1000 + i))

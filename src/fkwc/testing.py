@@ -12,8 +12,7 @@ from typing import Optional
 import numpy as np
 from scipy.stats import chi2, norm, rankdata
 
-from .depths import (DepthSpec, RankVector, _with_derivatives, depth_ranks,
-                     depth_sort_keys, derive_seed)
+from .depths import DepthSpec, RankVector, depth_ranks, depth_sort_keys, derive_seed
 from .exceptions import ParameterError
 from .fdata import FunctionalDataset
 
@@ -287,7 +286,6 @@ def steel_mc(
     m = correction_count if correction_count is not None else len(pairs)
     if m < 1:
         raise ParameterError("correction_count must be >= 1")
-    ds = _with_derivatives(ds, spec)  # fill once; finite differences act row by row
     raw = np.ones((j, j))
     raw_list = []
     for pair_index, (a, b) in enumerate(pairs):

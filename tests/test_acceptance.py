@@ -297,8 +297,8 @@ def test_criterion_08_scale_invariance_suite():
 
     paths = rng.normal(size=(16, GRID.m)).cumsum(axis=1) * 0.1
     for kind in ("mfhd", "mbd", "rp"):
-        ds = FunctionalDataset(GRID, paths, [1] * 16).with_finite_difference_derivatives()
-        scaled = FunctionalDataset(GRID, 7.0 * paths, [1] * 16).with_finite_difference_derivatives()
+        ds = FunctionalDataset(GRID, paths, [1] * 16)
+        scaled = FunctionalDataset(GRID, 7.0 * paths, [1] * 16)
         spec = DepthSpec(kind=kind, use_derivatives=True, rng_seed=13)
         if not np.array_equal(depth_ranks(ds, spec).ranks, depth_ranks(scaled, spec).ranks):
             failures.append(kind + "'")

@@ -133,9 +133,7 @@ class TestCmdTest:
 
     def test_derivatives_from_file(self, tmp_path, grid21, capsys):
         rng = np.random.default_rng(55)
-        ds = FunctionalDataset(
-            grid21, rng.normal(size=(20, grid21.m)), [1] * 10 + [2] * 10
-        ).with_finite_difference_derivatives()
+        ds = FunctionalDataset(grid21, rng.normal(size=(20, grid21.m)), [1] * 10 + [2] * 10)
         cpath = tmp_path / "c.csv"
         dpath = tmp_path / "d.csv"
         save_csv(ds, cpath, derivatives_path=dpath)
@@ -210,7 +208,6 @@ class TestCmdDepth:
             return original(curves, grid)
 
         monkeypatch.setattr(fkwc.fdata, "differentiate", counting)
-        monkeypatch.setattr(fkwc.depths, "differentiate", counting)
         code = main(["depth", "--input", str(identical_groups_csv), "--depth", "ksd",
                      "--primed"])
         assert code == EXIT_OK
@@ -376,10 +373,25 @@ class TestParser:
         assert _depth_spec(args) == DepthSpec()
         assert _depth_spec_from_json({}) == DepthSpec()
 
+    def test_bandwidth_read_once_for_flag_and_json(self):
+        want = DepthSpec(kind="ksd", kernel_bandwidth=0.5)
+        args = build_parser().parse_args(["test", "--input", "x.csv", "--depth", "ksd",
+                                          "--bandwidth", "0.5"])
+        assert _depth_spec(args) == want
+        assert _depth_spec_from_json({"kind": "ksd", "bandwidth": "0.5"}) == want
+        assert _depth_spec_from_json({"bandwidth": "median-heuristic"}) == DepthSpec()
+
+    def test_bad_bandwidth_flag_names_flag_and_value(self, identical_groups_csv, capsys):
+        code = main(["test", "--input", str(identical_groups_csv), "--depth", "ksd",
+                     "--bandwidth", "abc"])
+        assert code == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert "'bandwidth'" in err and "'abc'" in err
+
 
 class TestMalformedSpecs:
-    """A spec value of the wrong type or a missing required key is a
-    parameter error naming the key, not a traceback."""
+    """A spec value of the wrong type, a missing required key or a node that
+    is not an object is a parameter error naming it, not a traceback."""
 
     STUDY = {"scenario": 1, "sizes": [8, 8], "grid_points": 21, "replications": 3}
 
@@ -390,7 +402,15 @@ class TestMalformedSpecs:
         ("power", {"probs": [[0.5, 0.5], [0.5, 0.5]], "N": 10}, "thetas"),
         ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
                    "density": {"kind": "chi2", "df": "x"}}, "df"),
-    ], ids=["projections", "replications", "size", "thetas", "df"])
+        ("power", {"probs": [[0.5, 0.5], [0.5, 0.5]], "thetas": [0.5, 0.5]}, "N"),
+        ("simulate", dict(STUDY, depths=[{"kind": "ksd", "bandwidth": "abc"}]), "bandwidth"),
+        # a node that is not a JSON object is named by its value
+        ("simulate", dict(STUDY, depths=[5]), 5),
+        ("simulate", {"groups": [1, 2]}, 1),
+        ("power", [1, 2], [1, 2]),
+        ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5], "density": [1]}, [1]),
+    ], ids=["projections", "replications", "size", "thetas", "df", "N", "bandwidth",
+            "depth-node", "group-node", "power-node", "density-node"])
     def test_exit_parameter(self, command, spec, key, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

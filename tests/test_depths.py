@@ -16,6 +16,7 @@ from fkwc import (
     TestConfig,
     compute_depth,
     depth_ranks,
+    differentiate,
     fkwc_test,
     ltr_depth,
     ltr_rank_scores,
@@ -32,12 +33,11 @@ from fkwc.depths import DEPTH_KERNELS, _spatial_channel
 ALL_KINDS = ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd")
 
 
-def make_ds(curves, groups=None, grid=None, derivatives=False):
+def make_ds(curves, groups=None, grid=None):
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
     grid = grid if grid is not None else Grid.regular(curves.shape[1])
     groups = groups if groups is not None else [1] * curves.shape[0]
-    ds = FunctionalDataset(grid, curves, groups)
-    return ds.with_finite_difference_derivatives() if derivatives else ds
+    return FunctionalDataset(grid, curves, groups)
 
 
 class TestDepthKernels:
@@ -172,8 +172,7 @@ class TestRpDepth:
 
 class TestRpDerivDepth:
     def test_identical_curves_equal_depth(self, grid21):
-        ds = make_ds(np.tile(np.sin(2 * np.pi * grid21.points), (6, 1)),
-                     grid=grid21, derivatives=True)
+        ds = make_ds(np.tile(np.sin(2 * np.pi * grid21.points), (6, 1)), grid=grid21)
         vals = rp_depth(ds, DepthSpec(kind="rp", use_derivatives=True, rng_seed=2)).values
         assert np.allclose(vals, vals[0])
 
@@ -182,13 +181,13 @@ class TestRpDerivDepth:
         base = rng.normal(size=(40, grid101.m))
         base = np.cumsum(base, axis=1) * 0.2  # smooth-ish paths
         curves = np.vstack([base, 10.0 * base])
-        ds = make_ds(curves, groups=[1] * 40 + [2] * 40, grid=grid101, derivatives=True)
+        ds = make_ds(curves, groups=[1] * 40 + [2] * 40, grid=grid101)
         vals = rp_depth(ds, DepthSpec(kind="rp", use_derivatives=True, rng_seed=3)).values
         assert vals[40:].mean() < vals[:40].mean()
 
     def test_permutation_equivariance_with_fixed_directions(self, grid21):
         rng = np.random.default_rng(31)
-        ds = make_ds(rng.normal(size=(10, grid21.m)), grid=grid21, derivatives=True)
+        ds = make_ds(rng.normal(size=(10, grid21.m)), grid=grid21)
         spec = DepthSpec(kind="rp", use_derivatives=True, rng_seed=6)
         vals = rp_depth(ds, spec).values
         perm = rng.permutation(10)
@@ -199,7 +198,7 @@ class TestRpDerivDepth:
     def test_degenerate_derivative_channel_falls_back(self, grid21):
         # constant offsets: derivatives identical for all curves
         curves = np.arange(5.0)[:, None] + np.zeros((5, grid21.m))
-        ds = make_ds(curves, grid=grid21, derivatives=True)
+        ds = make_ds(curves, grid=grid21)
         vals = rp_depth(ds, DepthSpec(kind="rp", use_derivatives=True, rng_seed=8)).values
         assert np.all(np.isfinite(vals))
         assert vals[2] == vals.max()  # middle offset is modal
@@ -219,7 +218,7 @@ class TestMfhd:
     def test_primed_matches_unprimed_on_zero_derivative(self, grid21):
         # constant curves have zero derivatives: bivariate reduces to univariate
         curves = np.vstack([np.full(grid21.m, v) for v in (0.0, 1.0, 2.0, 3.0)])
-        ds = make_ds(curves, grid=grid21, derivatives=True)
+        ds = make_ds(curves, grid=grid21)
         v0 = mfhd(ds, DepthSpec(kind="mfhd")).values
         v1 = mfhd(ds, DepthSpec(kind="mfhd", use_derivatives=True)).values
         np.testing.assert_allclose(v0, v1, atol=1e-12)
@@ -300,8 +299,7 @@ class TestSpatialAndKsd:
             return original(a, b, w)
 
         monkeypatch.setattr(fkwc.depths, "_pairwise_sq_dists", counting)
-        ds = make_ds(np.random.default_rng(12).normal(size=(9, grid21.m)), grid=grid21,
-                     derivatives=True)
+        ds = make_ds(np.random.default_rng(12).normal(size=(9, grid21.m)), grid=grid21)
         copy = FunctionalDataset(grid21, ds.curves.copy(), ds.groups, ds.derivatives.copy())
         spec = DepthSpec(kind="ksd", use_derivatives=primed)
         channels = 2 if primed else 1
@@ -386,8 +384,8 @@ class TestScaleInvariance:
         curves = rng.normal(size=(16, grid101.m)).cumsum(axis=1) * 0.1
         c = 7.0
         for kind in ("mfhd", "mbd", "rp", "ltr", "spatial", "ksd"):
-            ds = make_ds(curves, grid=grid101, derivatives=True)
-            scaled = make_ds(c * curves, grid=grid101, derivatives=True)
+            ds = make_ds(curves, grid=grid101)
+            scaled = make_ds(c * curves, grid=grid101)
             spec = DepthSpec(kind=kind, use_derivatives=True, rng_seed=13)
             r1 = depth_ranks(ds, spec)
             r2 = depth_ranks(scaled, spec)
@@ -400,7 +398,7 @@ class TestPermutationEquivariance:
         rng = np.random.default_rng(70)
         n = 12
         curves = rng.normal(size=(n, grid21.m))
-        ds = make_ds(curves, grid=grid21, derivatives=True)
+        ds = make_ds(curves, grid=grid21)
         spec = DepthSpec(kind=kind, rng_seed=3)
         vals = compute_depth(ds, spec).values
         perm = rng.permutation(n)
@@ -411,7 +409,7 @@ class TestPermutationEquivariance:
 
 class TestValueRanges:
     def test_documented_ranges(self, two_group_dataset):
-        ds = two_group_dataset.with_finite_difference_derivatives()
+        ds = two_group_dataset
         ltr_vals = compute_depth(ds, DepthSpec(kind="ltr")).values
         assert np.all((0.0 < ltr_vals) & (ltr_vals <= 1.0))
         rp_vals = compute_depth(ds, DepthSpec(kind="rp", rng_seed=1)).values
@@ -424,18 +422,24 @@ class TestValueRanges:
 
 
 class TestDerivativeChannel:
-    """A primed spec on a dataset without derivatives gives, at every entry
-    point, exactly the result on the finite-difference-filled dataset."""
+    """A primed spec on a dataset built without derivatives gives, at every
+    entry point, exactly the result on one given its finite differences."""
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_missing_channel_filled_everywhere(self, kind, grid21):
         rng = np.random.default_rng(81)
-        ds = make_ds(rng.normal(size=(18, grid21.m)), groups=np.repeat([1, 2, 3], 6),
-                     grid=grid21)
-        filled = ds.with_finite_difference_derivatives()
+        curves = rng.normal(size=(18, grid21.m))
+        groups = np.repeat([1, 2, 3], 6)
+        ds = FunctionalDataset(grid21, curves, groups)
+        filled = FunctionalDataset(grid21, curves, groups, differentiate(curves, grid21))
         spec = DepthSpec(kind=kind, use_derivatives=True, rng_seed=5)
         got, want = compute_depth(ds, spec).values, compute_depth(filled, spec).values
         assert got.tobytes() == want.tobytes()
+        kernel = DEPTH_KERNELS[kind]
+        assert kernel(ds, spec, None).values.tobytes() == want.tobytes()
+        queries = FunctionalDataset(grid21, curves[:4], [1] * 4, differentiate(curves[:4], grid21))
+        assert kernel(ds, spec, curves[:4]).values.tobytes() == (
+            kernel(filled, spec, queries).values.tobytes())
         assert depth_ranks(ds, spec).ranks.tobytes() == depth_ranks(filled, spec).ranks.tobytes()
         config = TestConfig(depth_spec=spec)
         assert fkwc_test(ds, config) == fkwc_test(filled, config)
@@ -445,11 +449,6 @@ class TestDerivativeChannel:
 
 
 class TestErrors:
-    def test_primed_needs_derivatives(self, grid21):
-        ds = make_ds(np.random.default_rng(0).normal(size=(4, grid21.m)), grid=grid21)
-        with pytest.raises(DataError):
-            mbd(ds, DepthSpec(kind="mbd", use_derivatives=True))
-
     def test_query_grid_mismatch(self, grid21, grid101, two_group_dataset):
         other = make_ds(np.zeros((2, grid21.m)), groups=[1, 2], grid=grid21)
         with pytest.raises(DataError):

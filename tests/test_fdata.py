@@ -1,5 +1,7 @@
 """Grid geometry, dataset validation, quadrature, differentiation, IO."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -7,12 +9,16 @@ from hypothesis import strategies as st
 
 from fkwc import (
     DataError,
+    DepthSpec,
     FunctionalDataset,
     Grid,
+    TestConfig,
     differentiate,
+    fkwc_test,
     load_csv,
     ltr_rank_scores,
     save_csv,
+    steel_mc,
 )
 
 
@@ -152,6 +158,10 @@ class TestDataset:
         with pytest.raises(DataError):
             FunctionalDataset(grid21, np.zeros((2, grid21.m)), [0, 1])
 
+    def test_no_curves_rejected(self, grid21):
+        with pytest.raises(DataError):
+            FunctionalDataset(grid21, np.zeros((0, grid21.m)), [])
+
     def test_derivative_shape_checked(self, grid21):
         with pytest.raises(DataError):
             FunctionalDataset(
@@ -168,6 +178,48 @@ class TestDataset:
         sub = ds.subset([3, 1])
         assert sub.n_curves == 6
         np.testing.assert_array_equal(sub.groups, [2, 2, 2, 1, 1, 1])
+
+
+class TestDerivativeChannel:
+    def test_filled_at_construction_by_differentiate(self, two_group_dataset):
+        ds = two_group_dataset
+        want = differentiate(ds.curves, ds.grid)
+        assert ds.derivatives.tobytes() == want.tobytes()
+        assert not ds.derivatives.flags.writeable
+
+    def test_given_channel_kept(self, grid21):
+        rng = np.random.default_rng(3)
+        given = rng.normal(size=(4, grid21.m))
+        ds = FunctionalDataset(grid21, rng.normal(size=(4, grid21.m)), [1, 1, 2, 2], given)
+        assert ds.derivatives.tobytes() == given.tobytes()
+
+    @pytest.mark.parametrize("given", [False, True])
+    def test_subset_slices_channel(self, grid21, given):
+        rng = np.random.default_rng(4)
+        deriv = rng.normal(size=(6, grid21.m)) if given else None
+        ds = FunctionalDataset(grid21, rng.normal(size=(6, grid21.m)), [1, 2, 3, 1, 2, 3], deriv)
+        sub = ds.subset([3, 1])
+        assert sub.derivatives.tobytes() == ds.derivatives[[0, 2, 3, 5]].tobytes()
+
+    def test_overflowing_differences_refused_only_when_primed(self, grid21):
+        # alternating signs near the largest float: the endpoint stencils overflow
+        sign = np.where(np.arange(grid21.m) % 2 == 0, 1.0, -1.0)
+        scale = np.linspace(1.0, 1.5, 10)[:, None]
+        curves = 1e308 * scale * sign
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = FunctionalDataset(grid21, curves, [1] * 5 + [2] * 5)
+            assert not np.isfinite(ds.derivatives).all()
+            spec = DepthSpec(kind="mfhd")
+            assert 0.0 <= fkwc_test(ds, TestConfig(depth_spec=spec)).p_value <= 1.0
+            assert steel_mc(ds, spec).pairwise_raw_p.shape == (2, 2)
+        # a primed analysis reads the channel, so it refuses it
+        for kind in ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd"):
+            primed = DepthSpec(kind=kind, use_derivatives=True)
+            with pytest.raises(DataError, match="derivative values must be finite"):
+                fkwc_test(ds, TestConfig(depth_spec=primed))
+            with pytest.raises(DataError, match="derivative values must be finite"):
+                steel_mc(ds, primed)
 
 
 class TestCsvJson:
@@ -198,7 +250,7 @@ class TestCsvJson:
             load_csv(path)
 
     def test_roundtrip_exact(self, tmp_path, two_group_dataset):
-        ds = two_group_dataset.with_finite_difference_derivatives()
+        ds = two_group_dataset
         cpath = tmp_path / "data.csv"
         dpath = tmp_path / "deriv.csv"
         save_csv(ds, cpath, derivatives_path=dpath)

@@ -184,7 +184,7 @@ def lattice_cases(draw):
 def _t1_dataset(n):
     curves = generate(ProcessModel(family="t1"), n, seed=(n, 2021))
     labels = [1] * (n // 2) + [2] * (n - n // 2)
-    return FunctionalDataset(Grid(101), curves, labels).with_finite_difference_derivatives()
+    return FunctionalDataset(Grid(101), curves, labels)
 
 
 class TestBatchedKernel:
