@@ -260,6 +260,12 @@ def _fields(node, fields) -> dict:
 _floats = functools.partial(np.asarray, dtype=float)
 
 
+def _integer_text(value):
+    """An integer written as a JSON string (``"200"``) as that integer; any
+    other value unchanged, for the callee's own check."""
+    return int(value) if isinstance(value, str) else value
+
+
 def _density_from_json(node) -> SupportDensity:
     kind = _read(node, "kind", default=None)
     if kind == "exponential":
@@ -310,7 +316,7 @@ def cmd_power(args) -> int:
         payload["target_power"] = target
     elif "probs" in spec:
         result = power_from_pairwise(
-            _read(spec, "probs"), _read(spec, "thetas"), _read(spec, "N", int), alpha
+            _read(spec, "probs"), _read(spec, "thetas"), _read(spec, "N", _integer_text), alpha
         )
         payload = result.to_dict()
     elif "deltas" in spec:

@@ -239,11 +239,14 @@ def _rp_directions(w: np.ndarray, count: int, rng) -> np.ndarray:
     """Random unit-norm direction curves: white noise smoothed with a
     5-point moving average, then normalized in L2 under the quadrature
     weights ``w``."""
-    raw = rng.standard_normal((count, w.size))
+    m = w.size
+    raw = rng.standard_normal((count, m))
     kernel = np.full(5, 0.2)
     smooth = np.empty_like(raw)
     for i in range(count):
-        smooth[i] = np.convolve(raw[i], kernel, mode="same")
+        # the centred m values of the full convolution; mode="same" returns
+        # max(m, 5) values, too many on a 3- or 4-point grid
+        smooth[i] = np.convolve(raw[i], kernel)[2:2 + m]
     norms = np.sqrt((smooth * smooth) @ w)
     norms[norms == 0.0] = 1.0
     return smooth / norms[:, None]
@@ -514,18 +517,44 @@ def _ksd_channel(sample, qs, w, bandwidth) -> np.ndarray:
         gram_qs = gram_ss
     else:
         gram_qs = np.exp(-_pairwise_sq_dists(qs, sample, w) / sigma2)
+    dist = np.sqrt(np.maximum(2.0 - 2.0 * gram_qs, 0.0))
+    keep = dist > 0.0
+    kept = np.count_nonzero(keep, axis=1)
+    # Each query's (k, k) matrix is built in two reused buffers: a fancy-index
+    # gather of gram_ss costs about 8x its slice copies at N = 300.  The
+    # query drops the sample curves at distance 0: none for an outside
+    # query, one (itself) for a sample curve, more only for duplicates,
+    # which keep the gather.  Every element takes the same float operations
+    # as ((1 - g_j) - g_l + G_jl) / (d_j d_l), and the sum runs over a
+    # contiguous (k, k) view, so NumPy's pairwise summation, and with it
+    # every bit of the depth, is that of a freshly allocated matrix.
+    inner_buf = np.empty(n * n)
+    tmp_buf = np.empty(n * n)
     out = np.empty(qs.shape[0])
     for i in range(qs.shape[0]):
-        feat_sq = np.maximum(2.0 - 2.0 * gram_qs[i], 0.0)
-        dist = np.sqrt(feat_sq)
-        keep = dist > 0.0
-        if not keep.any():
+        k = int(kept[i])
+        if k == 0:
             out[i] = 1.0
             continue
-        g = gram_qs[i][keep]
-        dk = dist[keep]
-        inner = (1.0 - g[:, None] - g[None, :] + gram_ss[np.ix_(keep, keep)])
-        inner /= dk[:, None] * dk[None, :]
+        ki = keep[i]
+        inner = inner_buf[:k * k].reshape(k, k)
+        if k >= n - 1:
+            # the one dropped curve, or none: then j = n and the first
+            # slice is all of gram_ss, the other three empty
+            j = int(np.argmin(ki)) if k < n else n
+            inner[:j, :j] = gram_ss[:j, :j]
+            inner[:j, j:] = gram_ss[:j, j + 1:]
+            inner[j:, :j] = gram_ss[j + 1:, :j]
+            inner[j:, j:] = gram_ss[j + 1:, j + 1:]
+        else:
+            inner[...] = gram_ss[np.ix_(ki, ki)]
+        g = gram_qs[i][ki]
+        dk = dist[i][ki]
+        tmp = tmp_buf[:k * k].reshape(k, k)
+        np.subtract(1.0 - g[:, None], g[None, :], out=tmp)
+        inner += tmp
+        np.multiply(dk[:, None], dk[None, :], out=tmp)
+        inner /= tmp
         out[i] = 1.0 - math.sqrt(max(inner.sum(), 0.0)) / n
     return out
 

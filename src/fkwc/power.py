@@ -15,6 +15,10 @@ from .fdata import differentiate
 from .sim import generate
 
 _POISSON_TAIL = 1e-12
+# noncentral_chisq_sf sums about 80 sqrt(tau / 2) Poisson terms, 5.7e5 at
+# this bound; the largest pairwise noncentrality is under 3N = 3e7
+_MAX_TAU = 1e8
+_MAX_SAMPLE_SIZE = 10**7
 _MAX_BINS = 10**6
 # curves per draw in mc_rank_prob, which keeps its memory flat in reps
 _RANK_PROB_CHUNK = 8192
@@ -117,8 +121,8 @@ class LocalAlternativeSpec:
     density: SupportDensity
 
     def __post_init__(self):
-        deltas = tuple(float(d) for d in self.deltas)
-        thetas = tuple(float(t) for t in self.thetas)
+        deltas = tuple(float(d) for d in _floats(self.deltas, "deltas"))
+        thetas = tuple(float(t) for t in _floats(self.thetas, "thetas"))
         if len(deltas) != len(thetas) or len(deltas) < 2:
             raise ParameterError("need matching deltas and thetas for J >= 2 groups")
         if any(t <= 0 for t in thetas) or abs(sum(thetas) - 1.0) > 1e-9:
@@ -159,8 +163,18 @@ class RankProbability:
     reps: int
 
 
+def _floats(values, name: str) -> np.ndarray:
+    try:
+        out = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or not np.isfinite(out).all():  # None converts to nan
+        raise ParameterError(f"{name} must be finite numbers, got {values!r}")
+    return out
+
+
 def _validate_probs(probs, j: int) -> np.ndarray:
-    probs = np.asarray(probs, dtype=float)
+    probs = _floats(probs, "probs")
     if probs.shape != (j, j):
         raise ParameterError(f"probs must be a {j}x{j} matrix")
     if np.any(probs < 0) or np.any(probs > 1):
@@ -173,8 +187,8 @@ def _validate_probs(probs, j: int) -> np.ndarray:
 def tau_from_pairwise(probs, thetas, group_sizes, n_total: float) -> float:
     """Noncentrality 12/(N(N+1)) sum_j N_j [N sum_{k!=j} theta_k
     (Pr(D(X_j) <= D(X_k)) - 1/2)]^2."""
-    thetas = np.asarray(thetas, dtype=float)
-    sizes = np.asarray(group_sizes, dtype=float)
+    thetas = _floats(thetas, "thetas")
+    sizes = _floats(group_sizes, "group_sizes")
     j = thetas.size
     if sizes.size != j:
         raise ParameterError("thetas and group_sizes must have equal length")
@@ -240,13 +254,17 @@ def noncentral_chisq_sf(x: float, df: int, tau: float) -> float:
         raise ParameterError("x must be >= 0")
     if df < 1:
         raise ParameterError("df must be >= 1")
-    if tau < 0:
-        raise ParameterError("tau must be >= 0")
+    if not (math.isfinite(tau) and 0 <= tau <= _MAX_TAU):
+        raise ParameterError(f"tau must be finite and in [0, {_MAX_TAU:g}], got {tau!r}")
     if tau == 0.0:
         return float(chi2.sf(x, df))
     lam = tau / 2.0
-    kmax = int(lam + 40.0 * math.sqrt(lam + 1.0) + 60.0)
-    ks = np.arange(kmax + 1)
+    spread = 40.0 * math.sqrt(lam + 1.0) + 60.0
+    kmax = int(lam + spread)
+    # the Poisson weights below lam - spread are below e^-800 and so are 0.0
+    # in floating point; the sum starts there, over O(sqrt(lam)) terms
+    kmin = max(int(lam - spread), 0)
+    ks = np.arange(kmin, kmax + 1)
     weights = poisson.pmf(ks, lam)
     keep = np.cumsum(weights) <= 1.0 - _POISSON_TAIL
     cutoff = int(keep.sum()) + 1
@@ -269,19 +287,31 @@ def predicted_power(tau: float, j_groups: int, alpha: float = 0.05,
     return PowerResult(float(tau), power, alpha, j_groups, n_total)
 
 
+def _sample_size(n_total, j: int) -> int:
+    n = n_total
+    if isinstance(n, (float, np.floating)) and float(n).is_integer():
+        n = int(n)
+    lo = max(j, 1)  # at least one curve per group
+    valid = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not (valid and lo <= n <= _MAX_SAMPLE_SIZE):
+        raise ParameterError(
+            f"N must be an integer in [{lo}, {_MAX_SAMPLE_SIZE}], got {n_total!r}"
+        )
+    return int(n)
+
+
 def power_from_pairwise(probs, thetas, n_total: int, alpha: float = 0.05) -> PowerResult:
-    """Power at combined sample size N with group sizes theta_j N."""
-    thetas = np.asarray(thetas, dtype=float)
+    """Power at combined sample size N with group sizes theta_j N; N must
+    be an integer in [J, 1e7] (an integral float is taken as one)."""
+    thetas = _floats(thetas, "thetas")
+    n_total = _sample_size(n_total, thetas.size)
     sizes = thetas * n_total
     tau = tau_from_pairwise(probs, thetas, sizes, n_total)
-    return predicted_power(tau, thetas.size, alpha, n_total=int(n_total))
+    return predicted_power(tau, thetas.size, alpha, n_total=n_total)
 
 
 def power_from_local(spec: LocalAlternativeSpec, alpha: float = 0.05) -> PowerResult:
     return predicted_power(local_tau(spec), len(spec.thetas), alpha)
-
-
-_MAX_SAMPLE_SIZE = 10**7
 
 
 def required_sample_size(probs, thetas, target_power: float, alpha: float = 0.05) -> int:
@@ -291,7 +321,7 @@ def required_sample_size(probs, thetas, target_power: float, alpha: float = 0.05
     monotone in N; raises :class:`InfeasibleError` when even the upper
     bound cannot reach the target.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = _floats(thetas, "thetas")
     j = thetas.size
     if not alpha < target_power < 1.0:
         raise ParameterError(

@@ -12,6 +12,7 @@ import fkwc
 from fkwc import (
     DepthSpec,
     FunctionalDataset,
+    Grid,
     StudySpec,
     run_study,
     save_csv,
@@ -147,6 +148,16 @@ class TestCmdTest:
         assert code in (EXIT_OK, EXIT_REJECT)
         fd_out = json.loads(capsys.readouterr().out)
         assert file_out["statistic"] == pytest.approx(fd_out["statistic"], abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["test", "depth"])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_rp_on_three_point_grid(self, command, primed, tmp_path, capsys):
+        curves = np.random.default_rng(3).normal(size=(20, 3))
+        path = tmp_path / "short.csv"
+        save_csv(FunctionalDataset(Grid(3), curves, [1] * 10 + [2] * 10), path)
+        argv = [command, "--input", str(path), "--depth", "rp"] + ["--primed"] * primed
+        assert main(argv) in (EXIT_OK, EXIT_REJECT)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestCmdMc:
@@ -418,4 +429,44 @@ class TestMalformedSpecs:
         err = capsys.readouterr().err
         assert err.startswith("parameter error")
         assert repr(key) in err
+        assert "Traceback" not in err
+
+    PAIRWISE = {"probs": [[0.5, 0.53], [0.47, 0.5]], "thetas": [0.5, 0.5], "N": 100}
+
+    # each is refused before an array is sized by it
+    @pytest.mark.parametrize("spec, name", [
+        (dict(PAIRWISE, N=0), "N"),
+        (dict(PAIRWISE, N=1e308), "N"),
+        (dict(PAIRWISE, N=50.5), "N"),
+        (dict(PAIRWISE, N=10**8), "N"),
+        (dict(PAIRWISE, probs=[[0.5, "x"], [0.47, 0.5]]), "probs"),
+        (dict(PAIRWISE, thetas=[0.5, None]), "thetas"),
+        ({"probs": [[0.5, 0.53], [0.47, "x"]], "thetas": [0.5, 0.5],
+          "target_power": 0.8}, "probs"),
+        ({"deltas": [0.0, "x"], "thetas": [0.5, 0.5],
+          "density": {"kind": "exponential", "rate": 1.0}}, "deltas"),
+        ({"deltas": [0.0, 1e6], "thetas": [0.5, 0.5],
+          "density": {"kind": "chi2", "df": 5}}, "tau"),
+    ], ids=["N-zero", "N-huge", "N-fraction", "N-above-max", "probs-text", "thetas-null",
+            "target-probs-text", "deltas-text", "deltas-huge"])
+    def test_refused_power_values(self, spec, name, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["power", "--spec", str(path)]) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.startswith(f"parameter error: {name} must be")
+        assert "Traceback" not in err
+
+    def test_power_n_as_integer_text(self, tmp_path, capsys):
+        outputs = []
+        for n in (100, "100"):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(dict(self.PAIRWISE, N=n)))
+            assert main(["power", "--spec", str(path)]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        path.write_text(json.dumps(dict(self.PAIRWISE, N="50.5")))
+        assert main(["power", "--spec", str(path)]) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error") and "'N'" in err
         assert "Traceback" not in err

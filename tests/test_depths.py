@@ -2,9 +2,12 @@
 
 import inspect
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fkwc.depths
 from fkwc import (
@@ -13,11 +16,13 @@ from fkwc import (
     FunctionalDataset,
     Grid,
     ParameterError,
+    ProcessModel,
     TestConfig,
     compute_depth,
     depth_ranks,
     differentiate,
     fkwc_test,
+    generate,
     ltr_depth,
     ltr_rank_scores,
     mbd,
@@ -28,7 +33,14 @@ from fkwc import (
     steel_mc,
     ksd_depth,
 )
-from fkwc.depths import DEPTH_KERNELS, _spatial_channel
+from fkwc.depths import (
+    DEPTH_KERNELS,
+    MEDIAN_HEURISTIC,
+    _ksd_channel,
+    _pairwise_sq_dists,
+    _rp_directions,
+    _spatial_channel,
+)
 
 ALL_KINDS = ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd")
 
@@ -38,6 +50,41 @@ def make_ds(curves, groups=None, grid=None):
     grid = grid if grid is not None else Grid.regular(curves.shape[1])
     groups = groups if groups is not None else [1] * curves.shape[0]
     return FunctionalDataset(grid, curves, groups)
+
+
+def ksd_loop_reference(sample, qs, w, bandwidth) -> np.ndarray:
+    """One ksd channel the way it was first written: a fresh (k, k) matrix
+    per query, gathered with ``np.ix_`` from the sample Gram matrix.  The
+    kernel must reproduce it bit for bit."""
+    n = sample.shape[0]
+    d2_ss = _pairwise_sq_dists(sample, sample, w)
+    if bandwidth == MEDIAN_HEURISTIC:
+        iu = np.triu_indices(n, k=1)
+        pair = d2_ss[iu]
+        sigma2 = float(np.median(pair)) if pair.size else 1.0
+        if sigma2 <= 0.0:
+            sigma2 = 1.0
+    else:
+        sigma2 = float(bandwidth)
+    gram_ss = np.exp(-d2_ss / sigma2)
+    if qs is sample:  # the sample's own curves: the same matrix, bit for bit
+        gram_qs = gram_ss
+    else:
+        gram_qs = np.exp(-_pairwise_sq_dists(qs, sample, w) / sigma2)
+    out = np.empty(qs.shape[0])
+    for i in range(qs.shape[0]):
+        feat_sq = np.maximum(2.0 - 2.0 * gram_qs[i], 0.0)
+        dist = np.sqrt(feat_sq)
+        keep = dist > 0.0
+        if not keep.any():
+            out[i] = 1.0
+            continue
+        g = gram_qs[i][keep]
+        dk = dist[keep]
+        inner = (1.0 - g[:, None] - g[None, :] + gram_ss[np.ix_(keep, keep)])
+        inner /= dk[:, None] * dk[None, :]
+        out[i] = 1.0 - math.sqrt(max(inner.sum(), 0.0)) / n
+    return out
 
 
 class TestDepthKernels:
@@ -168,6 +215,26 @@ class TestRpDepth:
         small = np.array([depths_for(2, s) for s in range(50)])
         large = np.array([depths_for(40, s) for s in range(50)])
         assert large.var(axis=0).mean() < small.var(axis=0).mean()
+
+
+class TestRpShortGrids:
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_three_and_four_point_grids(self, m, primed):
+        curves = np.random.default_rng(m).normal(size=(12, m))
+        ds = make_ds(curves, grid=Grid(m))
+        vals = rp_depth(ds, DepthSpec(kind="rp", use_derivatives=primed, rng_seed=4)).values
+        assert vals.shape == (12,)
+        assert np.all(np.isfinite(vals) & (vals >= 0.0))
+
+    @pytest.mark.parametrize("m", [5, 6, 21, 101])
+    def test_directions_smooth_as_same_mode_convolution(self, m):
+        w = Grid(m).trapezoid_weights
+        dirs = _rp_directions(w, 20, fkwc.depths.derive_rng(9, 0))
+        raw = fkwc.depths.derive_rng(9, 0).standard_normal((20, m))
+        smooth = np.array([np.convolve(r, np.full(5, 0.2), mode="same") for r in raw])
+        norms = np.sqrt((smooth * smooth) @ w)
+        assert np.array_equal(dirs, smooth / norms[:, None])
 
 
 class TestRpDerivDepth:
@@ -309,6 +376,82 @@ class TestSpatialAndKsd:
         assert len(calls) == 3 * channels
         # the reused matrix is the one the outside queries recompute
         assert own.tobytes() == outside.tobytes()
+
+
+def _t1_dataset(n):
+    curves = generate(ProcessModel(family="t1"), n, seed=(n, 2021))
+    return make_ds(curves, grid=Grid(101))
+
+
+@st.composite
+def lattice_ksd_cases(draw):
+    """Small integer-valued samples, where equal curves and tied distances
+    are common, with queries that mix sample curves and new ones."""
+    m = draw(st.integers(3, 6))
+    value_rows = st.lists(st.integers(-2, 2), min_size=m, max_size=m)
+    rows = draw(st.lists(value_rows, min_size=1, max_size=8))
+    repeats = draw(st.lists(st.integers(0, len(rows) - 1), max_size=4))
+    sample = np.array(rows + [rows[r] for r in repeats], dtype=float)
+    picks = draw(st.lists(st.integers(0, sample.shape[0] - 1), max_size=3))
+    fresh = draw(st.lists(value_rows, max_size=3))
+    queries = np.vstack([sample[picks], np.array(fresh, dtype=float).reshape(-1, m)])
+    bandwidth = draw(st.sampled_from([MEDIAN_HEURISTIC, 0.5, 3.0]))
+    return sample, queries, bandwidth
+
+
+class TestKsdLoopReference:
+    """``ksd``/``ksd'`` equal the loop form byte for byte: each (k, k)
+    matrix drops none (outside queries), one (a sample curve) or several
+    (duplicated curves) sample curves, or all of them (depth 1)."""
+
+    @staticmethod
+    def reference(ds, spec, queries=None):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fkwc.depths, "_ksd_channel", ksd_loop_reference)
+            return ksd_depth(ds, spec, queries).values
+
+    def assert_same_bits(self, ds, spec, queries=None):
+        got = ksd_depth(ds, spec, queries).values
+        assert got.tobytes() == self.reference(ds, spec, queries).tobytes()
+
+    @pytest.mark.parametrize("n", [100, 300])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_in_sample_t1(self, n, primed):
+        self.assert_same_bits(_t1_dataset(n), DepthSpec(kind="ksd", use_derivatives=primed))
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_outside_queries_one_equal_to_a_sample_curve(self, primed):
+        ds = _t1_dataset(60)
+        queries = np.vstack([ds.curves[7], _t1_dataset(61).curves[:5]])
+        self.assert_same_bits(ds, DepthSpec(kind="ksd", use_derivatives=primed), queries)
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_duplicated_curves(self, primed):
+        base = _t1_dataset(40).curves
+        # curve 0 three times and curve 1 twice: their queries drop 3 and 2
+        ds = make_ds(np.vstack([base, base[0], base[0], base[1]]), grid=Grid(101))
+        self.assert_same_bits(ds, DepthSpec(kind="ksd", use_derivatives=primed))
+
+    def test_identical_curves_depth_one(self, grid21):
+        ds = make_ds(np.tile(np.sin(2 * np.pi * grid21.points), (5, 1)), grid=grid21)
+        spec = DepthSpec(kind="ksd", use_derivatives=True)
+        self.assert_same_bits(ds, spec)
+        assert np.array_equal(ksd_depth(ds, spec).values, np.ones(5))
+
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_fixed_bandwidth(self, primed):
+        spec = DepthSpec(kind="ksd", use_derivatives=primed, kernel_bandwidth=2.0)
+        self.assert_same_bits(_t1_dataset(80), spec)
+
+    @given(lattice_ksd_cases())
+    @settings(max_examples=200)
+    @example((np.zeros((3, 3)), np.zeros((1, 3)), MEDIAN_HEURISTIC))
+    def test_lattice_channels(self, case):
+        sample, queries, bandwidth = case
+        w = Grid(sample.shape[1]).trapezoid_weights
+        for qs in (sample, queries):
+            got = _ksd_channel(sample, qs, w, bandwidth)
+            assert got.tobytes() == ksd_loop_reference(sample, qs, w, bandwidth).tobytes()
 
 
 class TestDepthRanks:

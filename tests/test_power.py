@@ -6,6 +6,7 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.stats import chi2, poisson
 
 import fkwc.power
 from fkwc import (
@@ -194,7 +195,43 @@ def mp_ncx2_sf(x, df, tau):
     return float(mp.quad(pdf, [x, x + 30 * (1 + mp.sqrt(tau)), mp.inf]))
 
 
+def full_range_ncx2_sf(x, df, tau):
+    """The Poisson mixture summed from k = 0, as before the sum started
+    where the weights stop underflowing to 0.0."""
+    lam = tau / 2.0
+    ks = np.arange(int(lam + 40.0 * np.sqrt(lam + 1.0) + 60.0) + 1)
+    weights = poisson.pmf(ks, lam)
+    cutoff = int((np.cumsum(weights) <= 1.0 - 1e-12).sum()) + 1
+    return float(np.sum(weights[:cutoff] * chi2.sf(x, df + 2 * ks[:cutoff])))
+
+
 class TestNoncentralChisq:
+    # 5.4e11 is local_tau of deltas (0, 1e6) over a chi2(5) density; each
+    # is refused before an array is sized by it
+    @pytest.mark.parametrize("tau", [np.inf, np.nan, -1.0, 1.0000001e8, 5.4e11])
+    def test_refuses_bad_tau(self, tau):
+        with pytest.raises(ParameterError, match="tau must be finite and in"):
+            noncentral_chisq_sf(3.0, 1, tau)
+
+    @pytest.mark.parametrize("tau", [3000.0, 3600.0, 2e4, 1e5])
+    @pytest.mark.parametrize("x", [3.84, 1500.0, 2e4])
+    def test_window_matches_full_range_sum(self, x, tau):
+        got = noncentral_chisq_sf(x, 2, tau)
+        assert got == pytest.approx(full_range_ncx2_sf(x, 2, tau), rel=1e-14, abs=1e-300)
+
+    def test_memory_grows_with_sqrt_tau(self):
+        # the largest pairwise noncentrality at N = 1e7 is under 3e7; the
+        # full-range sum held arrays of 1.5e7 entries (120 MB each), the
+        # window about 17 MB in all
+        tracemalloc.start()
+        try:
+            # scipy's Poisson weights carry ~1e-8 relative error at this lam
+            assert noncentral_chisq_sf(3.84, 1, 3e7) == pytest.approx(1.0, abs=1e-7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_central_case_at_crit(self):
         assert noncentral_chisq_sf(3.8415, 1, 0.0) == pytest.approx(0.05, abs=1e-4)
 
