@@ -52,6 +52,7 @@ from .power import (
     RankProbability,
     SupportDensity,
     density_from_callable,
+    density_from_histogram,
     density_from_samples,
     local_tau,
     mc_rank_prob,

@@ -35,6 +35,7 @@ from .power import (
     LocalAlternativeSpec,
     SupportDensity,
     density_from_callable,
+    density_from_histogram,
     density_from_samples,
     power_from_local,
     power_from_pairwise,
@@ -281,12 +282,9 @@ def _density_from_json(node) -> SupportDensity:
         hi = float(chi2.ppf(1.0 - 1e-10, df))
         return density_from_callable(lambda z: chi2.pdf(z, df), (0.0, hi))
     if kind == "histogram":
-        edges = _read(node, "edges", _floats)
-        dens = _read(node, "densities", _floats)
-        if edges.size != dens.size + 1:
-            raise ParameterError("histogram needs len(edges) == len(densities) + 1")
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return SupportDensity(mids, dens, box_widths=np.diff(edges))
+        return density_from_histogram(
+            _read(node, "edges", _floats), _read(node, "densities", _floats)
+        )
     if kind == "samples":
         return density_from_samples(_read(node, "values", _floats))
     if kind == "model":

@@ -66,8 +66,8 @@ class DepthSpec:
         if self.band_order < 2:
             raise ParameterError("band_order must be >= 2")
         w = np.asarray(self.channel_weights, dtype=float)
-        if w.ndim != 1 or w.size != 2 or np.any(w < 0):
-            raise ParameterError("channel_weights must be two nonnegative reals")
+        if w.ndim != 1 or w.size != 2 or not np.all((w >= 0) & np.isfinite(w)):
+            raise ParameterError("channel_weights must be two finite nonnegative reals")
         if abs(w.sum() - 1.0) > 1e-12:
             raise ParameterError(f"channel_weights must sum to 1, got {w.sum()!r}")
         object.__setattr__(self, "channel_weights", (float(w[0]), float(w[1])))
@@ -77,8 +77,8 @@ class DepthSpec:
                 raise ParameterError(
                     f"kernel_bandwidth must be positive or {MEDIAN_HEURISTIC!r}, got {bw!r}"
                 )
-        elif not (isinstance(bw, (int, float)) and bw > 0):
-            raise ParameterError(f"kernel_bandwidth must be positive, got {bw!r}")
+        elif not (isinstance(bw, (int, float)) and 0 < bw < math.inf):
+            raise ParameterError(f"kernel_bandwidth must be positive and finite, got {bw!r}")
 
     @property
     def label(self) -> str:
@@ -216,8 +216,8 @@ def ltr_rank_scores(ds: FunctionalDataset, use_derivatives: bool = False) -> np.
     With them it is the sum of the curve and derivative channel norms.  This
     is the fast ranking path: no empirical-distribution estimate is involved.
 
-    The derivative-augmented score is the one :func:`fkwc.power.mc_rank_prob`
-    uses with ``p=1``, so pairwise power predictions describe these ranks.
+    :func:`fkwc.power.mc_rank_prob` scores its draws with this function, so
+    pairwise power predictions describe these ranks.
     It is not order-equivalent to primed ``ltr_depth``, even on centered
     data: that depth sums sqrt(a + c0) + sqrt(b + c1) over the squared
     channel norms a, b with centering constants c0, c1.  With c0 = c1 = 1,

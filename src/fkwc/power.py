@@ -10,8 +10,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.stats import chi2, poisson
 
+from .depths import ltr_rank_scores
 from .exceptions import InfeasibleError, NumericalError, ParameterError
-from .fdata import differentiate
+from .fdata import FunctionalDataset
 from .sim import generate
 
 _POISSON_TAIL = 1e-12
@@ -26,55 +27,61 @@ _RANK_PROB_CHUNK = 8192
 
 @dataclass(frozen=True)
 class SupportDensity:
-    """A univariate density tabulated on a support grid.
-
-    ``points`` must be increasing; the density is treated as exact at the
-    points and integrated by the trapezoid rule (histogram constructors
-    use midpoint boxes instead).
-    """
+    """A univariate density tabulated at increasing support points, with
+    the quadrature weights that integrate over its support: the trapezoid
+    weights of the points (:func:`density_from_callable`), or the bin widths
+    of a histogram tabulated at its bin midpoints
+    (:func:`density_from_histogram`)."""
 
     points: np.ndarray
     values: np.ndarray
-    box_widths: Optional[np.ndarray] = None
+    weights: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
-        vals = np.asarray(self.values, dtype=float)
-        if pts.ndim != 1 or pts.size < 2 or vals.shape != pts.shape:
-            raise ParameterError("density needs matching 1-d points and values")
+        arrays = [np.asarray(a, dtype=float) for a in (self.points, self.values, self.weights)]
+        pts, vals, wts = arrays
+        if pts.ndim != 1 or pts.size < 2 or vals.shape != pts.shape or wts.shape != pts.shape:
+            raise ParameterError("density needs matching 1-d points, values and weights")
+        if not all(np.isfinite(a).all() for a in arrays):
+            raise ParameterError("density points, values and weights must be finite")
         if np.any(np.diff(pts) <= 0):
             raise ParameterError("density support points must be increasing")
         if np.any(vals < 0):
             raise ParameterError("density values must be nonnegative")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "values", vals)
-        if self.box_widths is not None:
-            bw = np.asarray(self.box_widths, dtype=float)
-            if bw.shape != pts.shape or np.any(bw <= 0):
-                raise ParameterError("box widths must be positive and match points")
-            object.__setattr__(self, "box_widths", bw)
+        if np.any(wts <= 0):
+            raise ParameterError("density quadrature weights must be positive")
+        for name, array in zip(("points", "values", "weights"), arrays):
+            object.__setattr__(self, name, array)
 
     def integral(self) -> float:
-        if self.box_widths is not None:
-            return float((self.values * self.box_widths).sum())
-        return float(np.trapezoid(self.values, self.points))
+        return float((self.values * self.weights).sum())
 
     def delta_g(self) -> float:
         """Integral of z g(z)^2 dz over the tabulated support."""
-        zg2 = self.points * self.values**2
-        if self.box_widths is not None:
-            return float((zg2 * self.box_widths).sum())
-        return float(np.trapezoid(zg2, self.points))
+        return float((self.points * self.values**2 * self.weights).sum())
 
 
 def density_from_callable(
-    fn: Callable[[np.ndarray], np.ndarray], support: tuple, n: int = 4097
+    fn: Callable[[np.ndarray], np.ndarray], support: tuple
 ) -> SupportDensity:
+    """``fn`` evaluated at 4097 equispaced points of ``support`` and
+    integrated by the trapezoid rule."""
     lo, hi = support
     if not hi > lo:
         raise ParameterError(f"bad support interval {support!r}")
-    pts = np.linspace(lo, hi, n)
-    return SupportDensity(pts, np.asarray(fn(pts), dtype=float))
+    pts = np.linspace(lo, hi, 4097)
+    half = 0.5 * np.diff(pts)
+    return SupportDensity(pts, fn(pts), np.r_[half, 0.0] + np.r_[0.0, half])
+
+
+def density_from_histogram(edges, densities) -> SupportDensity:
+    """Histogram density tabulated at its bin midpoints and integrated by
+    its bin widths; ``edges`` has one entry more than ``densities``."""
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size != np.size(densities) + 1:
+        raise ParameterError("histogram needs len(edges) == len(densities) + 1")
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return SupportDensity(mids, densities, np.diff(edges))
 
 
 def _fd_bin_count(draws: np.ndarray) -> int:
@@ -106,9 +113,7 @@ def density_from_samples(draws) -> SupportDensity:
     if draws.size < 10:
         raise ParameterError("need at least 10 draws to build a histogram density")
     dens, edges = np.histogram(draws, bins=_fd_bin_count(draws), density=True)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    widths = np.diff(edges)
-    return SupportDensity(mids, dens, box_widths=widths)
+    return density_from_histogram(edges, dens)
 
 
 @dataclass(frozen=True)
@@ -201,10 +206,10 @@ def tau_from_pairwise(probs, thetas, group_sizes, n_total: float) -> float:
 
 
 def mc_rank_prob(model_j, model_k, p: int = 0, reps: int = 10_000, seed: int = 0) -> RankProbability:
-    """Monte Carlo Pr(D(X_j) <= D(X_k)) under L2-root ranking, i.e. the
-    probability that the summed channel norms of X_k fall below those of
-    X_j; channels are the curve plus p finite-difference derivatives.
-    Curves are drawn in chunks, so memory does not grow with ``reps``."""
+    """Monte Carlo Pr(D(X_j) <= D(X_k)) for the ``ltr`` ranks (``ltr'`` when
+    p = 1): the share of draws whose :func:`~fkwc.depths.ltr_rank_scores`
+    score, computed on a dataset of the draws as the test computes it, is no
+    larger for X_k than for X_j.  Drawn in chunks: memory is flat in reps."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     if p not in (0, 1):
@@ -213,18 +218,12 @@ def mc_rank_prob(model_j, model_k, p: int = 0, reps: int = 10_000, seed: int = 0
         raise ParameterError(
             f"models must share one grid, got {model_j.grid!r} and {model_k.grid!r}"
         )
-    grid = model_j.grid
-    w = grid.trapezoid_weights
     rng_j = np.random.default_rng((seed, 11))
     rng_k = np.random.default_rng((seed, 13))
 
     def scores(model, size, rng):
-        x = generate(model, size, rng)
-        s = np.sqrt((x * x) @ w)
-        if p == 1:
-            d = differentiate(x, grid)
-            s = s + np.sqrt((d * d) @ w)
-        return s
+        ds = FunctionalDataset(model.grid, generate(model, size, rng), np.ones(size, dtype=int))
+        return ltr_rank_scores(ds, p == 1)
 
     hits = 0
     for start in range(0, reps, _RANK_PROB_CHUNK):
@@ -248,16 +247,17 @@ def local_tau(spec: LocalAlternativeSpec) -> float:
 
 
 def noncentral_chisq_sf(x: float, df: int, tau: float) -> float:
-    """Survival function of the noncentral chi-square via the Poisson
-    mixture of central chi-square tails, truncated at 1e-12 tail mass."""
+    """Survival function of the noncentral chi-square: the Poisson mixture
+    of central chi-square tails, truncated at 1e-12 Poisson tail mass and
+    clipped to [0, 1] (at tau = 0 it is ``chi2.sf(x, df)``).  The Poisson
+    weights' own error grows with tau: the result differs from
+    ``scipy.stats.ncx2.sf`` by 1.9e-11 at tau = 1e5 and 5.2e-10 at 1e6."""
     if x < 0:
         raise ParameterError("x must be >= 0")
     if df < 1:
         raise ParameterError("df must be >= 1")
     if not (math.isfinite(tau) and 0 <= tau <= _MAX_TAU):
         raise ParameterError(f"tau must be finite and in [0, {_MAX_TAU:g}], got {tau!r}")
-    if tau == 0.0:
-        return float(chi2.sf(x, df))
     lam = tau / 2.0
     spread = 40.0 * math.sqrt(lam + 1.0) + 60.0
     kmax = int(lam + spread)
@@ -270,7 +270,7 @@ def noncentral_chisq_sf(x: float, df: int, tau: float) -> float:
     cutoff = int(keep.sum()) + 1
     ks = ks[:cutoff]
     weights = weights[:cutoff]
-    return float(np.sum(weights * chi2.sf(x, df + 2 * ks)))
+    return float(np.clip(np.sum(weights * chi2.sf(x, df + 2 * ks)), 0.0, 1.0))
 
 
 def predicted_power(tau: float, j_groups: int, alpha: float = 0.05,

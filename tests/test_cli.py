@@ -119,6 +119,16 @@ class TestCmdTest:
                      "--bandwidth", "-3"])
         assert code == EXIT_PARAMETER
 
+    # refused up front: a NaN weight would surface as non-finite depth values
+    # (exit 1), an infinite bandwidth as depth 1.0 for every curve
+    @pytest.mark.parametrize("argv, name", [
+        (["test", "--depth", "mbd", "--primed", "--weights", "nan", "nan"], "channel_weights"),
+        (["depth", "--depth", "ksd", "--bandwidth", "inf"], "kernel_bandwidth"),
+    ], ids=["weights-nan", "bandwidth-inf"])
+    def test_non_finite_depth_option_exit_code(self, argv, name, identical_groups_csv, capsys):
+        assert main(argv + ["--input", str(identical_groups_csv)]) == EXIT_PARAMETER
+        assert capsys.readouterr().err.startswith(f"parameter error: {name} must be")
+
     def test_table_format(self, identical_groups_csv, capsys):
         code = main(["test", "--input", str(identical_groups_csv), "--format", "table"])
         assert code == EXIT_OK
@@ -447,8 +457,13 @@ class TestMalformedSpecs:
           "density": {"kind": "exponential", "rate": 1.0}}, "deltas"),
         ({"deltas": [0.0, 1e6], "thetas": [0.5, 0.5],
           "density": {"kind": "chi2", "df": 5}}, "tau"),
+        # NaN once passed the density's integral check and was refused as tau
+        ({"deltas": [0.0, 0.3], "thetas": [0.5, 0.5],
+          "density": {"kind": "histogram", "edges": [0.0, 1.0, 2.0],
+                      "densities": [0.5, float("nan")]}},
+         "density points, values and weights"),
     ], ids=["N-zero", "N-huge", "N-fraction", "N-above-max", "probs-text", "thetas-null",
-            "target-probs-text", "deltas-text", "deltas-huge"])
+            "target-probs-text", "deltas-text", "deltas-huge", "histogram-nan"])
     def test_refused_power_values(self, spec, name, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

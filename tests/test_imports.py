@@ -59,3 +59,16 @@ def test_benchmark_traced_names_exist():
     assert not missing, missing
     fdata = importlib.import_module("fkwc.fdata")
     assert callable(getattr(fdata.FunctionalDataset, "with_finite_difference_derivatives", None))
+
+
+def test_derivatives_computed_only_in_fdata():
+    """No module but fdata.py calls ``differentiate``: every other module
+    reads the derivative channel a FunctionalDataset carries."""
+    callers = []
+    for path in sorted((SRC / "fkwc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "differentiate":
+                callers.append(path.name)
+    assert callers and set(callers) == {"fdata.py"}, callers

@@ -16,7 +16,9 @@ from fkwc import (
     NumericalError,
     ParameterError,
     ProcessModel,
+    SupportDensity,
     density_from_callable,
+    density_from_histogram,
     density_from_samples,
     differentiate,
     generate,
@@ -108,18 +110,22 @@ class TestMcRankProb:
         est = mc_rank_prob(m2, m1, p=1, reps=5000, seed=5)
         assert est.estimate > 0.5
 
-    def test_chunked_count_equals_one_shot(self):
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_chunked_count_equals_one_shot(self, p):
         m1, m2 = scenario_models(1)
         reps = int(2.5 * fkwc.power._RANK_PROB_CHUNK)
         w = m1.grid.trapezoid_weights
 
+        # the ltr (p = 0) and ltr' (p = 1) scores, written out
         def scores(model, seed):
             x = generate(model, reps, seed)
+            if p == 0:
+                return (x * x) @ w
             d = differentiate(x, model.grid)
             return np.sqrt((x * x) @ w) + np.sqrt((d * d) @ w)
 
         want = np.mean(scores(m2, (7, 13)) <= scores(m1, (7, 11)))
-        assert mc_rank_prob(m1, m2, p=1, reps=reps, seed=7).estimate == want
+        assert mc_rank_prob(m1, m2, p=p, reps=reps, seed=7).estimate == want
 
     def test_memory_flat_in_reps(self):
         m1, m2 = scenario_models(1)
@@ -176,6 +182,21 @@ class TestLocalTau:
         with pytest.raises(NumericalError, match="bins"):
             density_from_samples(rng.standard_cauchy(size=20_000) ** 2)
 
+    @pytest.mark.parametrize("field", ["points", "values", "weights"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_density_refuses_non_finite(self, field, bad):
+        arrays = {"points": [0.0, 1.0, 2.0], "values": [0.5, 0.5, 0.0],
+                  "weights": [0.5, 1.0, 0.5]}
+        arrays[field][-1] = bad
+        with pytest.raises(ParameterError, match="density .* must be finite"):
+            SupportDensity(**arrays)
+
+    def test_histogram_needs_one_edge_more_than_densities(self):
+        with pytest.raises(ParameterError, match="len\\(edges\\)"):
+            density_from_histogram([0.0, 1.0, 2.0], [0.5, 0.25, 0.25])
+        dens = density_from_histogram([0.0, 1.0, 2.0], [0.5, 0.5])
+        assert dens.points.tolist() == [0.5, 1.5] and dens.weights.tolist() == [1.0, 1.0]
+
     def test_zero_iqr_draws_say_why(self):
         # 20 equal draws and one outlier: one Freedman-Diaconis bin
         with pytest.raises(ParameterError, match="interquartile range of 0"):
@@ -218,6 +239,16 @@ class TestNoncentralChisq:
     def test_window_matches_full_range_sum(self, x, tau):
         got = noncentral_chisq_sf(x, 2, tau)
         assert got == pytest.approx(full_range_ncx2_sf(x, 2, tau), rel=1e-14, abs=1e-300)
+
+    def test_clipped_to_probability(self):
+        # the summed mixture exceeds 1 by 2.6e-12 here
+        assert noncentral_chisq_sf(3.84, 1, 1e7) == 1.0
+        assert predicted_power(1e7, 2).predicted_power == 1.0
+
+    def test_central_case_is_chi2_sf_bit_for_bit(self):
+        for df in range(1, 8):
+            for x in np.linspace(0.0, 30.0, 61):
+                assert noncentral_chisq_sf(x, df, 0.0) == chi2.sf(x, df)
 
     def test_memory_grows_with_sqrt_tau(self):
         # the largest pairwise noncentrality at N = 1e7 is under 3e7; the
