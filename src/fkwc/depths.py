@@ -597,14 +597,21 @@ def depth_sort_keys(ds: FunctionalDataset, spec: DepthSpec) -> np.ndarray:
 
 def ranks_with_tiebreak(keys, seed: int) -> RankVector:
     """Ranks 1..N of ``keys`` ascending; exact ties are ordered by a seeded
-    uniform shuffle, so every tied entry is equally likely to come first."""
+    uniform shuffle, so every tied entry is equally likely to come first.
+    NaN keys have no place in the order and are refused; +-inf keys rank
+    and tie like any other value."""
     keys = np.asarray(keys, dtype=float)
+    if np.isnan(keys).any():
+        raise DataError("depth sort keys must not be NaN")
     n = keys.size
     tiebreak = derive_rng(seed, 1).permutation(n)
     order = np.lexsort((tiebreak, keys))
     ranks = np.empty(n, dtype=int)
     ranks[order] = np.arange(1, n + 1)
-    ties = n - np.unique(keys).size
+    # equal keys sit next to each other in sorted order: each equal
+    # neighbour is one curve placed by the tie-break
+    ordered = keys[order]
+    ties = int(np.count_nonzero(ordered[1:] == ordered[:-1]))
     return RankVector(ranks, ties)
 
 

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy import special
 from scipy.stats import chi2, poisson
 
 from .depths import ltr_rank_scores
@@ -270,7 +271,8 @@ def noncentral_chisq_sf(x: float, df: int, tau: float) -> float:
     cutoff = int(keep.sum()) + 1
     ks = ks[:cutoff]
     weights = weights[:cutoff]
-    return float(np.clip(np.sum(weights * chi2.sf(x, df + 2 * ks)), 0.0, 1.0))
+    tails = special.chdtrc(df + 2 * ks, x)  # chi2.sf(x, df + 2 * ks), bit for bit
+    return float(np.clip(np.sum(weights * tails), 0.0, 1.0))
 
 
 def predicted_power(tau: float, j_groups: int, alpha: float = 0.05,

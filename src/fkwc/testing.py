@@ -10,7 +10,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
+from scipy import special
+from scipy.stats import rankdata
 
 from .depths import DepthSpec, RankVector, depth_ranks, depth_sort_keys, derive_seed
 from .exceptions import ParameterError
@@ -80,22 +81,33 @@ class MCResult:
 
 
 def _validate_ranks_groups(ranks, groups):
-    if isinstance(ranks, RankVector):
-        ranks = ranks.ranks
-    ranks = np.asarray(ranks)
+    """Ranks, integer group labels and group sizes N_1..N_J.  The ranks of
+    a ``RankVector`` were checked to be a permutation when it was built;
+    raw ranks are checked here."""
+    checked = isinstance(ranks, RankVector)
+    ranks = np.asarray(ranks.ranks if checked else ranks)
     groups = np.asarray(groups, dtype=int)
     n = ranks.size
+    if n == 0:
+        raise ParameterError("need at least one rank")
     if groups.size != n:
         raise ParameterError(f"{groups.size} group labels for {n} ranks")
-    if not np.array_equal(np.sort(ranks), np.arange(1, n + 1)):
+    if not checked and not np.array_equal(np.sort(ranks), np.arange(1, n + 1)):
         raise ParameterError("ranks must form a permutation of 1..N (break ties first)")
-    j = int(groups.max())
-    sizes = np.bincount(groups, minlength=j + 1)[1:]
-    if groups.min() < 1 or np.any(sizes == 0):
+    if groups.min() < 1:
         raise ParameterError("every group label in 1..J must appear at least once")
-    if j < 2:
+    sizes = np.bincount(groups)[1:]
+    if np.any(sizes == 0):
+        raise ParameterError("every group label in 1..J must appear at least once")
+    if sizes.size < 2:
         raise ParameterError("need at least two groups")
-    return ranks.astype(float), groups, sizes
+    return ranks, groups, sizes
+
+
+def _group_mean_ranks(ranks, groups, sizes) -> np.ndarray:
+    """Mean rank of each group 1..J.  The rank sums are integers below
+    2**53, so they are exact in any summation order."""
+    return np.bincount(groups, weights=ranks)[1:] / sizes
 
 
 def kw_statistic(ranks, groups) -> float:
@@ -104,8 +116,8 @@ def kw_statistic(ranks, groups) -> float:
     n = ranks.size
     center = (n + 1) / 2.0
     total = 0.0
-    for j, nj in enumerate(sizes, start=1):
-        total += nj * (ranks[groups == j].mean() - center) ** 2
+    for nj, mean in zip(sizes, _group_mean_ranks(ranks, groups, sizes)):
+        total += nj * (mean - center) ** 2
     return 12.0 / (n * (n + 1)) * total
 
 
@@ -158,20 +170,19 @@ def fkwc_test(ds: FunctionalDataset, config: TestConfig = TestConfig()) -> TestR
     if ds.n_groups < 2:
         raise ParameterError("need at least two groups")
     rv = depth_ranks(ds, config.depth_spec)
-    ranks = rv.ranks.astype(float)
     groups = ds.groups
-    n = ranks.size
-    j = ds.n_groups
     if config.percentile_r is None:
-        stat = kw_statistic(rv.ranks, groups)
+        stat = kw_statistic(rv, groups)
         kind = "W"
     else:
-        stat = percentile_statistic(rv.ranks, groups, config.percentile_r)
+        stat = percentile_statistic(rv, groups, config.percentile_r)
         kind = "M_r"
-    df = j - 1
-    p = float(chi2.sf(stat, df))
-    center = (n + 1) / 2.0
-    means = tuple(float(ranks[groups == g].mean()) for g in range(1, j + 1))
+    df = ds.n_groups - 1
+    # the chi-square tail chi2.sf(stat, df) evaluates, without its
+    # argument handling: the same bits at a fiftieth of the cost
+    p = float(special.chdtrc(df, stat))
+    center = (groups.size + 1) / 2.0
+    means = tuple(_group_mean_ranks(rv.ranks, groups, ds.group_sizes).tolist())
     devs = tuple((mu - center) ** 2 for mu in means)
     return TestResult(
         statistic=float(stat),
@@ -198,13 +209,16 @@ def wilcoxon_rank_sum(x, y, method: str = "normal") -> float:
     mid-ranks (the shift algorithm of Streitberg & Roehmel over doubled
     mid-ranks).  With N = n1 + n2 it does about N*(n1+1)*(N*(N+1)+1)
     operations and accepts inputs where that is at most 1e9: up to about
-    100 vs 100 (150 vs 150 raises ``ParameterError``).
+    100 vs 100 (150 vs 150 raises ``ParameterError``).  NaN samples are
+    refused; +-inf samples rank like any other value.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n1, n2 = x.size, y.size
     if n1 == 0 or n2 == 0:
         raise ParameterError("both samples must be non-empty")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ParameterError("samples must not contain NaN")
     pooled = np.concatenate([x, y])
     n = n1 + n2
     ranks = rankdata(pooled)
@@ -234,7 +248,7 @@ def wilcoxon_rank_sum(x, y, method: str = "normal") -> float:
     if var <= 0.0:
         return 1.0  # all observations identical
     z = (t_obs - mu) / math.sqrt(var)
-    return float(2.0 * norm.sf(abs(z)))
+    return float(2.0 * special.ndtr(-abs(z)))  # norm.sf(|z|) is ndtr(-|z|)
 
 
 def adjust_pvalues(raw: np.ndarray, m: int, correction: str) -> np.ndarray:

@@ -495,6 +495,23 @@ class TestDepthRanks:
         rv = ranks_with_tiebreak(np.array([1.0, 1.0, 2.0, 2.0, 2.0, 5.0]), 3)
         assert rv.tie_breaks_applied == 3
 
+    @given(st.lists(st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 1.0, 2.5, np.inf]),
+                    min_size=1, max_size=40),
+           st.integers(0, 1000))
+    @example([-0.0, 0.0, np.inf, np.inf, -np.inf], 0)
+    @settings(max_examples=100, deadline=None)
+    def test_tie_count_is_distinct_key_count(self, keys, seed):
+        keys = np.array(keys)
+        rv = ranks_with_tiebreak(keys, seed)
+        # np.unique counts -0.0 and 0.0 as one value, as == does
+        assert rv.tie_breaks_applied == keys.size - np.unique(keys).size
+        by_rank = keys[np.argsort(rv.ranks)]
+        assert np.all(by_rank[1:] >= by_rank[:-1])
+
+    def test_nan_keys_refused(self):
+        with pytest.raises(DataError, match="NaN"):
+            ranks_with_tiebreak(np.array([np.nan, np.nan, 1.0]), 0)
+
 
 class TestScaleInvariance:
     """Transformation invariance of the rank vectors."""

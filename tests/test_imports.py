@@ -1,5 +1,6 @@
 """Each fkwc module imports on its own, so module-level imports form no cycle;
-the names the benchmark traces exist."""
+the names the benchmark traces exist; only fdata computes derivatives, and
+testing.py calls no method of a scipy.stats distribution."""
 
 import ast
 import importlib
@@ -72,3 +73,61 @@ def test_derivatives_computed_only_in_fdata():
             if name == "differentiate":
                 callers.append(path.name)
     assert callers and set(callers) == {"fdata.py"}, callers
+
+
+def _dotted(node):
+    """``a.b.c`` of a Name/Attribute chain, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def _resolve(dotted, aliases):
+    """The object a dotted name in a module's source refers to, through its
+    imports; None when it does not name an imported object."""
+    head, _, rest = dotted.partition(".")
+    if head not in aliases:
+        return None
+    try:
+        obj = importlib.import_module(aliases[head])
+    except ImportError:  # "from m import name" bound an attribute of m
+        module_name, _, attr = aliases[head].rpartition(".")
+        obj = getattr(importlib.import_module(module_name), attr, None)
+    for part in rest.split(".") if rest else ():
+        obj = getattr(obj, part, None)
+    return obj
+
+
+def test_testing_calls_no_scipy_stats_distribution():
+    """fkwc/testing.py takes its tails from scipy.special ufuncs, never from
+    a method of a scipy.stats distribution object (``chi2.sf`` costs about
+    50 times the ``chdtrc`` it wraps, once per test call)."""
+    from scipy import stats
+
+    tree = ast.parse((SRC / "fkwc" / "testing.py").read_text())
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                # "import a.b" binds a; "import a.b as c" binds c to a.b
+                name = a.name if a.asname else a.name.partition(".")[0]
+                aliases[a.asname or name] = name
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            for a in node.names:
+                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
+    calls = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        owner = node.func.value
+        if isinstance(owner, ast.Call):  # a frozen distribution: chi2(df).sf(x)
+            owner = owner.func
+        dotted = _dotted(owner)
+        obj = _resolve(dotted, aliases) if dotted else None
+        if isinstance(obj, (stats.rv_continuous, stats.rv_discrete)):
+            calls.append(f"{ast.unparse(node.func)} (line {node.lineno})")
+    assert not calls, calls

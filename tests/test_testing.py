@@ -2,18 +2,22 @@
 comparisons."""
 
 import itertools
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2, rankdata
+from scipy.stats import chi2, norm, rankdata
 
 from fkwc import (
     DepthSpec,
     FunctionalDataset,
+    Grid,
     ParameterError,
     TestConfig,
+    depth_ranks,
     fkwc_test,
     kw_statistic,
     percentile_statistic,
@@ -23,6 +27,7 @@ from fkwc import (
 from fkwc.testing import adjust_pvalues
 
 CHI2_1_CRIT = 3.84145882069413  # 0.95 quantile, frozen from an mpmath solve
+RANK_STATISTICS = {"W": kw_statistic, "M_r": lambda r, g: percentile_statistic(r, g, 1.0)}
 
 
 def random_partition(rng, n, j):
@@ -30,6 +35,23 @@ def random_partition(rng, n, j):
         groups = rng.integers(1, j + 1, size=n)
         if np.unique(groups).size == j:
             return groups
+
+
+def masked_mean_ranks(ranks, groups):
+    """Group mean ranks written as one boolean mask and mean per group."""
+    ranks = np.asarray(ranks).astype(float)
+    return tuple(float(ranks[groups == g].mean()) for g in range(1, groups.max() + 1))
+
+
+def masked_kw(ranks, groups):
+    """W written as a loop over groups of masked means, summed in group order."""
+    ranks = np.asarray(ranks).astype(float)
+    n = ranks.size
+    center = (n + 1) / 2.0
+    total = 0.0
+    for j, nj in enumerate(np.bincount(groups)[1:], start=1):
+        total += nj * (ranks[groups == j].mean() - center) ** 2
+    return 12.0 / (n * (n + 1)) * total
 
 
 class TestKwStatistic:
@@ -77,6 +99,16 @@ class TestKwStatistic:
     def test_rejects_non_permutation(self):
         with pytest.raises(ParameterError):
             kw_statistic(np.array([1, 1, 2]), np.array([1, 2, 2]))
+
+    @pytest.mark.parametrize("kind", RANK_STATISTICS)
+    def test_rejects_negative_label(self, kind):
+        with pytest.raises(ParameterError, match="group label"):
+            RANK_STATISTICS[kind](np.array([1, 2, 3]), [1, 2, -1])
+
+    @pytest.mark.parametrize("kind", RANK_STATISTICS)
+    def test_rejects_empty_ranks(self, kind):
+        with pytest.raises(ParameterError, match="at least one rank"):
+            RANK_STATISTICS[kind](np.array([], dtype=int), np.array([], dtype=int))
 
     @given(st.integers(6, 30), st.integers(2, 4), st.integers(0, 10_000))
     @settings(max_examples=60, deadline=None)
@@ -158,6 +190,43 @@ class TestFkwcTest:
         assert total == pytest.approx(n * (n + 1) / 2, abs=1e-9)
         assert res.df == 1
         assert res.p_value == pytest.approx(float(chi2.sf(res.statistic, 1)), abs=1e-15)
+
+    def test_p_value_is_chi2_sf_bit_for_bit(self, grid21):
+        rng = np.random.default_rng(11)
+        for df in range(1, 12):
+            groups = np.repeat(np.arange(1, df + 2), 4)
+            scales = rng.uniform(0.5, 2.0, size=(groups.size, 1))
+            ds = FunctionalDataset(grid21, scales * rng.normal(size=(groups.size, grid21.m)), groups)
+            for r in (None, 0.7):
+                res = fkwc_test(ds, TestConfig(depth_spec=DepthSpec(kind="ltr", rng_seed=df),
+                                               percentile_r=r))
+                assert res.df == df
+                assert res.p_value == float(chi2.sf(res.statistic, df))
+
+    @given(
+        sizes=st.lists(st.integers(1, 7), min_size=2, max_size=6),
+        seed=st.integers(0, 2**16),
+        r=st.sampled_from([None, 0.6, 1.0]),
+    )
+    @example(sizes=[1, 1], seed=0, r=None)
+    @example(sizes=[1, 5, 1, 1, 2, 1], seed=3, r=0.6)
+    @settings(max_examples=80, deadline=None)
+    def test_mean_ranks_and_w_equal_masked_loop(self, sizes, seed, r):
+        grid = Grid.regular(21)
+        rng = np.random.default_rng(seed)
+        groups = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        ds = FunctionalDataset(grid, rng.normal(size=(groups.size, grid.m)), groups)
+        spec = DepthSpec(kind="ltr", rng_seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # floor(rN) < J is degenerate but computed
+            res = fkwc_test(ds, TestConfig(depth_spec=spec, percentile_r=r))
+        ranks = depth_ranks(ds, spec).ranks
+        assert res.group_mean_ranks == masked_mean_ranks(ranks, groups)
+        center = (groups.size + 1) / 2.0
+        assert res.group_deviations == tuple((mu - center) ** 2 for mu in res.group_mean_ranks)
+        assert kw_statistic(ranks, groups) == masked_kw(ranks, groups)
+        if r is None:
+            assert res.statistic == masked_kw(ranks, groups)
 
     def test_percentile_config_used(self, two_group_dataset):
         spec = DepthSpec(kind="ltr", rng_seed=3)
@@ -246,6 +315,38 @@ class TestWilcoxon:
         y = rng.normal(size=40) + 0.4
         p_exact = wilcoxon_rank_sum(x, y, method="exact")
         assert abs(p_exact - wilcoxon_rank_sum(x, y, method="normal")) < 0.01
+
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=30),
+           st.lists(st.integers(0, 6), min_size=1, max_size=30),
+           st.floats(0.0, 1.0))
+    @example([0, 1], [2], 0.0)
+    @settings(max_examples=100, deadline=None)
+    def test_normal_path_is_norm_sf_bit_for_bit(self, x, y, jitter):
+        x = np.array(x) + jitter * np.arange(len(x)) / 7.0
+        y = np.array(y, dtype=float)
+        pooled = np.concatenate([x, y])
+        n1, n = x.size, pooled.size
+        _, counts = np.unique(pooled, return_counts=True)
+        ties = float(((counts**3) - counts).sum())
+        var = n1 * (n - n1) / 12.0 * ((n + 1) - ties / (n * (n - 1)))
+        if var <= 0.0:
+            assert wilcoxon_rank_sum(x, y) == 1.0
+            return
+        z = (rankdata(pooled)[:n1].sum() - n1 * (n + 1) / 2.0) / math.sqrt(var)
+        assert wilcoxon_rank_sum(x, y) == float(2.0 * norm.sf(abs(z)))
+
+    @pytest.mark.parametrize("method", ["normal", "exact"])
+    def test_nan_sample_refused(self, method):
+        with pytest.raises(ParameterError, match="NaN"):
+            wilcoxon_rank_sum([np.nan, 1.0], [2.0], method=method)
+        with pytest.raises(ParameterError, match="NaN"):
+            wilcoxon_rank_sum([1.0, 3.0], [2.0, np.nan], method=method)
+
+    @pytest.mark.parametrize("method", ["normal", "exact"])
+    def test_infinite_samples_rank_as_extremes(self, method):
+        # overflowing ltr norms give -inf sort keys; they rank below every finite key
+        got = wilcoxon_rank_sum([-np.inf, -np.inf, 1.0], [np.inf, 2.0, 0.5], method=method)
+        assert got == wilcoxon_rank_sum([-9.0, -9.0, 1.0], [9.0, 2.0, 0.5], method=method)
 
     def test_exact_guard(self):
         with pytest.raises(ParameterError):
