@@ -387,7 +387,7 @@ def _study_from_json(spec: dict) -> StudySpec:
         alpha=_read(spec, "alpha", float, 0.05),
         replications=_read(spec, "replications", int, 200),
         seed=_read(spec, "seed", int, 0),
-        percentile_r=spec.get("percentile_r"),
+        percentile_r=_read(spec, "percentile_r", float) if "percentile_r" in spec else None,
         param_name=str(spec.get("param_name", "")),
         param_value=str(spec.get("param_value", "")),
     )

@@ -252,20 +252,14 @@ def _rp_directions(w: np.ndarray, count: int, rng) -> np.ndarray:
     return smooth / norms[:, None]
 
 
-def _kde_1d(sample: np.ndarray, queries: np.ndarray, bandwidth: float) -> np.ndarray:
-    d = (queries[:, None] - sample[None, :]) / bandwidth
-    return np.exp(-0.5 * d * d).mean(axis=1) / (bandwidth * math.sqrt(2.0 * math.pi))
-
-
 def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Random projection depth: F_u(z)(1 - F_u(z)) averaged over seeded
     unit-norm directions u, with the mid-rank empirical CDF.
 
-    Primed, each direction scores the (curve, derivative) projection pairs
-    with a product-Gaussian kernel density estimate (Scott bandwidths,
-    n^(-1/6) per coordinate); a degenerate coordinate falls back to a
-    univariate estimate in the other one.  Only the ranks of the resulting
-    values are meaningful.
+    Primed, each direction scores the (curve, derivative) projections with
+    a product-Gaussian kernel density estimate over the d coordinates with
+    spread (Scott bandwidths, n^(-1/(4+d)) per coordinate); none left
+    scores 1.  Only the ranks of the resulting values are meaningful.
     """
     chans = _channels(ds, spec.use_derivatives, queries)
     w = ds.grid.trapezoid_weights
@@ -279,43 +273,33 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
         for k in range(spec.num_projections):
             depth += f[:, k] * (1.0 - f[:, k])
         return DepthVector(depth / spec.num_projections, spec)
-    (s0, q0), (s1, q1) = chans
-    n = s0.shape[0]
-    depth = np.zeros(q0.shape[0])
-    # identical sample rows make a channel degenerate in every direction;
-    # the per-direction test below also guards projections whose spread is
-    # at rounding level (blocked matmuls perturb identical rows by ulps)
-    rows_equal0 = bool(np.all(s0 == s0[0]))
-    rows_equal1 = bool(np.all(s1 == s1[0]))
-
-    def _degenerate(rows_equal, z):
-        if n < 2 or rows_equal:
-            return True
-        return np.ptp(z) <= 1e-12 * max(float(np.abs(z).max()), 1e-300)
-
+    n = ds.n_curves
+    depth = np.zeros(chans[0][1].shape[0])
+    # identical sample rows (a single row too) leave a channel without spread
+    # in every direction; the per-direction test below also drops projections
+    # whose spread is at rounding level (blocked matmuls perturb identical
+    # rows by ulps)
+    varying = [(s, q) for s, q in chans if not np.all(s == s[0])]
     for k in range(spec.num_projections):
         u = dirs[k] * w
-        zs0, zq0 = s0 @ u, q0 @ u
-        zs1, zq1 = s1 @ u, q1 @ u
-        deg0 = _degenerate(rows_equal0, zs0)
-        deg1 = _degenerate(rows_equal1, zs1)
-        if deg0 and deg1:
+        live = [(s @ u, q @ u) for s, q in varying]
+        live = [(zs, zq) for zs, zq in live if np.ptp(zs) > 1e-12 * max(np.abs(zs).max(), 1e-300)]
+        if not live:
             depth += 1.0
             continue
-        if deg0 or deg1:
-            zs, zq = (zs1, zq1) if deg0 else (zs0, zq0)
-            h = zs.std(ddof=1) * n ** (-1.0 / 5.0)
-            depth += _kde_1d(zs, zq, h)
-            continue
-        sd0 = zs0.std(ddof=1)
-        sd1 = zs1.std(ddof=1)
-        h0 = sd0 * n ** (-1.0 / 6.0)
-        h1 = sd1 * n ** (-1.0 / 6.0)
-        d0 = (zq0[:, None] - zs0[None, :]) / h0
-        d1 = (zq1[:, None] - zs1[None, :]) / h1
-        depth += np.exp(-0.5 * (d0 * d0 + d1 * d1)).mean(axis=1) / (
-            2.0 * math.pi * h0 * h1
-        )
+        # (2 pi)^(d/2) h_1 ... h_d, the d-variate product-Gaussian normaliser
+        norm = math.sqrt(2.0 * math.pi) if len(live) == 1 else 2.0 * math.pi
+        sq = None
+        for zs, zq in live:
+            h = zs.std(ddof=1) * n ** (-1.0 / (4 + len(live)))
+            diff = zq[:, None] - zs[None, :]
+            diff /= h
+            diff *= diff
+            sq = diff if sq is None else np.add(sq, diff, out=sq)
+            norm *= h
+        sq *= -0.5
+        np.exp(sq, out=sq)
+        depth += sq.mean(axis=1) / norm
     return DepthVector(depth / spec.num_projections, spec)
 
 

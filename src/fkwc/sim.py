@@ -188,8 +188,7 @@ class StudySpec:
             raise ParameterError("group sizes must be >= 1")
         if self.replications < 1:
             raise ParameterError("replications must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
+        TestConfig(alpha=self.alpha, percentile_r=self.percentile_r)  # checks both
         if len(self.depth_specs) < 1:
             raise ParameterError("need at least one depth spec")
         grids = {m.grid for m in self.models}

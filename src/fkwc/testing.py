@@ -3,7 +3,6 @@ depth-based pairwise multiple comparisons."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -86,7 +85,12 @@ def _validate_ranks_groups(ranks, groups):
     raw ranks are checked here."""
     checked = isinstance(ranks, RankVector)
     ranks = np.asarray(ranks.ranks if checked else ranks)
-    groups = np.asarray(groups, dtype=int)
+    groups = np.asarray(groups)
+    if not np.issubdtype(groups.dtype, np.integer):
+        labels = groups.astype(float)
+        if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
+            raise ParameterError("group labels must be integers")
+        groups = labels.astype(int)
     n = ranks.size
     if n == 0:
         raise ParameterError("need at least one rank")
@@ -260,12 +264,9 @@ def adjust_pvalues(raw: np.ndarray, m: int, correction: str) -> np.ndarray:
         return np.clip(raw * m, 0.0, 1.0)
     if correction == "holm":
         order = np.argsort(raw, kind="stable")
+        pos = np.arange(raw.size)
         adj = np.empty_like(raw)
-        running = 0.0
-        for pos, idx in enumerate(order):
-            mult = max(m - pos, 1)
-            running = max(running, min(1.0, mult * raw[idx]))
-            adj[idx] = running
+        adj[order] = np.maximum.accumulate(np.minimum(1.0, np.maximum(m - pos, 1) * raw[order]))
         return adj
     raise ParameterError(f"unknown correction {correction!r}; expected one of {_CORRECTIONS}")
 
@@ -290,29 +291,27 @@ def steel_mc(
     j = ds.n_groups
     if j < 2:
         raise ParameterError("need at least two groups")
-    if np.any(ds.group_sizes < 4):
+    if method == "normal" and np.any(ds.group_sizes < 4):
         warnings.warn(
             "group sizes below 4: the normal approximation to the rank-sum "
             "null is poor; consider method='exact'",
             stacklevel=2,
         )
-    pairs = list(itertools.combinations(range(1, j + 1), 2))
-    m = correction_count if correction_count is not None else len(pairs)
+    rows, cols = np.triu_indices(j, 1)  # the group pairs in combinations order
+    m = correction_count if correction_count is not None else rows.size
     if m < 1:
         raise ParameterError("correction_count must be >= 1")
-    raw = np.ones((j, j))
     raw_list = []
-    for pair_index, (a, b) in enumerate(pairs):
+    for pair_index, (a, b) in enumerate(zip(rows + 1, cols + 1)):
         sub = ds.subset([a, b])
         pair_spec = replace(spec, rng_seed=derive_seed(spec.rng_seed, 2, pair_index))
         keys = depth_sort_keys(sub, pair_spec)
         p = wilcoxon_rank_sum(keys[sub.groups == 1], keys[sub.groups == 2], method=method)
-        raw[a - 1, b - 1] = raw[b - 1, a - 1] = p
         raw_list.append(p)
-    adj_list = adjust_pvalues(np.array(raw_list), m, correction)
+    raw = np.ones((j, j))
+    raw[rows, cols] = raw[cols, rows] = raw_list
     adjusted = np.ones((j, j))
-    for (a, b), padj in zip(pairs, adj_list):
-        adjusted[a - 1, b - 1] = adjusted[b - 1, a - 1] = padj
+    adjusted[rows, cols] = adjusted[cols, rows] = adjust_pvalues(raw_list, m, correction)
     return MCResult(
         pairwise_raw_p=raw,
         pairwise_adjusted_p=adjusted,

@@ -425,13 +425,17 @@ class TestMalformedSpecs:
                    "density": {"kind": "chi2", "df": "x"}}, "df"),
         ("power", {"probs": [[0.5, 0.5], [0.5, 0.5]], "thetas": [0.5, 0.5]}, "N"),
         ("simulate", dict(STUDY, depths=[{"kind": "ksd", "bandwidth": "abc"}]), "bandwidth"),
+        ("simulate", dict(STUDY, percentile_r="abc"), "percentile_r"),
+        # out of range: refused when the spec is read, not in the first replicate
+        ("simulate", dict(STUDY, percentile_r=2.0), 2.0),
         # a node that is not a JSON object is named by its value
         ("simulate", dict(STUDY, depths=[5]), 5),
         ("simulate", {"groups": [1, 2]}, 1),
         ("power", [1, 2], [1, 2]),
         ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5], "density": [1]}, [1]),
     ], ids=["projections", "replications", "size", "thetas", "df", "N", "bandwidth",
-            "depth-node", "group-node", "power-node", "density-node"])
+            "percentile_r-text", "percentile_r-range", "depth-node", "group-node",
+            "power-node", "density-node"])
     def test_exit_parameter(self, command, spec, key, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -440,6 +444,15 @@ class TestMalformedSpecs:
         assert err.startswith("parameter error")
         assert repr(key) in err
         assert "Traceback" not in err
+
+    def test_simulate_percentile_r_as_text(self, tmp_path, capsys):
+        outputs = []
+        for r in (0.5, "0.5"):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(dict(self.STUDY, percentile_r=r)))
+            assert main(["simulate", "--spec", str(path), "--format", "json"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     PAIRWISE = {"probs": [[0.5, 0.53], [0.47, 0.5]], "thetas": [0.5, 0.5], "N": 100}
 

@@ -36,6 +36,7 @@ from fkwc import (
 from fkwc.depths import (
     DEPTH_KERNELS,
     MEDIAN_HEURISTIC,
+    _channels,
     _ksd_channel,
     _pairwise_sq_dists,
     _rp_directions,
@@ -85,6 +86,53 @@ def ksd_loop_reference(sample, qs, w, bandwidth) -> np.ndarray:
         inner /= dk[:, None] * dk[None, :]
         out[i] = 1.0 - math.sqrt(max(inner.sum(), 0.0)) / n
     return out
+
+
+def rp_prime_reference(ds, spec, queries=None) -> np.ndarray:
+    """Primed ``rp`` the way it was first written: a bivariate KDE, a
+    univariate one in the other coordinate when one has no spread, and 1.0
+    when neither has.  The one KDE loop must reproduce it bit for bit."""
+    (s0, q0), (s1, q1) = _channels(ds, True, queries)
+    w = ds.grid.trapezoid_weights
+    dirs = _rp_directions(w, spec.num_projections, fkwc.depths.derive_rng(spec.rng_seed, 0))
+    n = s0.shape[0]
+    depth = np.zeros(q0.shape[0])
+    rows_equal0 = bool(np.all(s0 == s0[0]))
+    rows_equal1 = bool(np.all(s1 == s1[0]))
+
+    def degenerate(rows_equal, z):
+        if n < 2 or rows_equal:
+            return True
+        return np.ptp(z) <= 1e-12 * max(float(np.abs(z).max()), 1e-300)
+
+    def kde_1d(sample, queries, bandwidth):
+        d = (queries[:, None] - sample[None, :]) / bandwidth
+        return np.exp(-0.5 * d * d).mean(axis=1) / (bandwidth * math.sqrt(2.0 * math.pi))
+
+    for k in range(spec.num_projections):
+        u = dirs[k] * w
+        zs0, zq0 = s0 @ u, q0 @ u
+        zs1, zq1 = s1 @ u, q1 @ u
+        deg0 = degenerate(rows_equal0, zs0)
+        deg1 = degenerate(rows_equal1, zs1)
+        if deg0 and deg1:
+            depth += 1.0
+            continue
+        if deg0 or deg1:
+            zs, zq = (zs1, zq1) if deg0 else (zs0, zq0)
+            h = zs.std(ddof=1) * n ** (-1.0 / 5.0)
+            depth += kde_1d(zs, zq, h)
+            continue
+        sd0 = zs0.std(ddof=1)
+        sd1 = zs1.std(ddof=1)
+        h0 = sd0 * n ** (-1.0 / 6.0)
+        h1 = sd1 * n ** (-1.0 / 6.0)
+        d0 = (zq0[:, None] - zs0[None, :]) / h0
+        d1 = (zq1[:, None] - zs1[None, :]) / h1
+        depth += np.exp(-0.5 * (d0 * d0 + d1 * d1)).mean(axis=1) / (
+            2.0 * math.pi * h0 * h1
+        )
+    return depth / spec.num_projections
 
 
 class TestDepthKernels:
@@ -454,6 +502,65 @@ class TestKsdLoopReference:
             assert got.tobytes() == ksd_loop_reference(sample, qs, w, bandwidth).tobytes()
 
 
+@st.composite
+def rp_prime_cases(draw):
+    """Samples on which the reference takes each of its branches: generic
+    curves; identical curve rows with a given live derivative channel;
+    constant offsets, whose derivative channel is flat exactly (no base
+    curve) or up to rounding (a shared base curve); both channels flat;
+    and a spread near the 1e-12 relative cut-off.  The scale moves every
+    spread to about 1e-100 or 1e100.  The queries are the sample, a raw
+    array or a dataset."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.sampled_from([3, 4, 7, 21, 101]))
+    shape = draw(st.sampled_from(["generic", "identical", "offsets", "flat", "near-cutoff"]))
+    scale = draw(st.sampled_from([1.0, 1e-100, 1e100]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.sampled_from([0.0, 1.0])) * rng.normal(size=m).cumsum()
+    deriv = None
+    if shape == "generic":
+        curves = rng.normal(size=(n, m)).cumsum(axis=1)
+    elif shape == "identical":
+        curves = np.tile(base, (n, 1))
+        deriv = scale * rng.normal(size=(n, m))
+    elif shape == "offsets":
+        curves = base + rng.normal(size=(n, 1))
+    elif shape == "flat":
+        curves = np.tile(base, (n, 1))
+    else:
+        curves = 1.0 + base + 1e-12 * rng.normal(size=(n, m))
+    grid = Grid(m)
+    ds = FunctionalDataset(grid, scale * curves, [1] * n, deriv)
+    k = draw(st.integers(1, 4))
+    fresh = scale * np.vstack([curves[:1], rng.normal(size=(k, m)).cumsum(axis=1)])
+    queries = draw(st.sampled_from([None, fresh, FunctionalDataset(grid, fresh, [1] * (k + 1))]))
+    spec = DepthSpec(
+        kind="rp",
+        use_derivatives=True,
+        num_projections=draw(st.sampled_from([1, 3, 20])),
+        rng_seed=draw(st.integers(0, 1000)),
+    )
+    return ds, spec, queries
+
+
+class TestRpPrimeReference:
+    """Primed ``rp`` equals the three-branch loop it replaced, byte for byte."""
+
+    @staticmethod
+    def assert_same_bits(ds, spec, queries=None):
+        got = rp_depth(ds, spec, queries).values
+        assert got.tobytes() == rp_prime_reference(ds, spec, queries).tobytes()
+
+    @pytest.mark.parametrize("n", [100, 300])
+    def test_in_sample_t1(self, n):
+        self.assert_same_bits(_t1_dataset(n), DepthSpec(kind="rp", use_derivatives=True))
+
+    @given(rp_prime_cases())
+    @settings(max_examples=300)
+    def test_matches_reference(self, case):
+        self.assert_same_bits(*case)
+
+
 class TestDepthRanks:
     def test_simple_sorting(self):
         rv = ranks_with_tiebreak(np.array([0.1, 0.4, 0.2, 0.3]), 0)
@@ -539,14 +646,17 @@ class TestScaleInvariance:
             r2 = depth_ranks(scaled, spec)
             np.testing.assert_array_equal(r1.ranks, r2.ranks, err_msg=kind)
 
-    def test_constant_scaling_primed(self, grid101):
+    # powers of two scale every float exactly, from near underflow to near
+    # overflow of the squared norms
+    @pytest.mark.parametrize("c", [7.0, 2.0**-480, 2.0**480], ids=["7", "2^-480", "2^480"])
+    @pytest.mark.parametrize("primed", [False, True], ids=["plain", "primed"])
+    def test_constant_scaling(self, primed, c, grid101):
         rng = np.random.default_rng(61)
         curves = rng.normal(size=(16, grid101.m)).cumsum(axis=1) * 0.1
-        c = 7.0
         for kind in ("mfhd", "mbd", "rp", "ltr", "spatial", "ksd"):
             ds = make_ds(curves, grid=grid101)
             scaled = make_ds(c * curves, grid=grid101)
-            spec = DepthSpec(kind=kind, use_derivatives=True, rng_seed=13)
+            spec = DepthSpec(kind=kind, use_derivatives=primed, rng_seed=13)
             r1 = depth_ranks(ds, spec)
             r2 = depth_ranks(scaled, spec)
             np.testing.assert_array_equal(r1.ranks, r2.ranks, err_msg=kind)

@@ -298,6 +298,13 @@ class TestRunStudy:
             seed=77,
         )
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", 0.0), ("alpha", 1.5), ("percentile_r", 0.0), ("percentile_r", 2.0),
+    ])
+    def test_alpha_and_percentile_r_checked_up_front(self, field, value, grid21):
+        with pytest.raises(ParameterError, match=f"{field} must lie in"):
+            replace(self._small_spec(grid21), **{field: value})
+
     def test_bit_identical_reruns(self, grid21):
         spec = self._small_spec(grid21)
         r1 = run_study(spec)

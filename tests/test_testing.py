@@ -4,6 +4,7 @@ comparisons."""
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from fkwc import (
     steel_mc,
     wilcoxon_rank_sum,
 )
+from fkwc.depths import depth_sort_keys, derive_seed
 from fkwc.testing import adjust_pvalues
 
 CHI2_1_CRIT = 3.84145882069413  # 0.95 quantile, frozen from an mpmath solve
@@ -41,6 +43,40 @@ def masked_mean_ranks(ranks, groups):
     """Group mean ranks written as one boolean mask and mean per group."""
     ranks = np.asarray(ranks).astype(float)
     return tuple(float(ranks[groups == g].mean()) for g in range(1, groups.max() + 1))
+
+
+def holm_loop_reference(raw, m):
+    """Holm's step-down adjustment the way it was first written: a running
+    maximum over the p-values in ascending order."""
+    raw = np.asarray(raw, dtype=float)
+    order = np.argsort(raw, kind="stable")
+    adj = np.empty_like(raw)
+    running = 0.0
+    for pos, idx in enumerate(order):
+        mult = max(m - pos, 1)
+        running = max(running, min(1.0, mult * raw[idx]))
+        adj[idx] = running
+    return adj
+
+
+def steel_mc_loop_reference(ds, spec, m, correction):
+    """``steel_mc``'s raw and adjusted matrices filled pair by pair in
+    ``itertools.combinations`` order, the way they were first written."""
+    j = ds.n_groups
+    pairs = list(itertools.combinations(range(1, j + 1), 2))
+    raw = np.ones((j, j))
+    raw_list = []
+    for pair_index, (a, b) in enumerate(pairs):
+        sub = ds.subset([a, b])
+        pair_spec = replace(spec, rng_seed=derive_seed(spec.rng_seed, 2, pair_index))
+        keys = depth_sort_keys(sub, pair_spec)
+        p = wilcoxon_rank_sum(keys[sub.groups == 1], keys[sub.groups == 2])
+        raw[a - 1, b - 1] = raw[b - 1, a - 1] = p
+        raw_list.append(p)
+    adjusted = np.ones((j, j))
+    for (a, b), padj in zip(pairs, adjust_pvalues(np.array(raw_list), m, correction)):
+        adjusted[a - 1, b - 1] = adjusted[b - 1, a - 1] = padj
+    return raw, adjusted
 
 
 def masked_kw(ranks, groups):
@@ -104,6 +140,19 @@ class TestKwStatistic:
     def test_rejects_negative_label(self, kind):
         with pytest.raises(ParameterError, match="group label"):
             RANK_STATISTICS[kind](np.array([1, 2, 3]), [1, 2, -1])
+
+    @pytest.mark.parametrize("labels", [[1, 1.5, 2, 2], [1, 1, 2, np.nan], [1, np.inf, 2, 2]],
+                             ids=["fraction", "nan", "inf"])
+    @pytest.mark.parametrize("kind", RANK_STATISTICS)
+    def test_rejects_non_integer_label(self, kind, labels):
+        # 1.5 was once truncated to 1: W of labels [1, 1, 2, 2]
+        with pytest.raises(ParameterError, match="must be integers"):
+            RANK_STATISTICS[kind](np.array([1, 2, 3, 4]), labels)
+
+    def test_integral_float_labels_accepted(self):
+        assert kw_statistic([1, 2, 3, 4], [1.0, 1.0, 2.0, 2.0]) == kw_statistic(
+            [1, 2, 3, 4], [1, 1, 2, 2]
+        )
 
     @pytest.mark.parametrize("kind", RANK_STATISTICS)
     def test_rejects_empty_ranks(self, kind):
@@ -374,6 +423,18 @@ class TestAdjustments:
         with pytest.raises(ParameterError):
             adjust_pvalues(np.array([0.5]), 2, "fdr")
 
+    @given(
+        st.lists(st.sampled_from([0.0, 1e-300, 0.004, 0.01, 0.25, 0.3, 0.5, 1.0])
+                 | st.floats(0.0, 1.0), min_size=1, max_size=12),
+        st.integers(1, 30),
+    )
+    @settings(max_examples=300)
+    @example([0.01, 0.04, 0.03, 0.005], 2)
+    def test_holm_equals_loop(self, raw, m):
+        # m below len(raw) clamps the multiplier at 1 for the largest p-values
+        got = adjust_pvalues(np.array(raw), m, "holm")
+        assert got.tobytes() == holm_loop_reference(raw, m).tobytes()
+
 
 class TestSteelMc:
     def test_two_groups_single_pair(self, two_group_dataset):
@@ -419,6 +480,27 @@ class TestSteelMc:
             1.0 - (1.0 - raw) ** 22, abs=1e-12
         )
         assert res.num_comparisons == 22
+
+    @pytest.mark.parametrize("correction", ["sidak", "bonferroni", "holm"])
+    @pytest.mark.parametrize("correction_count", [None, 2, 9])
+    def test_matrices_equal_loop_fill(self, correction, correction_count, grid21):
+        rng = np.random.default_rng(43)
+        scales = np.repeat([1.0, 1.2, 2.0, 3.0], 8)
+        ds = FunctionalDataset(grid21, scales[:, None] * rng.normal(size=(32, grid21.m)),
+                               np.repeat([1, 2, 3, 4], 8))
+        spec = DepthSpec(kind="rp", rng_seed=5)
+        res = steel_mc(ds, spec, correction_count=correction_count, correction=correction)
+        m = 6 if correction_count is None else correction_count  # 2 is below the 6 pairs
+        raw, adjusted = steel_mc_loop_reference(ds, spec, m, correction)
+        assert res.pairwise_raw_p.tobytes() == raw.tobytes()
+        assert res.pairwise_adjusted_p.tobytes() == adjusted.tobytes()
+
+    def test_exact_does_not_warn(self, grid101):
+        rng = np.random.default_rng(42)
+        ds = FunctionalDataset(grid101, rng.normal(size=(6, grid101.m)), [1] * 3 + [2] * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            steel_mc(ds, DepthSpec(kind="ltr"), method="exact")
 
     def test_small_groups_warn(self, grid101):
         rng = np.random.default_rng(42)
