@@ -7,7 +7,8 @@ a JSON spec).
 
 Exit codes: 0 success (no rejection), 2 rejection at level alpha (``test``
 only), 1 input error or standard output closed by its reader (broken pipe),
-3 parameter error, 4 numerical error.
+3 parameter error, a command-line usage error among them, 4 numerical
+error.
 """
 
 from __future__ import annotations
@@ -248,7 +249,10 @@ def _read(node, key, cast=None, default=_REQUIRED):
     try:
         return cast(value)
     except (TypeError, ValueError):
-        raise ParameterError(f"spec key {key!r} has a malformed value {value!r}") from None
+        raise ParameterError(
+            f"{key} must be {_NEEDS.get(cast, 'a well-formed value')}; "
+            f"spec key {key!r} has the value {value!r}"
+        ) from None
 
 
 def _fields(node, fields) -> dict:
@@ -261,10 +265,26 @@ def _fields(node, fields) -> dict:
 _floats = functools.partial(np.asarray, dtype=float)
 
 
-def _integer_text(value):
-    """An integer written as a JSON string (``"200"``) as that integer; any
-    other value unchanged, for the callee's own check."""
-    return int(value) if isinstance(value, str) else value
+def _integer(value) -> int:
+    """An int, an integral float or an integer written as a string
+    (``"200"``) as that integer; other floats and bools are refused, not
+    truncated or read as 0 and 1."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(value)
+    return int(value)
+
+
+def _boolean(value) -> bool:
+    """A JSON boolean; ``"false"`` or 0 is refused, not read by truthiness."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+# what a cast of _read needs, for its message when it refuses a value
+_NEEDS = {_integer: "an integer", _boolean: "true or false"}
 
 
 def _density_from_json(node) -> SupportDensity:
@@ -290,10 +310,10 @@ def _density_from_json(node) -> SupportDensity:
     if kind == "model":
         # base squared-norm law estimated from Monte Carlo draws of a
         # generative model
-        grid = Grid.regular(_read(node, "grid_points", int, 101))
+        grid = Grid.regular(_read(node, "grid_points", _integer, 101))
         model = _model_from_json(node, grid)
-        draws = _read(node, "draws", int, 20_000)
-        seed = _read(node, "seed", int, 0)
+        draws = _read(node, "draws", _integer, 20_000)
+        seed = _read(node, "seed", _integer, 0)
         x = generate(model, draws, seed)
         sq_norms = (x * x) @ grid.trapezoid_weights
         return density_from_samples(sq_norms)
@@ -314,7 +334,7 @@ def cmd_power(args) -> int:
         payload["target_power"] = target
     elif "probs" in spec:
         result = power_from_pairwise(
-            _read(spec, "probs"), _read(spec, "thetas"), _read(spec, "N", _integer_text), alpha
+            _read(spec, "probs"), _read(spec, "thetas"), _read(spec, "N", _integer), alpha
         )
         payload = result.to_dict()
     elif "deltas" in spec:
@@ -343,12 +363,12 @@ def _bandwidth(value):
 # JSON key -> (keyword argument, cast)
 _DEPTH_FIELDS = {
     "kind": ("kind", None),
-    "primed": ("use_derivatives", bool),
-    "projections": ("num_projections", int),
-    "band_order": ("band_order", int),
+    "primed": ("use_derivatives", _boolean),
+    "projections": ("num_projections", _integer),
+    "band_order": ("band_order", _integer),
     "weights": ("channel_weights", tuple),
     "bandwidth": ("kernel_bandwidth", _bandwidth),
-    "seed": ("rng_seed", int),
+    "seed": ("rng_seed", _integer),
 }
 _MODEL_FIELDS = {
     "family": ("family", None),
@@ -368,16 +388,16 @@ def _model_from_json(node, grid: Grid) -> ProcessModel:
 
 
 def _study_from_json(spec: dict) -> StudySpec:
-    grid = Grid.regular(_read(spec, "grid_points", int, 101))
+    grid = Grid.regular(_read(spec, "grid_points", _integer, 101))
     if "scenario" in spec:
-        models = scenario_models(_read(spec, "scenario", int), grid)
-        sizes = _read(spec, "sizes", lambda v: tuple(int(s) for s in v), (100, 100))
+        models = scenario_models(_read(spec, "scenario", _integer), grid)
+        sizes = _read(spec, "sizes", lambda v: tuple(map(_integer, v)), (100, 100))
         if len(sizes) != 2:
             raise ParameterError("scenario studies are two-sample; give two sizes")
     elif "groups" in spec:
         groups = _read(spec, "groups", list)
         models = tuple(_model_from_json(g, grid) for g in groups)
-        sizes = tuple(_read(g, "size", int) for g in groups)
+        sizes = tuple(_read(g, "size", _integer) for g in groups)
     else:
         raise ParameterError("study spec needs 'scenario' or 'groups'")
     return StudySpec(
@@ -385,8 +405,8 @@ def _study_from_json(spec: dict) -> StudySpec:
         group_sizes=sizes,
         depth_specs=tuple(map(_depth_spec_from_json, _read(spec, "depths", list, [{}]))),
         alpha=_read(spec, "alpha", float, 0.05),
-        replications=_read(spec, "replications", int, 200),
-        seed=_read(spec, "seed", int, 0),
+        replications=_read(spec, "replications", _integer, 200),
+        seed=_read(spec, "seed", _integer, 0),
         percentile_r=_read(spec, "percentile_r", float) if "percentile_r" in spec else None,
         param_name=str(spec.get("param_name", "")),
         param_value=str(spec.get("param_value", "")),
@@ -414,8 +434,14 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, the code of a rejection;
+        # --help and --version exit 0
+        if exc.code:
+            return EXIT_PARAMETER
+        raise
     try:
         code = _HANDLERS[args.command](args)
         sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit

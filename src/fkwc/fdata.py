@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -79,23 +79,23 @@ def differentiate(f, grid: Grid):
     return d[0] if single else d
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class FunctionalDataset:
     """N curves on a common grid with group labels 1..J.
 
     ``derivatives`` is the derivative channel the primed depths read:
     externally computed derivative curves of the same shape when given,
-    :func:`differentiate` of the curves otherwise.
+    otherwise :func:`differentiate` of the curves, derived when first read
+    and kept.  Reading a derived channel that overflowed raises DataError.
     """
 
     grid: Grid
     curves: np.ndarray
     groups: np.ndarray
-    derivatives: Optional[np.ndarray] = None
 
-    def __post_init__(self):
-        curves = _as_curves(self.curves, self.grid)
-        groups = np.asarray(self.groups)
+    def __init__(self, grid: Grid, curves, groups, derivatives=None):
+        curves = _as_curves(curves, grid)
+        groups = np.asarray(groups)
         if groups.ndim != 1 or groups.size != curves.shape[0]:
             raise DataError(
                 f"got {groups.size} group labels for {curves.shape[0]} curves"
@@ -112,28 +112,31 @@ class FunctionalDataset:
             raise DataError(
                 f"group labels must cover 1..J with every group present; got {labels.tolist()}"
             )
-        deriv = self.derivatives
-        if deriv is None:
-            with np.errstate(over="ignore", invalid="ignore"):  # primed depths refuse overflow
-                deriv = differentiate(curves, self.grid)
-        else:
-            deriv = _as_curves(deriv, self.grid, what="derivative")
+        if derivatives is not None:
+            deriv = _as_curves(derivatives, grid, what="derivative")
             if deriv.shape != curves.shape:
                 raise DataError(
                     f"derivatives shape {deriv.shape} does not match curves {curves.shape}"
                 )
+            deriv = deriv.copy()
+            deriv.setflags(write=False)
+            # the cached_property below reads the instance dict first
+            self.__dict__["derivatives"] = deriv
         curves = curves.copy()
         curves.setflags(write=False)
-        # copied last even when just computed: keeping the fresh array left the
-        # heap laid out so that glibc released and re-faulted mfhd' temporaries
-        # on every call in about half the processes measured
-        deriv = deriv.copy()
-        deriv.setflags(write=False)
         groups = groups.copy()
         groups.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "groups", groups)
-        object.__setattr__(self, "derivatives", deriv)
+
+    @cached_property
+    def derivatives(self) -> np.ndarray:
+        """The given channel, or the curves' finite differences, read-only."""
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused as inf
+            deriv = _as_curves(differentiate(self.curves, self.grid), self.grid, "derivative")
+        deriv.setflags(write=False)
+        return deriv
 
     @property
     def n_curves(self) -> int:
@@ -148,8 +151,9 @@ class FunctionalDataset:
         return np.bincount(self.groups, minlength=self.n_groups + 1)[1:]
 
     def with_finite_difference_derivatives(self) -> "FunctionalDataset":
-        """Return ``self``: every dataset carries its derivative channel.
-        Kept for callers that name it, the benchmark's tracer among them."""
+        """Return ``self``: the derivative channel is derived when first
+        read.  Kept for callers that name it, the benchmark's tracer among
+        them."""
         return self
 
     def subset(self, labels) -> "FunctionalDataset":
@@ -161,9 +165,8 @@ class FunctionalDataset:
             raise DataError(f"no curves in groups {labels}")
         remap = {old: new for new, old in enumerate(labels, start=1)}
         new_groups = np.array([remap[g] for g in self.groups[mask]])
-        deriv = self.derivatives[mask]
-        if not np.isfinite(deriv).all():
-            deriv = None  # a given channel is finite: this one was computed, so recompute it
+        held = self.__dict__.get("derivatives")  # given, or derived by an earlier read
+        deriv = None if held is None else held[mask]
         return FunctionalDataset(self.grid, self.curves[mask], new_groups, deriv)
 
 
@@ -194,9 +197,11 @@ def save_csv(ds: FunctionalDataset, path, derivatives_path=None) -> None:
         for g, row in zip(ds.groups, matrix):
             yield [int(g)] + [_format_float(v) for v in row]
 
-    write_csv(rows(ds.curves), path)
+    # the channel first: a derived one that overflowed is refused on reading,
+    # before either file is opened
     if derivatives_path is not None:
         write_csv(rows(ds.derivatives), derivatives_path)
+    write_csv(rows(ds.curves), path)
 
 
 def _parse_wide_csv(path):

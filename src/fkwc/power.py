@@ -9,7 +9,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import special
-from scipy.stats import chi2, poisson
 
 from .depths import ltr_rank_scores
 from .exceptions import InfeasibleError, NumericalError, ParameterError
@@ -109,8 +108,9 @@ def density_from_samples(draws) -> SupportDensity:
 
     Raises ``NumericalError`` when the rule needs more than 10^6 bins, as
     heavy-tailed draws such as t1 squared norms do, and ``ParameterError``
-    when the draws have an interquartile range of 0."""
-    draws = np.asarray(draws, dtype=float)
+    when a draw is not finite or the draws have an interquartile range of
+    0."""
+    draws = _floats(draws, "draws")
     if draws.size < 10:
         raise ParameterError("need at least 10 draws to build a histogram density")
     dens, edges = np.histogram(draws, bins=_fd_bin_count(draws), density=True)
@@ -266,7 +266,8 @@ def noncentral_chisq_sf(x: float, df: int, tau: float) -> float:
     # in floating point; the sum starts there, over O(sqrt(lam)) terms
     kmin = max(int(lam - spread), 0)
     ks = np.arange(kmin, kmax + 1)
-    weights = poisson.pmf(ks, lam)
+    # poisson.pmf(ks, lam) as scipy.stats evaluates it, bit for bit
+    weights = np.exp(special.xlogy(ks, lam) - special.gammaln(ks + 1) - lam)
     keep = np.cumsum(weights) <= 1.0 - _POISSON_TAIL
     cutoff = int(keep.sum()) + 1
     ks = ks[:cutoff]
@@ -284,7 +285,7 @@ def predicted_power(tau: float, j_groups: int, alpha: float = 0.05,
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie in (0, 1)")
     df = j_groups - 1
-    crit = float(chi2.ppf(1.0 - alpha, df))
+    crit = float(2.0 * special.gammaincinv(df / 2, 1.0 - alpha))  # chi2.ppf, bit for bit
     power = noncentral_chisq_sf(crit, df, tau)
     return PowerResult(float(tau), power, alpha, j_groups, n_total)
 

@@ -11,6 +11,7 @@ role) so results are bit-identical regardless of worker count.
 from __future__ import annotations
 
 import itertools
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -48,12 +49,17 @@ class ProcessModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ParameterError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
+        for name in ("alpha", "beta", "skew_shape"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParameterError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.alpha <= 0 or self.beta <= 0:
             raise ParameterError("kernel parameters alpha and beta must be positive")
         if self.family == "eigen":
             if self.eigenvalues is None:
                 raise ParameterError("eigen family requires explicit eigenvalues")
             lams = tuple(float(v) for v in self.eigenvalues)
+            if not all(map(math.isfinite, lams)):
+                raise ParameterError(f"eigenvalues must be finite, got {self.eigenvalues!r}")
             if len(lams) == 0 or any(v < 0 for v in lams):
                 raise ParameterError("eigenvalues must be nonnegative")
             object.__setattr__(self, "eigenvalues", lams)

@@ -389,6 +389,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["frobnicate"])
 
+    # argparse exits 2 on these, the code `test` gives a rejection
+    @pytest.mark.parametrize("argv", [
+        ["test", "--input", "x.csv", "--projections", "2.5"],
+        ["test", "--input", "x.csv", "--depth", "nope"],
+        ["test", "--depth", "ltr"],
+    ], ids=["fractional-projections", "unknown-depth", "missing-input"])
+    def test_usage_error_is_parameter_error(self, argv, capsys):
+        assert main(argv) == EXIT_PARAMETER
+        assert "usage: fkwc test" in capsys.readouterr().err
+
     def test_defaults_are_depth_spec_defaults(self):
         args = build_parser().parse_args(["test", "--input", "x.csv"])
         assert _depth_spec(args) == DepthSpec()
@@ -444,6 +454,68 @@ class TestMalformedSpecs:
         assert err.startswith("parameter error")
         assert repr(key) in err
         assert "Traceback" not in err
+
+    # each integer key refuses a fraction and a bool, which int() would
+    # truncate or read as 0 and 1; primed refuses a string
+    @pytest.mark.parametrize("value", [2.7, True])
+    @pytest.mark.parametrize("command, spec_of, key", [
+        ("simulate", lambda v: {"scenario": v, "sizes": [8, 8]}, "scenario"),
+        ("simulate", lambda v, study=STUDY: dict(study, sizes=[8, v]), "sizes"),
+        ("simulate", lambda v, study=STUDY: dict(study, replications=v), "replications"),
+        ("simulate", lambda v, study=STUDY: dict(study, grid_points=v), "grid_points"),
+        ("simulate", lambda v, study=STUDY: dict(study, seed=v), "seed"),
+        ("simulate", lambda v, study=STUDY: dict(study, depths=[{"kind": "rp", "projections": v}]),
+         "projections"),
+        ("simulate", lambda v, study=STUDY: dict(study, depths=[{"kind": "mbd", "band_order": v}]),
+         "band_order"),
+        ("simulate", lambda v: {"groups": [{"size": 5}, {"size": v}]}, "size"),
+        ("power", lambda v: {"probs": [[0.5, 0.5], [0.5, 0.5]], "thetas": [0.5, 0.5],
+                             "N": v}, "N"),
+        ("power", lambda v: {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
+                             "density": {"kind": "model", "draws": v}}, "draws"),
+        ("simulate", lambda v, study=STUDY: dict(study, depths=[{"primed": str(v)}]), "primed"),
+    ], ids=["scenario", "sizes", "replications", "grid_points", "seed", "projections",
+            "band_order", "size", "N", "draws", "primed"])
+    def test_integer_and_flag_keys(self, command, spec_of, key, value, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_of(value)))
+        assert main([command, "--spec", str(path)]) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.startswith(f"parameter error: {key} must be")
+        assert repr(key) in err
+
+    def test_integral_floats_and_integer_text_read_as_integers(self, tmp_path, capsys):
+        outputs = []
+        for spec in (dict(self.STUDY, depths=[{"kind": "rp", "projections": 3}]),
+                     {"scenario": "1", "sizes": [8.0, "8"], "grid_points": 21.0,
+                      "replications": "3", "depths": [{"kind": "rp", "projections": 3.0}]}):
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            assert main(["simulate", "--spec", str(path), "--format", "json"]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    # NaN and Infinity are what Python's json module reads and writes
+    @pytest.mark.parametrize("command, spec, name", [
+        ("simulate", {"groups": [{"alpha": float("nan"), "size": 5}, {"size": 5}]}, "alpha"),
+        ("simulate", {"groups": [{"beta": float("inf"), "size": 5}, {"size": 5}]}, "beta"),
+        ("simulate", {"groups": [{"family": "eigen", "eigenvalues": [1, float("nan")],
+                                  "size": 5}, {"size": 5}]}, "eigenvalues"),
+        ("simulate", {"groups": [{"family": "skew_gaussian", "skew_shape": float("inf"),
+                                  "size": 5}, {"size": 5}]}, "skew_shape"),
+        ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
+                   "density": {"kind": "samples",
+                               "values": [float("nan")] + list(range(1, 12))}}, "draws"),
+        ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
+                   "density": {"kind": "samples",
+                               "values": [float("inf")] + list(range(1, 12))}}, "draws"),
+    ], ids=["alpha-nan", "beta-inf", "eigenvalue-nan", "skew-inf", "draw-nan", "draw-inf"])
+    def test_non_finite_model_or_draw_names_field(self, command, spec, name, tmp_path,
+                                                  capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main([command, "--spec", str(path)]) == EXIT_PARAMETER
+        assert capsys.readouterr().err.startswith(f"parameter error: {name} must be finite")
 
     def test_simulate_percentile_r_as_text(self, tmp_path, capsys):
         outputs = []

@@ -619,6 +619,35 @@ class TestDepthRanks:
         with pytest.raises(DataError, match="NaN"):
             ranks_with_tiebreak(np.array([np.nan, np.nan, 1.0]), 0)
 
+    @given(st.lists(st.one_of(st.sampled_from([-np.inf, -0.0, 0.0, np.inf]),
+                              st.floats(-3, 3, allow_nan=False)),
+                    min_size=1, max_size=40),
+           st.integers(0, 2**63 - 1))
+    @example([-0.0, 0.0, np.inf, np.inf, -np.inf], 0)
+    @example([np.inf, -np.inf, 0.0, 1.5], 1)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_shuffle_on_every_call(self, keys, seed):
+        # the form that draws the shuffle on every call, ties or none
+        keys = np.array(keys)
+        order = np.lexsort((fkwc.depths.derive_rng(seed, 1).permutation(keys.size), keys))
+        want = np.empty(keys.size, dtype=int)
+        want[order] = np.arange(1, keys.size + 1)
+        assert ranks_with_tiebreak(keys, seed).ranks.tobytes() == want.tobytes()
+
+    def test_no_generator_without_ties(self, monkeypatch):
+        drawn = []
+        original = fkwc.depths.derive_rng
+
+        def counting(*args):
+            drawn.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fkwc.depths, "derive_rng", counting)
+        ranks_with_tiebreak(np.array([np.inf, -0.0, 2.0, -np.inf, 1.0]), 3)
+        assert drawn == []
+        ranks_with_tiebreak(np.array([-0.0, 0.0, 1.0]), 3)
+        assert drawn == [(3, 1)]
+
 
 class TestScaleInvariance:
     """Transformation invariance of the rank vectors."""

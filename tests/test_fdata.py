@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import fkwc.fdata
 from fkwc import (
     DataError,
     DepthSpec,
@@ -181,11 +182,36 @@ class TestDataset:
 
 
 class TestDerivativeChannel:
-    def test_filled_at_construction_by_differentiate(self, two_group_dataset):
+    def test_derived_by_differentiate_when_read(self, two_group_dataset):
         ds = two_group_dataset
         want = differentiate(ds.curves, ds.grid)
         assert ds.derivatives.tobytes() == want.tobytes()
         assert not ds.derivatives.flags.writeable
+
+    def test_derived_once_and_only_when_read(self, grid21, monkeypatch):
+        calls = []
+        original = fkwc.fdata.differentiate
+
+        def counting(curves, grid):
+            calls.append(curves.shape)
+            return original(curves, grid)
+
+        monkeypatch.setattr(fkwc.fdata, "differentiate", counting)
+        curves = np.random.default_rng(5).normal(size=(12, grid21.m))
+        ds = FunctionalDataset(grid21, curves, np.repeat([1, 2, 3], 4))
+        ds.subset([3, 1])
+        for kind in ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd"):
+            spec = DepthSpec(kind=kind)
+            fkwc_test(ds, TestConfig(depth_spec=spec))
+            steel_mc(ds, spec)
+        ltr_rank_scores(ds)
+        assert calls == []
+        first = ds.derivatives
+        assert ds.derivatives is first
+        primed = DepthSpec(kind="mfhd", use_derivatives=True)
+        fkwc_test(ds, TestConfig(depth_spec=primed))
+        steel_mc(ds, primed)  # its subsets slice the channel ds now holds
+        assert calls == [(12, grid21.m)]
 
     def test_given_channel_kept(self, grid21):
         rng = np.random.default_rng(3)
@@ -209,7 +235,8 @@ class TestDerivativeChannel:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             ds = FunctionalDataset(grid21, curves, [1] * 5 + [2] * 5)
-            assert not np.isfinite(ds.derivatives).all()
+            with pytest.raises(DataError, match="derivative values must be finite"):
+                ds.derivatives
             spec = DepthSpec(kind="mfhd")
             assert 0.0 <= fkwc_test(ds, TestConfig(depth_spec=spec)).p_value <= 1.0
             assert steel_mc(ds, spec).pairwise_raw_p.shape == (2, 2)
@@ -220,6 +247,13 @@ class TestDerivativeChannel:
                 fkwc_test(ds, TestConfig(depth_spec=primed))
             with pytest.raises(DataError, match="derivative values must be finite"):
                 steel_mc(ds, primed)
+
+    def test_overflowing_channel_not_saved(self, grid21, tmp_path):
+        sign = np.where(np.arange(grid21.m) % 2 == 0, 1.0, -1.0)
+        ds = FunctionalDataset(grid21, 1e308 * sign * np.ones((4, 1)), [1, 1, 2, 2])
+        with pytest.raises(DataError, match="derivative values must be finite"):
+            save_csv(ds, tmp_path / "c.csv", derivatives_path=tmp_path / "d.csv")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCsvJson:

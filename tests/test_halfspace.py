@@ -83,6 +83,11 @@ def sweep_reference(points, queries):
     return out
 
 
+def stacked_sweep_reference(points, queries):
+    """``sweep_reference`` slice by slice of (k, n, 2) and (k, q, 2) stacks."""
+    return np.stack([sweep_reference(p, q) for p, q in zip(points, queries)])
+
+
 class TestHandCases:
     def test_three_collinear(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -207,20 +212,39 @@ class TestBatchedKernel:
         ds = _t1_dataset(n)
         spec = DepthSpec(kind="mfhd", use_derivatives=True)
         got = mfhd(ds, spec).values
-        monkeypatch.setattr(fkwc.depths, "halfspace_depth_2d", sweep_reference)
+        monkeypatch.setattr(fkwc.depths, "halfspace_depth_2d", stacked_sweep_reference)
         assert np.array_equal(got, mfhd(ds, spec).values)
 
-    def test_primed_mfhd_calls_once_per_grid_point(self, monkeypatch):
+    def test_primed_mfhd_calls_once_per_evaluation(self, monkeypatch):
         ds = _t1_dataset(40)
         calls = []
 
         def counting(points, queries):
-            calls.append(len(queries))
+            calls.append((points.shape, queries.shape))
             return halfspace_depth_2d(points, queries)
 
         monkeypatch.setattr(fkwc.depths, "halfspace_depth_2d", counting)
-        mfhd(ds, DepthSpec(kind="mfhd", use_derivatives=True))
-        assert calls == [40] * ds.grid.m
+        spec = DepthSpec(kind="mfhd", use_derivatives=True)
+        mfhd(ds, spec)
+        mfhd(ds, spec, queries=ds.curves[:7])
+        m = ds.grid.m
+        assert calls == [((m, 40, 2), (m, 40, 2)), ((m, 40, 2), (m, 7, 2))]
+
+    @pytest.mark.parametrize("cells", [1 << 14, 7 * 60])
+    def test_stack_equals_slices(self, cells, monkeypatch):
+        # t-distributed slices, one on a lattice so that ties are common;
+        # with 7 x 60 cells a block holds 7 of the 13 queries, so the
+        # shared key buffer is refilled by blocks of different heights
+        rng = np.random.default_rng(12)
+        pts = rng.standard_t(1, size=(5, 60, 2))
+        pts[2] = rng.integers(-2, 3, size=(60, 2))
+        qs = np.concatenate([pts[:, :9], rng.standard_t(1, size=(5, 4, 2))], axis=1)
+        monkeypatch.setattr(fkwc.depths, "_HALFSPACE_BLOCK_CELLS", cells)
+        got = halfspace_depth_2d(pts, qs)
+        assert got.shape == (5, 13)
+        for t in range(5):
+            assert got[t].tobytes() == halfspace_depth_2d(pts[t], qs[t]).tobytes()
+        assert np.array_equal(got, stacked_sweep_reference(pts, qs))
 
     def test_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(11)
@@ -234,6 +258,11 @@ class TestBatchedKernel:
     def test_no_queries(self):
         out = halfspace_depth_2d(np.zeros((3, 2)), np.zeros((0, 2)))
         assert out.shape == (0,)
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_stacks_without_queries(self, k):
+        out = halfspace_depth_2d(np.zeros((k, 3, 2)), np.zeros((k, 0, 2)))
+        assert out.shape == (k, 0)
 
 
 class TestValidation:
@@ -250,10 +279,17 @@ class TestValidation:
             (np.array([[0.0, 0.0], [np.inf, 1.0]]), np.zeros((1, 2))),
             (np.zeros((3, 2)), np.array([[0.0, np.nan]])),
             (np.zeros((3, 2)), np.array([[-np.inf, 0.0]])),
+            (np.zeros((2, 3, 2)), np.zeros((3, 1, 2))),  # 2 point slices, 3 query slices
+            (np.zeros((2, 3, 2)), np.zeros((1, 2))),
+            (np.zeros((3, 2)), np.zeros((2, 1, 2))),
+            (np.zeros((2, 0, 2)), np.zeros((2, 1, 2))),
+            (np.zeros((1, 2, 3, 2)), np.zeros((1, 2, 1, 2))),
+            (np.zeros((2, 3, 2)), np.full((2, 1, 2), np.nan)),
         ],
         ids=["3-col-both", "3-col-queries", "3-col-points", "empty-sample",
              "1d-points", "1d-queries", "nan-point", "inf-point", "nan-query",
-             "inf-query"],
+             "inf-query", "slice-count", "stack-and-flat", "flat-and-stack",
+             "empty-slices", "4d", "nan-stack"],
     )
     def test_bad_input_is_data_error(self, points, queries):
         with pytest.raises(DataError):

@@ -197,6 +197,11 @@ class TestLocalTau:
         dens = density_from_histogram([0.0, 1.0, 2.0], [0.5, 0.5])
         assert dens.points.tolist() == [0.5, 1.5] and dens.weights.tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_draws_refused(self, bad):
+        with pytest.raises(ParameterError, match="^draws must be finite"):
+            density_from_samples(np.r_[bad, np.arange(1.0, 12.0)])
+
     def test_zero_iqr_draws_say_why(self):
         # 20 equal draws and one outlier: one Freedman-Diaconis bin
         with pytest.raises(ParameterError, match="interquartile range of 0"):
@@ -263,6 +268,19 @@ class TestNoncentralChisq:
             tracemalloc.stop()
         assert peak < 64 * 2**20
 
+    @pytest.mark.parametrize("tau", [1e-6, 0.3, 3.5, 40.0, 3e3, 2e5, 5e7])
+    def test_poisson_weights_equal_scipy_stats(self, tau):
+        # the sum the function makes, with poisson.pmf's own weights
+        lam = tau / 2.0
+        spread = 40.0 * np.sqrt(lam + 1.0) + 60.0
+        ks = np.arange(max(int(lam - spread), 0), int(lam + spread) + 1)
+        weights = poisson.pmf(ks, lam)
+        cutoff = int((np.cumsum(weights) <= 1.0 - 1e-12).sum()) + 1
+        for df, x in ((1, 3.84), (2, tau + 1.0), (5, 0.5)):
+            tails = chi2.sf(x, df + 2 * ks[:cutoff])
+            want = float(np.clip(np.sum(weights[:cutoff] * tails), 0.0, 1.0))
+            assert noncentral_chisq_sf(x, df, tau) == want
+
     def test_central_case_at_crit(self):
         assert noncentral_chisq_sf(3.8415, 1, 0.0) == pytest.approx(0.05, abs=1e-4)
 
@@ -296,6 +314,13 @@ class TestPredictedPowerAndSampleSize:
         res = predicted_power(0.0, 3, alpha=0.05)
         assert res.predicted_power == pytest.approx(0.05, abs=1e-9)
         assert res.predicted_power >= res.alpha - 1e-9
+
+    @pytest.mark.parametrize("j", [2, 3, 6, 60])
+    def test_critical_value_equals_chi2_ppf(self, j):
+        for alpha in np.linspace(0.001, 0.999, 37):
+            crit = chi2.ppf(1.0 - alpha, j - 1)
+            want = noncentral_chisq_sf(crit, j - 1, 2.5)
+            assert predicted_power(2.5, j, alpha).predicted_power == want
 
     def test_round_trip(self):
         probs = symmetric_probs(2, 0.04)

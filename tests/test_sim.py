@@ -265,6 +265,17 @@ class TestEigenFamily:
         with pytest.raises(ParameterError):
             scenario_eigenvalues(7)
 
+    # NaN parameters once drew NaN curves, refused later as curve values
+    @pytest.mark.parametrize("field, kwargs", [
+        ("alpha", dict(alpha=np.nan)),
+        ("beta", dict(beta=np.inf)),
+        ("eigenvalues", dict(family="eigen", eigenvalues=(1.0, np.nan))),
+        ("skew_shape", dict(family="skew_gaussian", skew_shape=np.inf)),
+    ])
+    def test_non_finite_parameters_refused(self, field, kwargs):
+        with pytest.raises(ParameterError, match=f"^{field} must be finite"):
+            ProcessModel(**kwargs)
+
     def test_basis_orthonormal(self, grid101):
         basis = fourier_basis(grid101, 11)
         w = grid101.trapezoid_weights
