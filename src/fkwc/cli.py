@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
 import numpy as np
-from scipy.stats import chi2
+from scipy import special
 
 from . import __version__
 from .depths import (
@@ -291,16 +292,31 @@ def _density_from_json(node) -> SupportDensity:
     kind = _read(node, "kind", default=None)
     if kind == "exponential":
         rate = _read(node, "rate", float, 1.0)
-        if rate <= 0:
-            raise ParameterError("exponential rate must be positive")
+        if not (0.0 < rate < math.inf and 40.0 / rate < math.inf):
+            raise ParameterError(
+                "exponential rate must be positive and finite, with 40 / rate (the end "
+                f"of its support) finite; got {rate!r}"
+            )
         hi = 40.0 / rate
         return density_from_callable(lambda z: rate * np.exp(-rate * z), (0.0, hi))
     if kind == "chi2":
-        df = _read(node, "df", float, 1)
-        if df <= 0:
-            raise ParameterError("chi2 df must be positive")
-        hi = float(chi2.ppf(1.0 - 1e-10, df))
-        return density_from_callable(lambda z: chi2.pdf(z, df), (0.0, hi))
+        df = _read(node, "df", float)
+        if not math.isfinite(df):
+            raise ParameterError(f"chi2 df must be finite, got {df!r}")
+        if df < 2:
+            raise ParameterError(
+                f"chi2 df must be at least 2, got {df!r}: below 2 the density is "
+                "unbounded at 0, and the trapezoid rule cannot integrate it"
+            )
+        # chi2.ppf(1 - 1e-10, df) and chi2.pdf(z, df) as scipy.stats evaluates
+        # them, bit for bit
+        hi = float(2.0 * special.gammaincinv(df / 2, 1.0 - 1e-10))
+        return density_from_callable(
+            lambda z: np.exp(
+                special.xlogy(df / 2 - 1, z) - z / 2 - special.gammaln(df / 2) - np.log(2) * df / 2
+            ),
+            (0.0, hi),
+        )
     if kind == "histogram":
         return density_from_histogram(
             _read(node, "edges", _floats), _read(node, "densities", _floats)

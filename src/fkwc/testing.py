@@ -10,7 +10,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import special
-from scipy.stats import rankdata
 
 from .depths import DepthSpec, RankVector, depth_ranks, depth_sort_keys, derive_seed
 from .exceptions import ParameterError
@@ -205,6 +204,20 @@ def fkwc_test(ds: FunctionalDataset, config: TestConfig = TestConfig()) -> TestR
 # Wilcoxon rank-sum and Steel-type multiple comparisons
 # ---------------------------------------------------------------------------
 
+def _mid_ranks(values: np.ndarray):
+    """Mid-ranks of ``values`` (ties share the mean of their ranks) and the
+    size of each tie run, from one stable sort.  Mid-ranks are
+    half-integers, so these are the floats any exact method gives
+    (``scipy.stats.rankdata``'s, for one)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    edges = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    counts = np.diff(edges)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (edges[:-1] + edges[1:] + 1), counts)
+    return ranks, counts
+
+
 def wilcoxon_rank_sum(x, y, method: str = "normal") -> float:
     """Two-sided Wilcoxon rank-sum p-value.
 
@@ -225,7 +238,7 @@ def wilcoxon_rank_sum(x, y, method: str = "normal") -> float:
         raise ParameterError("samples must not contain NaN")
     pooled = np.concatenate([x, y])
     n = n1 + n2
-    ranks = rankdata(pooled)
+    ranks, runs = _mid_ranks(pooled)
     t_obs = ranks[:n1].sum()
     mu = n1 * (n + 1) / 2.0
     if method == "exact":
@@ -246,8 +259,7 @@ def wilcoxon_rank_sum(x, y, method: str = "normal") -> float:
         return float(splits[hit].sum() / splits.sum())
     if method != "normal":
         raise ParameterError(f"unknown method {method!r}; expected 'normal' or 'exact'")
-    _, counts = np.unique(pooled, return_counts=True)
-    ties = float(((counts**3) - counts).sum())
+    ties = float(((runs**3) - runs).sum())
     var = n1 * n2 / 12.0 * ((n + 1) - ties / (n * (n - 1)))
     if var <= 0.0:
         return 1.0  # all observations identical
@@ -301,6 +313,8 @@ def steel_mc(
     m = correction_count if correction_count is not None else rows.size
     if m < 1:
         raise ParameterError("correction_count must be >= 1")
+    if spec.use_derivatives:
+        ds.derivatives  # derived once here, so that each pair's subset slices it
     raw_list = []
     for pair_index, (a, b) in enumerate(zip(rows + 1, cols + 1)):
         sub = ds.subset([a, b])

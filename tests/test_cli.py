@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 import fkwc
 from fkwc import (
@@ -25,6 +26,7 @@ from fkwc.cli import (
     EXIT_OK,
     EXIT_PARAMETER,
     EXIT_REJECT,
+    _density_from_json,
     _depth_spec,
     _depth_spec_from_json,
     build_parser,
@@ -311,6 +313,16 @@ class TestCmdPower:
         assert "interquartile range of 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("df", [2.0, 2.5, 3.0, 4.7, 10.0, 33.3, 100.5])
+def test_chi2_density_is_scipy_stats_chi2(df):
+    """The chi2 density kind evaluates the expressions of scipy.stats'
+    chi2.ppf (its support end) and chi2.pdf (its values at the 4097 points
+    z of the support), so the bits are the same."""
+    density = _density_from_json({"kind": "chi2", "df": df})
+    assert density.points[-1] == chi2.ppf(1.0 - 1e-10, df)
+    assert density.values.tobytes() == chi2.pdf(density.points, df).tobytes()
+
+
 class TestCmdSimulate:
     def test_matches_library_run(self, tmp_path, capsys, grid101):
         spec_json = {"scenario": 4, "sizes": [40, 40],
@@ -516,6 +528,33 @@ class TestMalformedSpecs:
         path.write_text(json.dumps(spec))
         assert main([command, "--spec", str(path)]) == EXIT_PARAMETER
         assert capsys.readouterr().err.startswith(f"parameter error: {name} must be finite")
+
+    # refused before anything is evaluated, so no RuntimeWarning (an error
+    # under pytest) is raised on the way
+    @pytest.mark.parametrize("density, field, reason", [
+        ({"kind": "chi2", "df": float("nan")}, "chi2 df", "finite"),
+        ({"kind": "chi2", "df": float("inf")}, "chi2 df", "finite"),
+        ({"kind": "chi2", "df": 1}, "chi2 df", "unbounded at 0"),
+        ({"kind": "chi2", "df": 1.999}, "chi2 df", "unbounded at 0"),
+        ({"kind": "chi2", "df": -3}, "chi2 df", "at least 2"),
+        ({"kind": "chi2"}, "'df'", "needs"),
+        ({"kind": "exponential", "rate": float("nan")}, "exponential rate", "finite"),
+        ({"kind": "exponential", "rate": float("inf")}, "exponential rate", "finite"),
+        ({"kind": "exponential", "rate": 0}, "exponential rate", "positive"),
+        ({"kind": "exponential", "rate": -1.0}, "exponential rate", "positive"),
+        ({"kind": "exponential", "rate": 1e-310}, "exponential rate", "40 / rate"),
+    ], ids=["df-nan", "df-inf", "df-1", "df-below-2", "df-negative", "df-missing",
+            "rate-nan", "rate-inf", "rate-zero", "rate-negative", "rate-subnormal"])
+    def test_bad_density_parameter_names_field(self, density, field, reason, tmp_path,
+                                               capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
+                                    "density": density}))
+        assert main(["power", "--spec", str(path)]) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: ")
+        assert field in err and reason in err
+        assert "support interval" not in err and "Traceback" not in err
 
     def test_simulate_percentile_r_as_text(self, tmp_path, capsys):
         outputs = []

@@ -1,6 +1,6 @@
 """Each fkwc module imports on its own, so module-level imports form no cycle;
 the names the benchmark traces exist; only fdata computes derivatives, and
-testing.py calls no method of a scipy.stats distribution."""
+no fkwc module imports scipy.stats."""
 
 import ast
 import importlib
@@ -75,65 +75,41 @@ def test_derivatives_computed_only_in_fdata():
     assert callers and set(callers) == {"fdata.py"}, callers
 
 
-def _dotted(node):
-    """``a.b.c`` of a Name/Attribute chain, else None."""
-    parts = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    return ".".join([node.id, *reversed(parts)])
+def test_import_leaves_scipy_stats_unloaded():
+    """``import fkwc, fkwc.cli`` loads numpy and scipy.special but not
+    scipy.stats, about half of the import's CPU time."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    script = "import sys, fkwc, fkwc.cli; assert 'scipy.stats' not in sys.modules"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
-def _resolve(dotted, aliases):
-    """The object a dotted name in a module's source refers to, through its
-    imports; None when it does not name an imported object."""
-    head, _, rest = dotted.partition(".")
-    if head not in aliases:
-        return None
-    try:
-        obj = importlib.import_module(aliases[head])
-    except ImportError:  # "from m import name" bound an attribute of m
-        module_name, _, attr = aliases[head].rpartition(".")
-        obj = getattr(importlib.import_module(module_name), attr, None)
-    for part in rest.split(".") if rest else ():
-        obj = getattr(obj, part, None)
-    return obj
+def _imports_scipy_stats(node) -> bool:
+    def is_stats(name):
+        return name == "scipy.stats" or name.startswith("scipy.stats.")
+
+    if isinstance(node, ast.Attribute):  # scipy.stats after "import scipy" loads it lazily
+        return node.attr == "stats" and isinstance(node.value, ast.Name) and node.value.id == "scipy"
+    if isinstance(node, ast.Import):
+        return any(is_stats(a.name) for a in node.names)
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        module = node.module or ""
+        return is_stats(module) or (
+            module == "scipy" and any(a.name == "stats" for a in node.names)
+        )
+    return False
 
 
-def test_testing_calls_no_scipy_stats_distribution():
-    """fkwc/testing.py and fkwc/power.py take their tails from scipy.special
-    ufuncs, never from a method of a scipy.stats distribution object
-    (``chi2.sf`` costs about 50 times the ``chdtrc`` it wraps, once per
-    test call; ``poisson.pmf`` about 13 times its expression)."""
-    calls = {m: _stats_distribution_calls(m) for m in ("testing.py", "power.py")}
-    assert not any(calls.values()), calls
-
-
-def _stats_distribution_calls(module):
-    from scipy import stats
-
-    tree = ast.parse((SRC / "fkwc" / module).read_text())
-    aliases = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for a in node.names:
-                # "import a.b" binds a; "import a.b as c" binds c to a.b
-                name = a.name if a.asname else a.name.partition(".")[0]
-                aliases[a.asname or name] = name
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            for a in node.names:
-                aliases[a.asname or a.name] = f"{node.module}.{a.name}"
-    calls = []
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
-            continue
-        owner = node.func.value
-        if isinstance(owner, ast.Call):  # a frozen distribution: chi2(df).sf(x)
-            owner = owner.func
-        dotted = _dotted(owner)
-        obj = _resolve(dotted, aliases) if dotted else None
-        if isinstance(obj, (stats.rv_continuous, stats.rv_discrete)):
-            calls.append(f"{ast.unparse(node.func)} (line {node.lineno})")
-    return calls
+def test_no_module_imports_scipy_stats():
+    """No statement of src/fkwc, at module level or inside a function,
+    imports scipy.stats or reaches it as an attribute of scipy; the tests
+    may still use it as an oracle."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "fkwc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _imports_scipy_stats(node)
+    ]
+    assert not found, found

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2, norm, rankdata
 
+import fkwc.fdata
 from fkwc import (
     DepthSpec,
     FunctionalDataset,
@@ -26,7 +27,7 @@ from fkwc import (
     wilcoxon_rank_sum,
 )
 from fkwc.depths import depth_sort_keys, derive_seed
-from fkwc.testing import adjust_pvalues
+from fkwc.testing import _mid_ranks, adjust_pvalues
 
 CHI2_1_CRIT = 3.84145882069413  # 0.95 quantile, frozen from an mpmath solve
 RANK_STATISTICS = {"W": kw_statistic, "M_r": lambda r, g: percentile_statistic(r, g, 1.0)}
@@ -322,6 +323,24 @@ def enumerated_exact_p(x, y):
 
 small_tied_sample = st.lists(st.integers(0, 3), min_size=1, max_size=8)
 
+# integer values tie often; the infinities tie among themselves, and -0.0
+# ties with 0.0
+tied_values = st.lists(
+    st.one_of(st.integers(-4, 4).map(float), st.sampled_from([np.inf, -np.inf, 0.0, -0.0])),
+    min_size=1, max_size=40,
+)
+
+
+@given(tied_values)
+@example([0.0, -0.0, 0.0])
+@example([np.inf, -np.inf, np.inf, 1.0])
+@settings(max_examples=200, deadline=None)
+def test_mid_ranks_equal_rankdata_and_unique_counts(values):
+    values = np.array(values)
+    ranks, runs = _mid_ranks(values)
+    assert ranks.tobytes() == rankdata(values).tobytes()
+    np.testing.assert_array_equal(runs, np.unique(values, return_counts=True)[1])
+
 
 class TestWilcoxon:
     def test_matches_exact_on_small_sample(self):
@@ -492,6 +511,32 @@ class TestSteelMc:
         res = steel_mc(ds, spec, correction_count=correction_count, correction=correction)
         m = 6 if correction_count is None else correction_count  # 2 is below the 6 pairs
         raw, adjusted = steel_mc_loop_reference(ds, spec, m, correction)
+        assert res.pairwise_raw_p.tobytes() == raw.tobytes()
+        assert res.pairwise_adjusted_p.tobytes() == adjusted.tobytes()
+
+    @pytest.mark.parametrize("kind", ["spatial", "mfhd"])
+    def test_primed_derives_the_channel_once(self, kind, grid21, monkeypatch):
+        # the pairs' subsets slice one channel derived for the whole dataset;
+        # differentiate works row by row, so the p-values are those of
+        # subsets that each derive their own
+        rng = np.random.default_rng(44)
+        scales = np.repeat([1.0, 1.5, 2.5], 10)
+        curves = scales[:, None] * rng.normal(size=(30, grid21.m)).cumsum(axis=1)
+        groups = np.repeat([1, 2, 3], 10)
+        spec = DepthSpec(kind=kind, use_derivatives=True, rng_seed=8)
+        raw, adjusted = steel_mc_loop_reference(
+            FunctionalDataset(grid21, curves, groups), spec, 3, "sidak"
+        )
+        calls = []
+        original = fkwc.fdata.differentiate
+
+        def counting(curves, grid):
+            calls.append(curves.shape)
+            return original(curves, grid)
+
+        monkeypatch.setattr(fkwc.fdata, "differentiate", counting)
+        res = steel_mc(FunctionalDataset(grid21, curves, groups), spec)
+        assert calls == [(30, grid21.m)]
         assert res.pairwise_raw_p.tobytes() == raw.tobytes()
         assert res.pairwise_adjusted_p.tobytes() == adjusted.tobytes()
 
