@@ -29,7 +29,6 @@ from .depths import (
     halfspace_depth_2d,
     ksd_depth,
     ltr_depth,
-    ltr_rank_scores,
     mbd,
     mfhd,
     ranks_with_tiebreak,

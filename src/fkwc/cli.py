@@ -98,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = subs.add_parser("mc", help="pairwise multiple comparisons (Steel-type)")
     _add_io_flags(p_mc)
     _add_depth_flags(p_mc)
-    p_mc.add_argument("--alpha", type=float, default=0.05, help="significance level (report only)")
     p_mc.add_argument("--correction", choices=("sidak", "bonferroni", "holm"), default="sidak")
     p_mc.add_argument(
         "--correction-count", type=int, default=None,
@@ -122,7 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = subs.add_parser("simulate", help="replicated size/power study from a JSON spec")
     p_sim.add_argument("--spec", required=True, help="JSON study description")
     p_sim.add_argument("--output", help="write results to this path instead of stdout")
-    p_sim.add_argument("--threads", type=int, default=1, help="worker processes for replicates")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="most worker processes for replicates (>= 1); capped at one per "
+                            "8 replicates and per usable CPU")
     p_sim.add_argument("--format", choices=("json", "csv"), default="csv")
     return parser
 
@@ -432,7 +433,7 @@ def _study_from_json(spec: dict) -> StudySpec:
 def cmd_simulate(args) -> int:
     with open(args.spec) as fh:
         spec = _study_from_json(json.load(fh))
-    result = run_study(spec, n_jobs=max(1, args.threads))
+    result = run_study(spec, n_jobs=args.threads)
     if args.format == "json":
         _emit(json.dumps(result.to_dict(), indent=2), args.output)
     else:

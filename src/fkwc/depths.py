@@ -201,29 +201,6 @@ def ltr_depth(ds: FunctionalDataset, spec: DepthSpec | None = None, queries=None
     return DepthVector(1.0 / (1.0 + total / len(chans)), spec)
 
 
-def ltr_rank_scores(ds: FunctionalDataset, use_derivatives: bool = False) -> np.ndarray:
-    """Norm scores that the L2-root ranking path ranks in descending order.
-
-    Without derivatives the score is the squared L2 norm, whose descending
-    order matches ascending unprimed ``ltr_depth`` ranks on centered data.
-    With them it is the sum of the curve and derivative channel norms.  This
-    is the fast ranking path: no empirical-distribution estimate is involved.
-
-    :func:`fkwc.power.mc_rank_prob` scores its draws with this function, so
-    pairwise power predictions describe these ranks.
-    It is not order-equivalent to primed ``ltr_depth``, even on centered
-    data: that depth sums sqrt(a + c0) + sqrt(b + c1) over the squared
-    channel norms a, b with centering constants c0, c1.  With c0 = c1 = 1,
-    (a, b) = (1, 4) and (2.25, 2.25) tie here (3 = 3) but give 3.650 and
-    3.606 under the depth.
-    """
-    w = ds.grid.trapezoid_weights
-    if not use_derivatives:
-        return (ds.curves * ds.curves) @ w
-    deriv = ds.derivatives
-    return np.sqrt((ds.curves * ds.curves) @ w) + np.sqrt((deriv * deriv) @ w)
-
-
 # ---------------------------------------------------------------------------
 # random projection depth
 # ---------------------------------------------------------------------------
@@ -584,11 +561,26 @@ def compute_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> Depth
 
 def depth_sort_keys(ds: FunctionalDataset, spec: DepthSpec) -> np.ndarray:
     """Values whose ascending order is the depth-rank order (rank N =
-    deepest).  The L2-root path negates the norm scores instead of
-    estimating depths."""
-    if spec.kind == "ltr":
-        return -ltr_rank_scores(ds, spec.use_derivatives)
-    return compute_depth(ds, spec).values
+    deepest).
+
+    ``ltr`` ranks by norms instead of estimating depths: its keys are the
+    negated squared L2 norms, whose ascending order matches ascending
+    unprimed ``ltr_depth`` ranks on centered data, or, primed, the negated
+    sums of the curve and derivative channel norms.  The primed keys are
+    not order-equivalent to primed ``ltr_depth``, even on centered data:
+    that depth sums sqrt(a + c0) + sqrt(b + c1) over the squared channel
+    norms a, b with centering constants c0, c1.  With c0 = c1 = 1,
+    (a, b) = (1, 4) and (2.25, 2.25) tie here (3 = 3) but give 3.650 and
+    3.606 under the depth.  :func:`fkwc.power.mc_rank_prob` ranks its
+    draws with these keys, so pairwise power predictions describe them.
+    """
+    if spec.kind != "ltr":
+        return compute_depth(ds, spec).values
+    w = ds.grid.trapezoid_weights
+    sq = [(c * c) @ w for c, _ in _channels(ds, spec.use_derivatives, None)]
+    if not spec.use_derivatives:
+        return -sq[0]
+    return -(np.sqrt(sq[0]) + np.sqrt(sq[1]))
 
 
 def ranks_with_tiebreak(keys, seed: int) -> RankVector:

@@ -65,6 +65,24 @@ def _as_curves(values, grid: Grid, what: str = "curve") -> np.ndarray:
     return arr
 
 
+def integer_labels(groups, error=DataError) -> np.ndarray:
+    """``groups`` as an integer array: integer arrays as they are, other
+    values whose float form is an integer within int64 range as that
+    integer (``True`` as 1, ``"2"`` as 2).  Anything else, NaN, +-inf,
+    2.5 or ``"a"`` among them, raises ``error``."""
+    try:
+        groups = np.asarray(groups)
+        if np.issubdtype(groups.dtype, np.integer):
+            return groups
+        flo = groups.astype(float)
+    except (TypeError, ValueError):
+        flo = None
+    # NaN and +-inf fail the range test, which keeps the cast exact
+    if flo is None or not np.all((np.abs(flo) < 2.0**63) & (flo == np.round(flo))):
+        raise error("group labels must be integers")
+    return flo.astype(int)
+
+
 def differentiate(f, grid: Grid):
     """Numerical derivative: central differences inside, one-sided
     second-order stencils at the endpoints.  Exact on quadratics."""
@@ -100,12 +118,7 @@ class FunctionalDataset:
             raise DataError(
                 f"got {groups.size} group labels for {curves.shape[0]} curves"
             )
-        if not np.issubdtype(groups.dtype, np.integer):
-            flo = np.asarray(groups, dtype=float)
-            if np.any(flo != np.round(flo)):
-                raise DataError("group labels must be integers")
-            groups = flo.astype(int)
-        groups = groups.astype(int)
+        groups = integer_labels(groups).astype(int)
         labels = np.unique(groups)
         j = labels.size
         if j == 0 or labels[0] != 1 or labels[-1] != j:
@@ -124,8 +137,7 @@ class FunctionalDataset:
             self.__dict__["derivatives"] = deriv
         curves = curves.copy()
         curves.setflags(write=False)
-        groups = groups.copy()
-        groups.setflags(write=False)
+        groups.setflags(write=False)  # a copy: astype copies
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "groups", groups)

@@ -10,7 +10,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import special
 
-from .depths import ltr_rank_scores
+from .depths import DepthSpec, depth_sort_keys
 from .exceptions import InfeasibleError, NumericalError, ParameterError
 from .fdata import FunctionalDataset
 from .sim import generate
@@ -208,9 +208,9 @@ def tau_from_pairwise(probs, thetas, group_sizes, n_total: float) -> float:
 
 def mc_rank_prob(model_j, model_k, p: int = 0, reps: int = 10_000, seed: int = 0) -> RankProbability:
     """Monte Carlo Pr(D(X_j) <= D(X_k)) for the ``ltr`` ranks (``ltr'`` when
-    p = 1): the share of draws whose :func:`~fkwc.depths.ltr_rank_scores`
-    score, computed on a dataset of the draws as the test computes it, is no
-    larger for X_k than for X_j.  Drawn in chunks: memory is flat in reps."""
+    p = 1): the share of draws whose :func:`~fkwc.depths.depth_sort_keys`
+    key, computed on a dataset of the draws as the test computes it, is no
+    smaller for X_k than for X_j.  Drawn in chunks: memory is flat in reps."""
     if reps < 1:
         raise ParameterError("reps must be >= 1")
     if p not in (0, 1):
@@ -219,18 +219,19 @@ def mc_rank_prob(model_j, model_k, p: int = 0, reps: int = 10_000, seed: int = 0
         raise ParameterError(
             f"models must share one grid, got {model_j.grid!r} and {model_k.grid!r}"
         )
+    spec = DepthSpec(kind="ltr", use_derivatives=p == 1)
     rng_j = np.random.default_rng((seed, 11))
     rng_k = np.random.default_rng((seed, 13))
 
-    def scores(model, size, rng):
+    def keys(model, size, rng):
         ds = FunctionalDataset(model.grid, generate(model, size, rng), np.ones(size, dtype=int))
-        return ltr_rank_scores(ds, p == 1)
+        return depth_sort_keys(ds, spec)
 
     hits = 0
     for start in range(0, reps, _RANK_PROB_CHUNK):
         size = min(_RANK_PROB_CHUNK, reps - start)
-        s_j = scores(model_j, size, rng_j)
-        hits += int(np.count_nonzero(scores(model_k, size, rng_k) <= s_j))
+        k_j = keys(model_j, size, rng_j)
+        hits += int(np.count_nonzero(keys(model_k, size, rng_k) >= k_j))
     prob = hits / reps
     se = math.sqrt(max(prob * (1 - prob), 1e-12) / reps)
     return RankProbability(prob, se, reps)

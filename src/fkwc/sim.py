@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -239,13 +240,27 @@ def _study_replicate(spec: StudySpec, rep: int) -> np.ndarray:
     return rejections
 
 
+# replicates per task sent to a worker process
+_STUDY_CHUNK = 8
+
+
 def run_study(spec: StudySpec, n_jobs: int = 1) -> StudyResult:
     """Run the replicated experiment; the outcome is identical for any
-    ``n_jobs`` because all streams derive from (seed, replicate, role)."""
+    ``n_jobs`` because all streams derive from (seed, replicate, role).
+
+    ``n_jobs`` is an upper bound: one worker process at most per chunk of
+    8 replicates and per usable CPU; with one, the replicates run in this
+    process."""
+    if n_jobs < 1:
+        raise ParameterError(f"n_jobs (--threads) must be >= 1, got {n_jobs!r}")
     reps = range(spec.replications)
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            rows = list(pool.map(_study_replicate, itertools.repeat(spec), reps, chunksize=8))
+    chunks = math.ceil(spec.replications / _STUDY_CHUNK)
+    workers = min(n_jobs, chunks, len(os.sched_getaffinity(0)))
+    if workers > 1:
+        # the pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_study_replicate, itertools.repeat(spec), reps,
+                                 chunksize=_STUDY_CHUNK))
     else:
         rows = [_study_replicate(spec, r) for r in reps]
     hits = np.array(rows, dtype=float)

@@ -13,7 +13,7 @@ from scipy import special
 
 from .depths import DepthSpec, RankVector, depth_ranks, depth_sort_keys, derive_seed
 from .exceptions import ParameterError
-from .fdata import FunctionalDataset
+from .fdata import FunctionalDataset, integer_labels
 
 _CORRECTIONS = ("sidak", "bonferroni", "holm")
 
@@ -84,12 +84,7 @@ def _validate_ranks_groups(ranks, groups):
     raw ranks are checked here."""
     checked = isinstance(ranks, RankVector)
     ranks = np.asarray(ranks.ranks if checked else ranks)
-    groups = np.asarray(groups)
-    if not np.issubdtype(groups.dtype, np.integer):
-        labels = groups.astype(float)
-        if not np.all(np.isfinite(labels) & (labels == np.round(labels))):
-            raise ParameterError("group labels must be integers")
-        groups = labels.astype(int)
+    groups = integer_labels(groups, ParameterError)
     n = ranks.size
     if n == 0:
         raise ParameterError("need at least one rank")

@@ -40,8 +40,7 @@ SUBCOMMAND_FLAGS = {
              "--seed", "--alpha", "--r", "--format"],
     "mc": ["--input", "--output", "--derivatives", "--depth", "--primed",
            "--projections", "--band-order", "--bandwidth", "--weights",
-           "--seed", "--alpha", "--correction", "--correction-count",
-           "--method", "--format"],
+           "--seed", "--correction", "--correction-count", "--method", "--format"],
     "depth": ["--input", "--output", "--derivatives", "--depth", "--primed",
               "--projections", "--band-order", "--bandwidth", "--weights",
               "--seed", "--format"],
@@ -191,6 +190,30 @@ class TestCmdMc:
         assert payload["pairwise_raw_p"][0][1] == pytest.approx(want, abs=1e-12)
         assert payload["num_comparisons"] == 1
 
+    def test_table_format(self, tmp_path, capsys):
+        # three groups of 5 curves on 5 points, group g scaled by g; the
+        # last column is padded like the others
+        rng = np.random.default_rng(7)
+        curves = rng.normal(size=(15, 5)) * np.repeat([1.0, 2.0, 3.0], 5)[:, None]
+        path = tmp_path / "three.csv"
+        save_csv(FunctionalDataset(Grid(5), curves, np.repeat([1, 2, 3], 5)), path)
+        code = main(["mc", "--input", str(path), "--depth", "ltr", "--seed", "1",
+                     "--correction", "holm", "--format", "table"])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out == (
+            "pair         raw_p       adjusted_p\n"
+            "1 vs 2       0.0162936   0.0325872 \n"
+            "1 vs 3       0.00902344  0.0270703 \n"
+            "2 vs 3       0.0472018   0.0472018 \n"
+            "comparisons  3           holm      \n"
+        )
+
+    def test_alpha_flag_removed(self, identical_groups_csv, capsys):
+        # mc reports p-values only; a level it never read is refused
+        code = main(["mc", "--input", str(identical_groups_csv), "--alpha", "0.05"])
+        assert code == EXIT_PARAMETER
+        assert "--alpha" in capsys.readouterr().err
+
 
 class TestCmdDepth:
     def test_csv_output(self, identical_groups_csv, tmp_path):
@@ -269,6 +292,30 @@ class TestCmdPower:
         payload = json.loads(capsys.readouterr().out)
         assert payload["required_N"] >= 8
         assert payload["predicted_power"] >= 0.8
+
+    @pytest.mark.parametrize("spec, want", [
+        ({"probs": [[0.5, 0.6], [0.4, 0.5]], "thetas": [0.5, 0.5], "N": 200}, (
+            "J                2                 \n"
+            "N                200               \n"
+            "alpha            0.05              \n"
+            "predicted_power  0.6856082945679964\n"
+            "tau              5.970149253731341 \n"
+        )),
+        ({"probs": [[0.5, 0.54], [0.46, 0.5]], "thetas": [0.5, 0.5], "target_power": 0.8}, (
+            "J                2                 \n"
+            "N                1637              \n"
+            "alpha            0.05              \n"
+            "predicted_power  0.8001968971469083\n"
+            "required_N       1637              \n"
+            "target_power     0.8               \n"
+            "tau              7.852802930402933 \n"
+        )),
+    ], ids=["power", "sample-size"])
+    def test_table_format(self, spec, want, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        assert main(["power", "--spec", str(path), "--format", "table"]) == EXIT_OK
+        assert capsys.readouterr().out == want
 
     def test_bad_spec_parameter_error(self, tmp_path):
         path = tmp_path / "p.json"
@@ -352,6 +399,13 @@ class TestCmdSimulate:
         assert main(["simulate", "--spec", str(path), "--output", str(out2),
                      "--threads", "2"]) == EXIT_OK
         assert out1.read_text() == out2.read_text()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_refused(self, threads, tmp_path, capsys):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"scenario": 1, "sizes": [5, 5], "replications": 2}))
+        assert main(["simulate", "--spec", str(path), "--threads", threads]) == EXIT_PARAMETER
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_csv_columns(self, tmp_path):
         spec_json = {"scenario": 1, "sizes": [20, 20], "depths": [{"kind": "mbd"}],

@@ -24,7 +24,6 @@ from fkwc import (
     fkwc_test,
     generate,
     ltr_depth,
-    ltr_rank_scores,
     mbd,
     mfhd,
     ranks_with_tiebreak,
@@ -41,6 +40,7 @@ from fkwc.depths import (
     _pairwise_sq_dists,
     _rp_directions,
     _spatial_channel,
+    depth_sort_keys,
 )
 
 ALL_KINDS = ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd")
@@ -186,13 +186,13 @@ class TestLtrDepth:
         rng = np.random.default_rng(12)
         base = rng.normal(size=(7, grid21.m))
         ds = make_ds(np.vstack([base, -base]), grid=grid21)
-        scores = ltr_rank_scores(ds)
+        scores = -depth_sort_keys(ds, DepthSpec(kind="ltr"))
         depths = ltr_depth(ds).values
         np.testing.assert_array_equal(np.argsort(-scores), np.argsort(depths))
 
     def test_rank_score_examples(self, grid21):
         ds = make_ds(np.vstack([np.zeros(grid21.m), np.full(grid21.m, 2.5)]), grid=grid21)
-        scores = ltr_rank_scores(ds)
+        scores = -depth_sort_keys(ds, DepthSpec(kind="ltr"))
         assert scores[0] == pytest.approx(0.0, abs=1e-15)
         assert scores[1] == pytest.approx(6.25, abs=1e-12)
 
@@ -594,7 +594,7 @@ class TestDepthRanks:
     def test_ltr_path_uses_norm_scores(self, two_group_dataset):
         spec = DepthSpec(kind="ltr", rng_seed=1)
         rv = depth_ranks(two_group_dataset, spec)
-        scores = ltr_rank_scores(two_group_dataset)
+        scores = -depth_sort_keys(two_group_dataset, DepthSpec(kind="ltr"))
         expected = ranks_with_tiebreak(-scores, 1)
         np.testing.assert_array_equal(rv.ranks, expected.ranks)
 
@@ -691,6 +691,23 @@ class TestScaleInvariance:
             spec = DepthSpec(kind=kind, use_derivatives=primed, rng_seed=13)
             r1 = depth_ranks(ds, spec)
             r2 = depth_ranks(scaled, spec)
+            np.testing.assert_array_equal(r1.ranks, r2.ranks, err_msg=kind)
+
+    # t -> 1 - t: the derivative channel of the reversed curves is the
+    # negated, reversed channel, bit for bit.  rp is left out: its seeded
+    # directions are not reversed, so its ranks keep only in distribution
+    @pytest.mark.parametrize("primed", [False, True], ids=["plain", "primed"])
+    def test_time_reversal(self, primed, grid101):
+        rng = np.random.default_rng(61)
+        curves = rng.normal(size=(16, grid101.m)).cumsum(axis=1) * 0.1
+        ds = make_ds(curves, grid=grid101)
+        reversed_ds = make_ds(curves[:, ::-1], grid=grid101)
+        if primed:
+            assert reversed_ds.derivatives.tobytes() == (-ds.derivatives[:, ::-1]).tobytes()
+        for kind in ("mfhd", "mbd", "ltr", "spatial", "ksd"):
+            spec = DepthSpec(kind=kind, use_derivatives=primed, rng_seed=13)
+            r1 = depth_ranks(ds, spec)
+            r2 = depth_ranks(reversed_ds, spec)
             np.testing.assert_array_equal(r1.ranks, r2.ranks, err_msg=kind)
 
     @pytest.mark.xfail(strict=True, reason=(

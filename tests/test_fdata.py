@@ -17,10 +17,10 @@ from fkwc import (
     differentiate,
     fkwc_test,
     load_csv,
-    ltr_rank_scores,
     save_csv,
     steel_mc,
 )
+from fkwc.depths import depth_sort_keys
 
 
 def curve_arrays(m=11, n=1):
@@ -103,7 +103,7 @@ def ltr_norms(curves, grid):
     """Root of the squared L2 norms that ``ltr`` ranks."""
     curves = np.atleast_2d(curves)
     ds = FunctionalDataset(grid, curves, np.ones(curves.shape[0], dtype=int))
-    return np.sqrt(ltr_rank_scores(ds))
+    return np.sqrt(-depth_sort_keys(ds, DepthSpec(kind="ltr")))
 
 
 class TestNorm:
@@ -159,6 +159,22 @@ class TestDataset:
         with pytest.raises(DataError):
             FunctionalDataset(grid21, np.zeros((2, grid21.m)), [0, 1])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("labels", [[1.0, np.inf], [1.0, np.nan], [1.0, 2.5], ["a", "b"]],
+                             ids=["inf", "nan", "fraction", "text"])
+    def test_non_integer_labels_rejected(self, grid21, labels):
+        # +-inf must be refused before the integer cast, which warns and wraps it
+        with pytest.raises(DataError, match="group labels must be integers"):
+            FunctionalDataset(grid21, np.zeros((2, grid21.m)), labels)
+
+    @pytest.mark.parametrize("labels", [[1.0, 2.0], ["1", "2"], np.array([1, 2], dtype=np.uint8),
+                                        np.array([True, True])],
+                             ids=["float", "text", "uint8", "bool"])
+    def test_integral_labels_read_as_integers(self, grid21, labels):
+        ds = FunctionalDataset(grid21, np.zeros((2, grid21.m)), labels)
+        np.testing.assert_array_equal(ds.groups, np.asarray(labels, dtype=float).astype(int))
+        assert ds.groups.dtype == int
+
     def test_no_curves_rejected(self, grid21):
         with pytest.raises(DataError):
             FunctionalDataset(grid21, np.zeros((0, grid21.m)), [])
@@ -204,7 +220,7 @@ class TestDerivativeChannel:
             spec = DepthSpec(kind=kind)
             fkwc_test(ds, TestConfig(depth_spec=spec))
             steel_mc(ds, spec)
-        ltr_rank_scores(ds)
+        depth_sort_keys(ds, DepthSpec(kind="ltr"))
         assert calls == []
         first = ds.derivatives
         assert ds.derivatives is first

@@ -1,6 +1,7 @@
 """Each fkwc module imports on its own, so module-level imports form no cycle;
-the names the benchmark traces exist; only fdata computes derivatives, and
-no fkwc module imports scipy.stats."""
+the names the benchmark traces exist; only fdata computes derivatives, only
+depths._channels reads a dataset's channels in depths.py, and no fkwc module
+imports scipy.stats."""
 
 import ast
 import importlib
@@ -73,6 +74,18 @@ def test_derivatives_computed_only_in_fdata():
             if name == "differentiate":
                 callers.append(path.name)
     assert callers and set(callers) == {"fdata.py"}, callers
+
+
+def test_channels_read_only_in_depths_channels():
+    """In depths.py only ``_channels`` reads a dataset's ``.curves`` or
+    ``.derivatives``: every kernel, and the ``ltr`` sort keys, take the
+    channels from it."""
+    readers = set()
+    for top in ast.parse((SRC / "fkwc" / "depths.py").read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in ("curves", "derivatives"):
+                readers.add(getattr(top, "name", f"line {top.lineno}"))
+    assert readers == {"_channels"}, readers
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -328,6 +328,43 @@ class TestRunStudy:
         r2 = run_study(spec, n_jobs=2)
         np.testing.assert_array_equal(r1.rejection_rates, r2.rejection_rates)
 
+    @pytest.mark.parametrize("reps, n_jobs, cpus, workers", [
+        (30, 5000, 64, 4),  # one worker per chunk of 8 replicates
+        (30, 5000, 2, 2),   # one per usable CPU
+        (30, 3, 64, 3),     # no more than asked for
+        (8, 5000, 64, None),  # one chunk: no pool at all
+    ])
+    def test_worker_count_capped(self, reps, n_jobs, cpus, workers, grid21, monkeypatch):
+        started = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records its size, maps serially."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(sim_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sim_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        spec = self._small_spec(grid21, reps=reps)
+        got = run_study(spec, n_jobs=n_jobs)
+        assert started == ([] if workers is None else [workers])
+        want = run_study(spec, n_jobs=1)
+        np.testing.assert_array_equal(got.rejection_rates, want.rejection_rates)
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_n_jobs_below_one_refused(self, n_jobs, grid21):
+        with pytest.raises(ParameterError, match="n_jobs"):
+            run_study(self._small_spec(grid21, reps=2), n_jobs=n_jobs)
+
     def test_null_size_within_binomial_bounds(self, grid21):
         spec = self._small_spec(grid21, reps=200)
         res = run_study(spec)

@@ -142,8 +142,9 @@ class TestKwStatistic:
         with pytest.raises(ParameterError, match="group label"):
             RANK_STATISTICS[kind](np.array([1, 2, 3]), [1, 2, -1])
 
-    @pytest.mark.parametrize("labels", [[1, 1.5, 2, 2], [1, 1, 2, np.nan], [1, np.inf, 2, 2]],
-                             ids=["fraction", "nan", "inf"])
+    @pytest.mark.parametrize("labels", [[1, 1.5, 2, 2], [1, 1, 2, np.nan], [1, np.inf, 2, 2],
+                                        ["a", "a", "b", "b"]],
+                             ids=["fraction", "nan", "inf", "text"])
     @pytest.mark.parametrize("kind", RANK_STATISTICS)
     def test_rejects_non_integer_label(self, kind, labels):
         # 1.5 was once truncated to 1: W of labels [1, 1, 2, 2]
@@ -457,13 +458,11 @@ class TestAdjustments:
 
 class TestSteelMc:
     def test_two_groups_single_pair(self, two_group_dataset):
-        from fkwc import ltr_rank_scores
-
         res = steel_mc(two_group_dataset, DepthSpec(kind="ltr", rng_seed=2))
         assert res.num_comparisons == 1
         assert res.pairwise_adjusted_p[0, 1] == res.pairwise_raw_p[0, 1]
         # raw p equals a direct rank-sum on the depth ordering keys
-        keys = -ltr_rank_scores(two_group_dataset)
+        keys = depth_sort_keys(two_group_dataset, DepthSpec(kind="ltr"))
         direct = wilcoxon_rank_sum(
             keys[two_group_dataset.groups == 1], keys[two_group_dataset.groups == 2]
         )
