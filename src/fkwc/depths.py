@@ -146,15 +146,26 @@ def _channels(ds: FunctionalDataset, use_derivatives: bool, queries):
 def _channel_depth(ds, spec, queries, channel_fn, *args) -> DepthVector:
     """``channel_fn(sample, queries, w, *args)`` on the curves; primed, the
     average w0 * (curve depth) + w1 * (derivative depth) with the spec's
-    channel weights."""
+    channel weights.
+
+    Without ``queries`` each channel's values are kept on the dataset, keyed
+    by (channel_fn, channel index, args), so a primed spec reads the curve
+    channel its plain spec computed: the same array, so the same bits.
+    """
     chans = _channels(ds, spec.use_derivatives, queries)
     w = ds.grid.trapezoid_weights
-    vals = channel_fn(*chans[0], w, *args)
+    cache = ds._channel_depths if queries is None else {}
+    vals = []
+    for c, chan in enumerate(chans):
+        key = (channel_fn, c, args)
+        if key not in cache:
+            cache[key] = channel_fn(*chan, w, *args)
+            cache[key].setflags(write=False)
+        vals.append(cache[key])
     if spec.use_derivatives:
         w0, w1 = spec.channel_weights
-        vals = w0 * vals
-        vals += w1 * channel_fn(*chans[1], w, *args)
-    return DepthVector(vals, spec)
+        return DepthVector(w0 * vals[0] + w1 * vals[1], spec)
+    return DepthVector(vals[0], spec)
 
 
 def _strict_counts(sample, qs):
@@ -278,8 +289,9 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
 # ---------------------------------------------------------------------------
 
 # queries x points per block of halfspace_depth_2d.  Its temporaries peak at
-# about 120 bytes a cell (2 MB a block); blocks of 65,536 cells ran about
-# 1.7x slower per cell at n = 200 and 400.  A 100 x 100 slice is one block.
+# about 50 bytes a cell, 75 with the key buffer (1.2 MB a block); blocks of
+# 32,768 and 65,536 cells ran 1.2-1.4x slower per cell at n = 200 and 400,
+# and of 4,096 no faster.  A 100 x 100 slice is one block.
 _HALFSPACE_BLOCK_CELLS = 1 << 14
 
 
@@ -343,25 +355,25 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
 
 
 def _halfspace_block(pts: np.ndarray, qs: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Depths of the q queries ``qs`` (2, q) against the points ``pts``
-    (2, n); the first q rows of ``buf``, (rows >= q, 3 n) floats, hold the
-    keys."""
+    """Depths of the queries ``qs`` (2, q) against ``pts`` (2, n), keyed in ``buf[:q]``."""
     dx, dy = pts[:, None, :] - qs[:, :, None]
     q, n = dx.shape
     coincident = (dx == 0.0) & (dy == 0.0)
-    a = np.arctan2(dy, dx)
+    a = np.arctan2(dy, dx, out=dx)
     a[coincident] = np.inf  # no angle: sorts after the K real ones
     a.sort(axis=1)
-    # s is written where the keys are sorted below, so Z is taken first
+    # Z_j - (j + 1), taken first, as the keys overwrite s: K, plus, on rows
+    # where some s tie, the distance from s_j to the end of its run of ties
     keys = buf[:q]
     s = np.add(a, 2.0 * np.pi, out=keys[:, n:2 * n])
     counts = np.arange(1, n + 1)
-    # Z_j = K + #{s <= s_j}, carried back from the end of s_j's run of ties
-    run_end = np.empty((q, n), dtype=bool)
+    run_end = np.ones((q, n), dtype=bool)
     np.not_equal(s[:, 1:], s[:, :-1], out=run_end[:, :-1])
-    run_end[:, -1] = True
-    z = np.minimum.accumulate(np.where(run_end, counts, n)[:, ::-1], axis=1)[:, ::-1]
-    z += n - np.count_nonzero(coincident, axis=1)[:, None]
+    z = np.repeat(n - np.count_nonzero(coincident, axis=1), n).reshape(q, n)
+    tied = ~run_end.all(axis=1)
+    if tied.any():
+        ends = np.minimum.accumulate(np.where(run_end[tied], counts, n)[:, ::-1], axis=1)
+        z[tied] += ends[:, ::-1] - counts
     # X: a clipped at 0 stays below every p; the shift drops the sign bit,
     # so a -0.0 keys as 0, and tag 1 marks the p
     np.maximum(a, 0.0, out=keys[:, :n])
@@ -370,19 +382,19 @@ def _halfspace_block(pts: np.ndarray, qs: np.ndarray, buf: np.ndarray) -> np.nda
     bits <<= np.uint64(1)
     bits[:, 2 * n:] |= np.uint64(1)
     bits.sort(axis=1)
-    bits &= np.uint64(1)
-    # flatnonzero of a bool array: about 4x faster than of the uint64 one
-    tagged = np.flatnonzero(bits.astype(bool)).reshape(q, n)
-    x = tagged - (3 * n * np.arange(q)[:, None] + np.arange(n))
+    # the tags from the low bytes, as bools: flatnonzero is ~4x faster on those
+    x = np.flatnonzero((bits.astype(np.uint8) & 1).view(bool)).reshape(q, n)
+    x -= 3 * n * np.arange(q)[:, None] + 2 * counts - 1  # X_j - (j + 1)
+    z -= x  # Z_j - X_j
     # ties of a_j share X_j, so X_j - Y_j peaks at the end of their run,
     # where Y_j = j + 1; the +inf padding ends no run
     np.not_equal(a[:, 1:], a[:, :-1], out=run_end[:, :-1])
     run_end[:, -1] = a[:, -1] < np.inf
-    first = np.where(run_end, x - counts, 0)
+    x *= run_end
     # s_i = pi exactly when a_i = -pi, and then s_i <= a_j for a_j = pi
     if (a[:, 0] == -np.pi).any():
-        first -= (a == np.pi) * np.count_nonzero(a == -np.pi, axis=1)[:, None]
-    return (n - np.maximum(first, z - x).max(axis=1)) / n
+        x -= (a == np.pi) * np.count_nonzero(a == -np.pi, axis=1)[:, None]
+    return (n - np.maximum(x, z, out=z).max(axis=1)) / n
 
 
 def mfhd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:

@@ -69,12 +69,13 @@ def integer_labels(groups, error=DataError) -> np.ndarray:
     """``groups`` as an integer array: integer arrays as they are, other
     values whose float form is an integer within int64 range as that
     integer (``True`` as 1, ``"2"`` as 2).  Anything else, NaN, +-inf,
-    2.5 or ``"a"`` among them, raises ``error``."""
+    2.5, ``"a"`` or a complex value among them, raises ``error``."""
     try:
         groups = np.asarray(groups)
         if np.issubdtype(groups.dtype, np.integer):
             return groups
-        flo = groups.astype(float)
+        # the cast to float would drop an imaginary part
+        flo = None if np.iscomplexobj(groups) else groups.astype(float)
     except (TypeError, ValueError):
         flo = None
     # NaN and +-inf fail the range test, which keeps the cast exact
@@ -149,6 +150,12 @@ class FunctionalDataset:
             deriv = _as_curves(differentiate(self.curves, self.grid), self.grid, "derivative")
         deriv.setflags(write=False)
         return deriv
+
+    @cached_property
+    def _channel_depths(self) -> dict:
+        """Read-only depth N-vectors of this dataset's own channels, kept by
+        ``depths._channel_depth`` for as long as the dataset lives."""
+        return {}
 
     @property
     def n_curves(self) -> int:

@@ -780,6 +780,94 @@ class TestDerivativeChannel:
         assert mc.pairwise_adjusted_p.tobytes() == mc_filled.pairwise_adjusted_p.tobytes()
 
 
+CHANNEL_FUNCTIONS = {"mbd": "_mbd_channel", "spatial": "_spatial_channel", "ksd": "_ksd_channel"}
+
+
+def _cache_dataset():
+    curves = np.random.default_rng(47).normal(size=(14, 21)).cumsum(axis=1)
+    return make_ds(curves, groups=[1] * 7 + [2] * 7)
+
+
+def _count_channel(monkeypatch, kind):
+    """Record the sample array and the options of each call of ``kind``'s
+    channel function."""
+    calls = []
+    original = getattr(fkwc.depths, CHANNEL_FUNCTIONS[kind])
+
+    def counting(sample, qs, w, *args):
+        calls.append((sample, args))
+        return original(sample, qs, w, *args)
+
+    monkeypatch.setattr(fkwc.depths, CHANNEL_FUNCTIONS[kind], counting)
+    return calls
+
+
+class TestChannelCache:
+    """In-sample ``mbd``, ``spatial`` and ``ksd`` keep each channel's values
+    on the dataset, so a plain and a primed spec compute their shared curve
+    channel once, with the bits of a fresh evaluation."""
+
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_FUNCTIONS))
+    @pytest.mark.parametrize("order", [(False, True), (True, False)],
+                             ids=["plain-first", "primed-first"])
+    def test_same_bits_as_a_fresh_dataset(self, kind, order):
+        ds = _cache_dataset()
+        for primed in order:
+            spec = DepthSpec(kind=kind, use_derivatives=primed)
+            fresh = compute_depth(_cache_dataset(), spec).values
+            assert compute_depth(ds, spec).values.tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_FUNCTIONS))
+    def test_each_channel_computed_once(self, kind, monkeypatch):
+        calls = _count_channel(monkeypatch, kind)
+        ds = _cache_dataset()
+        for primed in (False, True, False, True):
+            compute_depth(ds, DepthSpec(kind=kind, use_derivatives=primed))
+        depth_ranks(ds, DepthSpec(kind=kind, use_derivatives=True, rng_seed=9))
+        assert [(sample is ds.curves, sample is ds.derivatives) for sample, _ in calls] == [
+            (True, False), (False, True)]
+
+    @pytest.mark.parametrize("kind, option, values", [
+        ("mbd", "band_order", [2, 3, 2, 3]),
+        ("ksd", "kernel_bandwidth", [MEDIAN_HEURISTIC, 2.0, 0.5, 2.0, MEDIAN_HEURISTIC]),
+    ])
+    def test_computed_again_for_other_options(self, kind, option, values, monkeypatch):
+        calls = _count_channel(monkeypatch, kind)
+        ds = _cache_dataset()
+        got = {}
+        for value in values:
+            vals = compute_depth(ds, DepthSpec(kind=kind, **{option: value})).values
+            got.setdefault(value, vals.tobytes())
+            assert vals.tobytes() == got[value]
+        assert [args for _, args in calls] == [(v,) for v in dict.fromkeys(values)]
+
+    @pytest.mark.parametrize("kind", sorted(CHANNEL_FUNCTIONS))
+    @pytest.mark.parametrize("as_dataset", [True, False], ids=["dataset", "array"])
+    def test_queries_neither_read_nor_fill(self, kind, as_dataset, monkeypatch):
+        calls = _count_channel(monkeypatch, kind)
+        ds = _cache_dataset()
+        curves = ds.curves[:5].copy()
+        queries = make_ds(curves, grid=ds.grid) if as_dataset else curves
+        spec = DepthSpec(kind=kind, use_derivatives=True)
+        compute_depth(ds, spec, queries=queries)
+        assert len(calls) == 2 and not ds.__dict__.get("_channel_depths")
+        compute_depth(ds, spec)
+        assert len(calls) == 4
+        compute_depth(ds, spec, queries=queries)
+        assert len(calls) == 6
+
+    def test_cached_values_read_only(self):
+        ds = _cache_dataset()
+        for kind in CHANNEL_FUNCTIONS:
+            compute_depth(ds, DepthSpec(kind=kind, use_derivatives=True))
+        cached = list(ds._channel_depths.values())
+        assert len(cached) == 6
+        for vals in cached:
+            assert vals.shape == (ds.n_curves,) and not vals.flags.writeable
+            with pytest.raises(ValueError):
+                vals[0] = 0.0
+
+
 class TestErrors:
     def test_query_grid_mismatch(self, grid21, grid101, two_group_dataset):
         other = make_ds(np.zeros((2, grid21.m)), groups=[1, 2], grid=grid21)

@@ -167,6 +167,11 @@ class TestDataset:
         with pytest.raises(DataError, match="group labels must be integers"):
             FunctionalDataset(grid21, np.zeros((2, grid21.m)), labels)
 
+    def test_complex_labels_rejected(self):
+        # the cast to float once dropped the imaginary parts, giving groups [1, 2]
+        with pytest.raises(DataError, match="group labels must be integers"):
+            FunctionalDataset(Grid(5), np.zeros((2, 5)), [1 + 1j, 2 + 5j])
+
     @pytest.mark.parametrize("labels", [[1.0, 2.0], ["1", "2"], np.array([1, 2], dtype=np.uint8),
                                         np.array([True, True])],
                              ids=["float", "text", "uint8", "bool"])

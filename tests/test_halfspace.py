@@ -246,6 +246,21 @@ class TestBatchedKernel:
             assert got[t].tobytes() == halfspace_depth_2d(pts[t], qs[t]).tobytes()
         assert np.array_equal(got, stacked_sweep_reference(pts, qs))
 
+    def test_tied_s_in_some_rows(self):
+        # about the origin, four angles of the middle slice differ but
+        # s = a + 2 pi rounds them to one float, and (-1, 0), at angle pi,
+        # lies between their p = a + pi, so the depth there needs Z_j from
+        # the end of the run of ties; no other query row has tied s
+        rng = np.random.default_rng(4)
+        pts = rng.normal(size=(3, 12, 2))
+        pts[1, :5] = [[1.0, 1e-17], [1.0, 2e-17], [1.0, -3e-17], [1.0, -4e-16], [-1.0, 0.0]]
+        qs = np.concatenate([pts, np.zeros((3, 1, 2))], axis=1)
+        a = np.arctan2(pts[1, :4, 1], pts[1, :4, 0])
+        assert np.unique(a).size == 4 and np.unique(a + 2.0 * np.pi).size == 1
+        assert np.unique(a + np.pi).size == 2
+        got = halfspace_depth_2d(pts, qs)
+        assert got.tobytes() == stacked_sweep_reference(pts, qs).tobytes()
+
     def test_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(11)
         pts = rng.standard_t(1, size=(60, 2))

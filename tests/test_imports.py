@@ -1,6 +1,7 @@
 """Each fkwc module imports on its own, so module-level imports form no cycle;
 the names the benchmark traces exist; only fdata computes derivatives, only
-depths._channels reads a dataset's channels in depths.py, and no fkwc module
+depths._channels reads a dataset's channels in depths.py, only
+depths._channel_depth runs the cached channel functions, and no fkwc module
 imports scipy.stats."""
 
 import ast
@@ -86,6 +87,23 @@ def test_channels_read_only_in_depths_channels():
             if isinstance(node, ast.Attribute) and node.attr in ("curves", "derivatives"):
                 readers.add(getattr(top, "name", f"line {top.lineno}"))
     assert readers == {"_channels"}, readers
+
+
+def test_channel_functions_only_passed_to_channel_depth():
+    """depths.py never calls ``_mbd_channel``, ``_spatial_channel`` or
+    ``_ksd_channel`` itself: each is handed to ``_channel_depth``, so no
+    kernel skips its per-dataset cache."""
+    names = {"_mbd_channel", "_spatial_channel", "_ksd_channel"}
+    called, passed = [], set()
+    for node in ast.walk(ast.parse((SRC / "fkwc" / "depths.py").read_text())):
+        if isinstance(node, ast.Call):
+            func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if func in names:
+                called.append(f"{func} at line {node.lineno}")
+            if func == "_channel_depth":
+                passed |= {a.id for a in node.args if isinstance(a, ast.Name)} & names
+    assert not called, called
+    assert passed == names, passed
 
 
 def test_import_leaves_scipy_stats_unloaded():

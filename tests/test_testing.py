@@ -143,11 +143,11 @@ class TestKwStatistic:
             RANK_STATISTICS[kind](np.array([1, 2, 3]), [1, 2, -1])
 
     @pytest.mark.parametrize("labels", [[1, 1.5, 2, 2], [1, 1, 2, np.nan], [1, np.inf, 2, 2],
-                                        ["a", "a", "b", "b"]],
-                             ids=["fraction", "nan", "inf", "text"])
+                                        ["a", "a", "b", "b"], [1 + 3j, 1, 2, 2]],
+                             ids=["fraction", "nan", "inf", "text", "complex"])
     @pytest.mark.parametrize("kind", RANK_STATISTICS)
     def test_rejects_non_integer_label(self, kind, labels):
-        # 1.5 was once truncated to 1: W of labels [1, 1, 2, 2]
+        # 1.5 was once truncated to 1, and 1 + 3j to 1: W of labels [1, 1, 2, 2]
         with pytest.raises(ParameterError, match="must be integers"):
             RANK_STATISTICS[kind](np.array([1, 2, 3, 4]), labels)
 
