@@ -68,6 +68,7 @@ from .sim import (
     StudySpec,
     fourier_basis,
     generate,
+    generate_blocks,
     run_study,
     save_study_csv,
     scenario_eigenvalues,

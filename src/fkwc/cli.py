@@ -43,7 +43,14 @@ from .power import (
     power_from_pairwise,
     required_sample_size,
 )
-from .sim import ProcessModel, StudySpec, generate, run_study, save_study_csv, scenario_models
+from .sim import (
+    ProcessModel,
+    StudySpec,
+    generate_blocks,
+    run_study,
+    save_study_csv,
+    scenario_models,
+)
 from .testing import TestConfig, fkwc_test, steel_mc
 
 EXIT_OK = 0
@@ -289,6 +296,23 @@ def _boolean(value) -> bool:
 _NEEDS = {_integer: "an integer", _boolean: "true or false"}
 
 
+def _count(node, key, default, low, high=None) -> int:
+    """The integer ``node[key]`` (``default`` when absent); a value below
+    ``low`` or above ``high`` is a parameter error naming the key."""
+    value = _read(node, key, _integer, default)
+    if value < low or (high is not None and value > high):
+        bounds = f"at least {low}" if high is None else f"from {low} to {high:,}"
+        raise ParameterError(
+            f"{key} must be an integer {bounds}; spec key {key!r} has the value {value!r}"
+        )
+    return value
+
+
+# most model-density draws: their squared norms and np.percentile's sorted
+# copy of them take 16 bytes a draw, 160 MB at this bound
+_MAX_DRAWS = 10_000_000
+
+
 def _density_from_json(node) -> SupportDensity:
     kind = _read(node, "kind", default=None)
     if kind == "exponential":
@@ -327,12 +351,16 @@ def _density_from_json(node) -> SupportDensity:
     if kind == "model":
         # base squared-norm law estimated from Monte Carlo draws of a
         # generative model
-        grid = Grid.regular(_read(node, "grid_points", _integer, 101))
+        grid = Grid.regular(_count(node, "grid_points", 101, 3))
         model = _model_from_json(node, grid)
-        draws = _read(node, "draws", _integer, 20_000)
+        draws = _count(node, "draws", 20_000, 1, _MAX_DRAWS)
         seed = _read(node, "seed", _integer, 0)
-        x = generate(model, draws, seed)
-        sq_norms = (x * x) @ grid.trapezoid_weights
+        # one block of curves at a time, reduced to its squared norms
+        sq_norms = np.empty(draws)
+        start = 0
+        for x in generate_blocks(model, draws, seed):
+            sq_norms[start:start + len(x)] = (x * x) @ grid.trapezoid_weights
+            start += len(x)
         return density_from_samples(sq_norms)
     raise ParameterError(f"unknown density kind {kind!r}")
 
@@ -405,7 +433,7 @@ def _model_from_json(node, grid: Grid) -> ProcessModel:
 
 
 def _study_from_json(spec: dict) -> StudySpec:
-    grid = Grid.regular(_read(spec, "grid_points", _integer, 101))
+    grid = Grid.regular(_count(spec, "grid_points", 101, 3))
     if "scenario" in spec:
         models = scenario_models(_read(spec, "scenario", _integer), grid)
         sizes = _read(spec, "sizes", lambda v: tuple(map(_integer, v)), (100, 100))

@@ -1,15 +1,20 @@
 """Generative process models and replicated size/power studies.
 
-``generate`` is the one way to draw curves from a ``ProcessModel``.  Three
-families share a squared-exponential kernel, which a model factors once, at
-its first draw; the fourth is an explicit eigenvalue expansion in an
-orthonormal Fourier basis (constant first, then sine/cosine pairs).
+``generate`` is the one way to draw curves from a ``ProcessModel``;
+``generate_blocks`` yields the same rows, byte for byte, in blocks of 1,024
+to 2,047 rows, so a caller that reduces each block holds one block and not
+all n curves.  Both run one per-family body, ``generate`` as its one-block
+case.  Three families share a squared-exponential kernel, which a model
+factors once, at its first draw; the fourth is an explicit eigenvalue
+expansion in an orthonormal Fourier basis (constant first, then sine/cosine
+pairs).
 Replicated studies derive every random stream from (base seed, replicate,
 role) so results are bit-identical regardless of worker count.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
@@ -118,28 +123,70 @@ def generate(model: ProcessModel, n: int, seed) -> np.ndarray:
     orthonormal Fourier basis."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    rng = np.random.default_rng(seed)
+    return next(_draw_blocks(model, (n,), np.random.default_rng(seed)))
+
+
+# rows per block of generate_blocks
+_BLOCK_ROWS = 1024
+
+
+def generate_blocks(model: ProcessModel, n: int, seed):
+    """The rows of ``generate(model, n, seed)``, byte for byte, as an
+    iterator of blocks of 1,024 rows; a short last block joins the one
+    before it, so each block has 1,024 to 2,047 rows, or n rows when
+    n <= 1,024.  A ``Generator`` passed as ``seed`` ends where ``generate``
+    leaves it once the iterator is exhausted."""
+    if n < 1:
+        raise ParameterError("n must be >= 1")
+    if n <= _BLOCK_ROWS:
+        rows = (n,)
+    else:
+        rows = (_BLOCK_ROWS,) * (n // _BLOCK_ROWS - 1) + (_BLOCK_ROWS + n % _BLOCK_ROWS,)
+    return _draw_blocks(model, rows, np.random.default_rng(seed))
+
+
+def _draw_blocks(model: ProcessModel, rows: tuple, rng):
+    """Blocks of rows[0], rows[1], ... curves, the rows of one ``generate``
+    call of sum(rows) curves, which reads all its normals first and then
+    t1's chi-square scales or skew_gaussian's second normal stream."""
     if model.family == "eigen":
         lams = np.asarray(model.eigenvalues, dtype=float)
-        xi = rng.standard_normal((n, lams.size))
-        return (xi * np.sqrt(lams)) @ fourier_basis(model.grid, lams.size)
+        basis = fourier_basis(model.grid, lams.size)
+        for r in rows:
+            yield (rng.standard_normal((r, lams.size)) * np.sqrt(lams)) @ basis
+        return
+    m = model.grid.m
     # the factor exactly as np.linalg.cholesky returns it: a contiguous copy
     # of its transpose may take another BLAS path and change the last digits
     chol = model.kernel_factor
-    z = rng.standard_normal((n, model.grid.m)) @ chol.T
-    if model.family == "gaussian":
-        return z
-    if model.family == "t1":
-        wdiv = rng.chisquare(1.0, size=n)
-        for i in np.flatnonzero(wdiv < 1e-300):
-            while wdiv[i] < 1e-300:
-                wdiv[i] = rng.chisquare(1.0)
-        return z / np.sqrt(wdiv)[:, None]
-    a = model.skew_shape
-    delta = a / np.sqrt(1.0 + a * a)
-    z2 = rng.standard_normal((n, model.grid.m)) @ chol.T
-    x = delta * np.abs(z) + np.sqrt(1.0 - delta * delta) * z2
-    return x - delta * np.sqrt(2.0 * model.beta / np.pi)
+    normals = rng
+    if len(rows) > 1 and model.family != "gaussian":
+        # the later draws follow all the normals: replay the normals from a
+        # copy while the caller's generator moves on past them
+        normals = copy.deepcopy(rng)
+        for r in rows:
+            rng.standard_normal((r, m))
+    start = 0
+    for r in rows:
+        z = normals.standard_normal((r, m)) @ chol.T
+        if model.family == "gaussian":
+            yield z
+        elif model.family == "t1":
+            if start == 0:
+                # after the first block's normals, which in one block are
+                # read from rng itself
+                wdiv = rng.chisquare(1.0, size=sum(rows))
+                for i in np.flatnonzero(wdiv < 1e-300):
+                    while wdiv[i] < 1e-300:
+                        wdiv[i] = rng.chisquare(1.0)
+            yield z / np.sqrt(wdiv[start:start + r])[:, None]
+        else:
+            a = model.skew_shape
+            delta = a / np.sqrt(1.0 + a * a)
+            z2 = rng.standard_normal((r, m)) @ chol.T
+            x = delta * np.abs(z) + np.sqrt(1.0 - delta * delta) * z2
+            yield x - delta * np.sqrt(2.0 * model.beta / np.pi)
+        start += r
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -338,6 +339,44 @@ class TestCmdPower:
         payload = json.loads(capsys.readouterr().out)
         assert payload["tau"] == pytest.approx(13.5095, rel=0.10)
 
+    # tau and predicted power as recorded before the model density streamed
+    # its draws in row blocks; 2,049 draws are two blocks, the second with
+    # the merged 1-row tail
+    @pytest.mark.parametrize("family, extra, deltas, draws, tau, power", [
+        ("gaussian", {}, [0.0, 0.3], 20000, "0x1.f769361d39f60p-4", "0x1.06f12e0476ae9p-4"),
+        ("gaussian", {}, [0.0, 0.3], 2049, "0x1.d20c6efbc7e00p-4", "0x1.029870850f357p-4"),
+        ("eigen", {"eigenvalues": [1, 1, 1, 1, 1]}, [0.0, 5.0], 20000,
+         "0x1.b27ab897e1583p+3", "0x1.ea5a09beed518p-1"),
+        ("eigen", {"eigenvalues": [1, 1, 1, 1, 1]}, [0.0, 5.0], 2049,
+         "0x1.c09bd74758e3bp+3", "0x1.ecf511e7a35c6p-1"),
+        ("skew_gaussian", {}, [0.0, 0.3], 20000,
+         "0x1.11c253ecfecccp-3", "0x1.0c1460301f9adp-4"),
+        ("skew_gaussian", {}, [0.0, 0.3], 2049,
+         "0x1.00b89c4595446p-3", "0x1.081c250a79ebbp-4"),
+    ])
+    def test_model_density_outputs_pinned(self, family, extra, deltas, draws, tau, power,
+                                          tmp_path, capsys):
+        spec = {"deltas": deltas, "thetas": [0.5, 0.5],
+                "density": dict(kind="model", family=family, draws=draws, seed=3, **extra)}
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(spec))
+        assert main(["power", "--spec", str(path)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["tau"].hex() == tau
+        assert payload["predicted_power"].hex() == power
+
+    def test_model_density_memory_flat_in_draws(self):
+        # one block of curves plus 8 bytes a draw; drawn in one piece,
+        # 100,000 draws at m = 101 held two 81 MB arrays
+        tracemalloc.start()
+        try:
+            _density_from_json({"kind": "model", "family": "gaussian", "draws": 100_000,
+                                "seed": 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+
     def test_heavy_tailed_model_density_is_numerical_error(self, tmp_path, capsys):
         # t1 squared norms span so many Freedman-Diaconis bin widths that the
         # histogram would need far more than 10^6 bins
@@ -509,9 +548,18 @@ class TestMalformedSpecs:
         ("simulate", {"groups": [1, 2]}, 1),
         ("power", [1, 2], [1, 2]),
         ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5], "density": [1]}, [1]),
+        # out of range counts, refused before anything is drawn
+        ("simulate", dict(STUDY, grid_points=2), "grid_points"),
+        ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
+                   "density": {"kind": "model", "grid_points": 2}}, "grid_points"),
+        ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
+                   "density": {"kind": "model", "draws": 100_000_000_000}}, "draws"),
+        ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
+                   "density": {"kind": "model", "draws": 0}}, "draws"),
     ], ids=["projections", "replications", "size", "thetas", "df", "N", "bandwidth",
             "percentile_r-text", "percentile_r-range", "depth-node", "group-node",
-            "power-node", "density-node"])
+            "power-node", "density-node", "grid_points-simulate", "grid_points-model",
+            "draws-huge", "draws-zero"])
     def test_exit_parameter(self, command, spec, key, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))

@@ -1,8 +1,9 @@
 """Each fkwc module imports on its own, so module-level imports form no cycle;
 the names the benchmark traces exist; only fdata computes derivatives, only
 depths._channels reads a dataset's channels in depths.py, only
-depths._channel_depth runs the cached channel functions, and no fkwc module
-imports scipy.stats."""
+depths._channel_depth runs the cached channel functions, only sim.py draws the
+process families' normals and chi-square scales, and no fkwc module imports
+scipy.stats."""
 
 import ast
 import importlib
@@ -104,6 +105,22 @@ def test_channel_functions_only_passed_to_channel_depth():
                 passed |= {a.id for a in node.args if isinstance(a, ast.Name)} & names
     assert not called, called
     assert passed == names, passed
+
+
+def test_family_draws_only_in_sim():
+    """Of the modules, only sim.py calls ``standard_normal`` or
+    ``chisquare`` to draw curves, so each family's draws are written once;
+    the one other caller, depths._rp_directions, draws white noise for
+    projection directions."""
+    callers = set()
+    for path in sorted((SRC / "fkwc").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if getattr(func, "attr", None) in ("standard_normal", "chisquare"):
+                    callers.add(path.name if path.name == "sim.py"
+                                else f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert callers == {"sim.py", "depths._rp_directions"}, callers
 
 
 def test_import_leaves_scipy_stats_unloaded():

@@ -15,6 +15,7 @@ from fkwc import (
     StudySpec,
     fourier_basis,
     generate,
+    generate_blocks,
     run_study,
     save_study_csv,
     scenario_eigenvalues,
@@ -122,6 +123,43 @@ class TestGenerate:
         assert not factor.flags.writeable
         with pytest.raises(ValueError):
             factor[0, 0] = 1.0
+
+
+# one block, its edges, a merged 1-row tail (1,025 and 2,049) and many blocks
+BLOCK_NS = (1, 1023, 1024, 1025, 2049, 10001, 20000)
+
+
+class TestGenerateBlocks:
+    """``generate_blocks`` yields the rows of ``generate`` byte for byte:
+    the BLAS products of its blocks give the same bits as the one product
+    of ``generate``, which these cases check rather than assume."""
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_of_generate_byte_for_byte(self, family, n, grid101):
+        model = _model(family, grid101)
+        for seed in (0, 123456789):
+            blocks = list(generate_blocks(model, n, seed))
+            assert np.concatenate(blocks).tobytes() == generate(model, n, seed).tobytes()
+            sizes = [len(b) for b in blocks]
+            assert sum(sizes) == n
+            if n <= 1024:
+                assert sizes == [n]
+            else:
+                assert all(1024 <= s <= 2047 for s in sizes), sizes
+
+    @pytest.mark.parametrize("n", BLOCK_NS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_passed_generator_ends_where_generate_leaves_it(self, family, n, grid101):
+        model = _model(family, grid101)
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        got = np.concatenate(list(generate_blocks(model, n, rng)))
+        assert got.tobytes() == generate(model, n, ref).tobytes()
+        assert rng.standard_normal() == ref.standard_normal()
+
+    def test_count_below_one_refused_at_the_call(self, grid21):
+        with pytest.raises(ParameterError):
+            generate_blocks(_model("gaussian", grid21), 0, 0)
 
 
 class TestKernel:
