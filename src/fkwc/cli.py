@@ -259,7 +259,7 @@ def _read(node, key, cast=None, default=_REQUIRED):
         return cast(value)
     except (TypeError, ValueError):
         raise ParameterError(
-            f"{key} must be {_NEEDS.get(cast, 'a well-formed value')}; "
+            f"{key} must be {getattr(cast, 'needs', 'a well-formed value')}; "
             f"spec key {key!r} has the value {value!r}"
         ) from None
 
@@ -293,24 +293,41 @@ def _boolean(value) -> bool:
 
 
 # what a cast of _read needs, for its message when it refuses a value
-_NEEDS = {_integer: "an integer", _boolean: "true or false"}
+_integer.needs = "an integer"
+_boolean.needs = "true or false"
 
 
-def _count(node, key, default, low, high=None) -> int:
-    """The integer ``node[key]`` (``default`` when absent); a value below
-    ``low`` or above ``high`` is a parameter error naming the key."""
-    value = _read(node, key, _integer, default)
-    if value < low or (high is not None and value > high):
-        bounds = f"at least {low}" if high is None else f"from {low} to {high:,}"
-        raise ParameterError(
-            f"{key} must be an integer {bounds}; spec key {key!r} has the value {value!r}"
-        )
-    return value
+class _Count:
+    """A cast of _read: an integer from ``low`` to ``high``, or with ``many``
+    a list of them as a tuple."""
+
+    def __init__(self, low, high, many=False):
+        self.low, self.high, self.many = low, high, many
+        self.needs = f"{'a list of integers' if many else 'an integer'} from {low} to {high:,}"
+
+    def __call__(self, value):
+        if self.many:
+            return tuple(map(_Count(self.low, self.high), value))
+        value = _integer(value)
+        if not self.low <= value <= self.high:
+            raise ValueError(value)
+        return value
 
 
+# Each count read from a spec or a flag has a maximum, checked before
+# anything is allocated:
 # most model-density draws: their squared norms and np.percentile's sorted
 # copy of them take 16 bytes a draw, 160 MB at this bound
 _MAX_DRAWS = 10_000_000
+# most grid points of a generated curve: a model's m x m kernel and its
+# Cholesky factor take 16 bytes a cell, 64 MB at this bound
+_MAX_GRID_POINTS = 2_001
+# most curves in one simulated group, 100x the N = 1000 the depth kernels are
+# sized for: the group's curves take 8 bytes a point, 81 MB at 101 points
+_MAX_GROUP_SIZE = 100_000
+# most rp directions: the projections and their counts take 32 bytes a curve
+# and direction, 96 MB at N = 300 and this bound
+_MAX_PROJECTIONS = 10_000
 
 
 def _density_from_json(node) -> SupportDensity:
@@ -351,15 +368,15 @@ def _density_from_json(node) -> SupportDensity:
     if kind == "model":
         # base squared-norm law estimated from Monte Carlo draws of a
         # generative model
-        grid = Grid.regular(_count(node, "grid_points", 101, 3))
+        grid = Grid.regular(_read(node, "grid_points", _Count(3, _MAX_GRID_POINTS), 101))
         model = _model_from_json(node, grid)
-        draws = _count(node, "draws", 20_000, 1, _MAX_DRAWS)
+        draws = _read(node, "draws", _Count(1, _MAX_DRAWS), 20_000)
         seed = _read(node, "seed", _integer, 0)
         # one block of curves at a time, reduced to its squared norms
         sq_norms = np.empty(draws)
         start = 0
         for x in generate_blocks(model, draws, seed):
-            sq_norms[start:start + len(x)] = (x * x) @ grid.trapezoid_weights
+            sq_norms[start:start + len(x)] = grid.integrate(x * x)
             start += len(x)
         return density_from_samples(sq_norms)
     raise ParameterError(f"unknown density kind {kind!r}")
@@ -409,7 +426,7 @@ def _bandwidth(value):
 _DEPTH_FIELDS = {
     "kind": ("kind", None),
     "primed": ("use_derivatives", _boolean),
-    "projections": ("num_projections", _integer),
+    "projections": ("num_projections", _Count(1, _MAX_PROJECTIONS)),
     "band_order": ("band_order", _integer),
     "weights": ("channel_weights", tuple),
     "bandwidth": ("kernel_bandwidth", _bandwidth),
@@ -422,6 +439,14 @@ _MODEL_FIELDS = {
     "eigenvalues": ("eigenvalues", tuple),
     "skew_shape": ("skew_shape", float),
 }
+_STUDY_FIELDS = {
+    "alpha": ("alpha", float),
+    "replications": ("replications", _integer),
+    "seed": ("seed", _integer),
+    "percentile_r": ("percentile_r", float),
+    "param_name": ("param_name", str),
+    "param_value": ("param_value", str),
+}
 
 
 def _depth_spec_from_json(node) -> DepthSpec:
@@ -433,28 +458,23 @@ def _model_from_json(node, grid: Grid) -> ProcessModel:
 
 
 def _study_from_json(spec: dict) -> StudySpec:
-    grid = Grid.regular(_count(spec, "grid_points", 101, 3))
+    grid = Grid.regular(_read(spec, "grid_points", _Count(3, _MAX_GRID_POINTS), 101))
     if "scenario" in spec:
         models = scenario_models(_read(spec, "scenario", _integer), grid)
-        sizes = _read(spec, "sizes", lambda v: tuple(map(_integer, v)), (100, 100))
+        sizes = _read(spec, "sizes", _Count(1, _MAX_GROUP_SIZE, many=True), (100, 100))
         if len(sizes) != 2:
             raise ParameterError("scenario studies are two-sample; give two sizes")
     elif "groups" in spec:
         groups = _read(spec, "groups", list)
         models = tuple(_model_from_json(g, grid) for g in groups)
-        sizes = tuple(_read(g, "size", _integer) for g in groups)
+        sizes = tuple(_read(g, "size", _Count(1, _MAX_GROUP_SIZE)) for g in groups)
     else:
         raise ParameterError("study spec needs 'scenario' or 'groups'")
     return StudySpec(
         models=models,
         group_sizes=sizes,
         depth_specs=tuple(map(_depth_spec_from_json, _read(spec, "depths", list, [{}]))),
-        alpha=_read(spec, "alpha", float, 0.05),
-        replications=_read(spec, "replications", _integer, 200),
-        seed=_read(spec, "seed", _integer, 0),
-        percentile_r=_read(spec, "percentile_r", float) if "percentile_r" in spec else None,
-        param_name=str(spec.get("param_name", "")),
-        param_value=str(spec.get("param_value", "")),
+        **_fields(spec, _STUDY_FIELDS),
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DataError, ParameterError
-from .fdata import FunctionalDataset
+from .fdata import FunctionalDataset, Grid
 
 MEDIAN_HEURISTIC = "median-heuristic"
 
@@ -144,7 +144,7 @@ def _channels(ds: FunctionalDataset, use_derivatives: bool, queries):
 
 
 def _channel_depth(ds, spec, queries, channel_fn, *args) -> DepthVector:
-    """``channel_fn(sample, queries, w, *args)`` on the curves; primed, the
+    """``channel_fn(sample, queries, grid, *args)`` on the curves; primed, the
     average w0 * (curve depth) + w1 * (derivative depth) with the spec's
     channel weights.
 
@@ -153,13 +153,12 @@ def _channel_depth(ds, spec, queries, channel_fn, *args) -> DepthVector:
     channel its plain spec computed: the same array, so the same bits.
     """
     chans = _channels(ds, spec.use_derivatives, queries)
-    w = ds.grid.trapezoid_weights
     cache = ds._channel_depths if queries is None else {}
     vals = []
     for c, chan in enumerate(chans):
         key = (channel_fn, c, args)
         if key not in cache:
-            cache[key] = channel_fn(*chan, w, *args)
+            cache[key] = channel_fn(*chan, ds.grid, *args)
             cache[key].setflags(write=False)
         vals.append(cache[key])
     if spec.use_derivatives:
@@ -185,12 +184,11 @@ def _strict_counts(sample, qs):
 # L2-root depth
 # ---------------------------------------------------------------------------
 
-def _mean_sq_distance(sample, queries, w):
+def _mean_sq_distance(sample, queries, grid):
     """mean_j ||q - X_j||^2 for every query q, via the expanded form."""
-    sq_s = (sample * sample) @ w
-    sq_q = (queries * queries) @ w
-    xbar = sample.mean(axis=0)
-    cross = queries @ (w * xbar)
+    sq_s = grid.integrate(sample * sample)
+    sq_q = grid.integrate(queries * queries)
+    cross = grid.inner(queries, sample.mean(axis=0))
     out = sq_q - 2.0 * cross + sq_s.mean()
     return np.maximum(out, 0.0)
 
@@ -205,10 +203,9 @@ def ltr_depth(ds: FunctionalDataset, spec: DepthSpec | None = None, queries=None
     """
     spec = spec or DepthSpec()
     chans = _channels(ds, spec.use_derivatives, queries)
-    w = ds.grid.trapezoid_weights
     total = np.zeros(chans[0][1].shape[0])
     for sample, qs in chans:
-        total += np.sqrt(_mean_sq_distance(sample, qs, w))
+        total += np.sqrt(_mean_sq_distance(sample, qs, ds.grid))
     return DepthVector(1.0 / (1.0 + total / len(chans)), spec)
 
 
@@ -216,11 +213,10 @@ def ltr_depth(ds: FunctionalDataset, spec: DepthSpec | None = None, queries=None
 # random projection depth
 # ---------------------------------------------------------------------------
 
-def _rp_directions(w: np.ndarray, count: int, rng) -> np.ndarray:
+def _rp_directions(grid: Grid, count: int, rng) -> np.ndarray:
     """Random unit-norm direction curves: white noise smoothed with a
-    5-point moving average, then normalized in L2 under the quadrature
-    weights ``w``."""
-    m = w.size
+    5-point moving average, then normalized in L2 over ``grid``."""
+    m = grid.m
     raw = rng.standard_normal((count, m))
     kernel = np.full(5, 0.2)
     smooth = np.empty_like(raw)
@@ -228,7 +224,7 @@ def _rp_directions(w: np.ndarray, count: int, rng) -> np.ndarray:
         # the centred m values of the full convolution; mode="same" returns
         # max(m, 5) values, too many on a 3- or 4-point grid
         smooth[i] = np.convolve(raw[i], kernel)[2:2 + m]
-    norms = np.sqrt((smooth * smooth) @ w)
+    norms = np.sqrt(grid.integrate(smooth * smooth))
     norms[norms == 0.0] = 1.0
     return smooth / norms[:, None]
 
@@ -243,12 +239,11 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
     scores 1.  Only the ranks of the resulting values are meaningful.
     """
     chans = _channels(ds, spec.use_derivatives, queries)
-    w = ds.grid.trapezoid_weights
-    dirs = _rp_directions(w, spec.num_projections, derive_rng(spec.rng_seed, 0))
+    dirs = _rp_directions(ds.grid, spec.num_projections, derive_rng(spec.rng_seed, 0))
     if not spec.use_derivatives:
         sample, qs = chans[0]
         n = sample.shape[0]
-        below, above = _strict_counts(sample @ (dirs * w).T, qs @ (dirs * w).T)
+        below, above = _strict_counts(ds.grid.inner(sample, dirs), ds.grid.inner(qs, dirs))
         f = (below + 0.5 * (n - above - below)) / n  # mid-rank CDF per direction
         depth = np.zeros(qs.shape[0])
         for k in range(spec.num_projections):
@@ -262,8 +257,7 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
     # rows by ulps)
     varying = [(s, q) for s, q in chans if not np.all(s == s[0])]
     for k in range(spec.num_projections):
-        u = dirs[k] * w
-        live = [(s @ u, q @ u) for s, q in varying]
+        live = [(ds.grid.inner(s, dirs[k]), ds.grid.inner(q, dirs[k])) for s, q in varying]
         live = [(zs, zq) for zs, zq in live if np.ptp(zs) > 1e-12 * max(np.abs(zs).max(), 1e-300)]
         if not live:
             depth += 1.0
@@ -407,16 +401,13 @@ def mfhd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """
     chans = _channels(ds, spec.use_derivatives, queries)
     sample, qs = chans[0]
-    w = ds.grid.trapezoid_weights
     if not spec.use_derivatives:
         n = sample.shape[0]
         below, above = _strict_counts(sample, qs)
-        return DepthVector((np.minimum(n - above, n - below) / n) @ w, spec)
+        return DepthVector(ds.grid.integrate(np.minimum(n - above, n - below) / n), spec)
     # the (value, derivative) pairs of each grid point: (m, N, 2) and (m, q, 2)
     pts, qpts = (np.stack((c.T, d.T), axis=2) for c, d in zip(*chans))
-    hd = halfspace_depth_2d(pts, qpts)
-    # a C-contiguous (q, m) copy: a transposed view takes another gemv path
-    return DepthVector(np.ascontiguousarray(hd.T) @ w, spec)
+    return DepthVector(ds.grid.integrate(halfspace_depth_2d(pts, qpts).T), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +422,18 @@ def _falling_comb(a: np.ndarray, k: int) -> np.ndarray:
     return out / math.factorial(k)
 
 
-def _mbd_channel(sample, qs, w, order: int) -> np.ndarray:
+def _mbd_channel(sample, qs, grid, order: int) -> np.ndarray:
     """Sum over k=2..order of the expected in-band time fraction, where
     bands are delimited by k-subsets of sample curves (weak inequalities,
-    own pairings included when the query is in the sample)."""
+    own pairings included when the query is in the sample).  No band has
+    more than the n sample curves, so k stops at n."""
     n = sample.shape[0]
     strictly_below, strictly_above = _strict_counts(sample, qs)
     depth = np.zeros(qs.shape[0])
-    for k in range(2, order + 1):
+    for k in range(2, min(order, n) + 1):
         total = math.comb(n, k)
-        if total == 0:
-            continue
         outside = _falling_comb(strictly_below, k) + _falling_comb(strictly_above, k)
-        depth += (1.0 - outside / total) @ w
+        depth += grid.integrate(1.0 - outside / total)
     return depth
 
 
@@ -457,16 +447,16 @@ def mbd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
 # spatial and kernelized spatial depth
 # ---------------------------------------------------------------------------
 
-def _spatial_channel(sample, qs, w) -> np.ndarray:
+def _spatial_channel(sample, qs, grid) -> np.ndarray:
     """1 - || mean_j s(q - X_j) || with s the unit map, s(0) = 0."""
     n = sample.shape[0]
     out = np.empty(qs.shape[0])
     for i in range(qs.shape[0]):
         diff = qs[i][None, :] - sample
-        norms = np.sqrt((diff * diff) @ w)
+        norms = np.sqrt(grid.integrate(diff * diff))
         keep = norms > 0.0
         mean_vec = (diff[keep] / norms[keep, None]).sum(axis=0) / n
-        out[i] = 1.0 - math.sqrt(max(float((mean_vec * mean_vec) @ w), 0.0))
+        out[i] = 1.0 - math.sqrt(max(float(grid.integrate(mean_vec * mean_vec)), 0.0))
     return out
 
 
@@ -476,19 +466,19 @@ def spatial_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> Depth
     return _channel_depth(ds, spec, queries, _spatial_channel)
 
 
-def _pairwise_sq_dists(a, b, w) -> np.ndarray:
+def _pairwise_sq_dists(a, b, grid) -> np.ndarray:
     # direct differences: identical curves yield exactly zero, which the
     # s(0) = 0 convention relies on
     out = np.empty((a.shape[0], b.shape[0]))
     for i in range(a.shape[0]):
         diff = a[i][None, :] - b
-        out[i] = (diff * diff) @ w
+        out[i] = grid.integrate(diff * diff)
     return out
 
 
-def _ksd_channel(sample, qs, w, bandwidth) -> np.ndarray:
+def _ksd_channel(sample, qs, grid, bandwidth) -> np.ndarray:
     n = sample.shape[0]
-    d2_ss = _pairwise_sq_dists(sample, sample, w)
+    d2_ss = _pairwise_sq_dists(sample, sample, grid)
     if bandwidth == MEDIAN_HEURISTIC:
         iu = np.triu_indices(n, k=1)
         pair = d2_ss[iu]
@@ -501,7 +491,7 @@ def _ksd_channel(sample, qs, w, bandwidth) -> np.ndarray:
     if qs is sample:  # the sample's own curves: the same matrix, bit for bit
         gram_qs = gram_ss
     else:
-        gram_qs = np.exp(-_pairwise_sq_dists(qs, sample, w) / sigma2)
+        gram_qs = np.exp(-_pairwise_sq_dists(qs, sample, grid) / sigma2)
     dist = np.sqrt(np.maximum(2.0 - 2.0 * gram_qs, 0.0))
     keep = dist > 0.0
     kept = np.count_nonzero(keep, axis=1)
@@ -588,8 +578,7 @@ def depth_sort_keys(ds: FunctionalDataset, spec: DepthSpec) -> np.ndarray:
     """
     if spec.kind != "ltr":
         return compute_depth(ds, spec).values
-    w = ds.grid.trapezoid_weights
-    sq = [(c * c) @ w for c, _ in _channels(ds, spec.use_derivatives, None)]
+    sq = [ds.grid.integrate(c * c) for c, _ in _channels(ds, spec.use_derivatives, None)]
     if not spec.use_derivatives:
         return -sq[0]
     return -(np.sqrt(sq[0]) + np.sqrt(sq[1]))

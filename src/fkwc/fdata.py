@@ -1,8 +1,9 @@
 """Grid-based functional samples and their L2 geometry.
 
 Curves are held as rows of an (N, m) array of values on a shared equispaced
-grid over [0, 1].  L2([0,1]) integrals use the grid's trapezoid weights;
-derivatives use second-order finite differences unless supplied externally.
+grid over [0, 1].  L2([0,1]) integrals are the grid's ``integrate`` and
+``inner`` under its trapezoid weights; derivatives use second-order finite
+differences unless supplied externally.
 """
 
 from __future__ import annotations
@@ -43,13 +44,27 @@ class Grid:
     def step(self) -> float:
         return 1.0 / (self.m - 1)
 
-    @property
+    @cached_property
     def trapezoid_weights(self) -> np.ndarray:
+        """Read-only trapezoid weights, computed at the first read."""
         w = np.full(self.m, self.step)
         w[0] *= 0.5
         w[-1] *= 0.5
         w.setflags(write=False)
         return w
+
+    def __reduce__(self):
+        # rebuilt from m: a pickled copy of the weights would come back writable
+        return Grid, (self.m,)
+
+    def integrate(self, values) -> np.ndarray:
+        """The trapezoid integral over [0, 1] of each row of ``values``."""
+        # a C-contiguous copy: a transposed view takes another gemv path
+        return np.ascontiguousarray(values) @ self.trapezoid_weights
+
+    def inner(self, f, g) -> np.ndarray:
+        """The L2 inner products <f_i, g_j> of the rows of ``f`` and ``g``."""
+        return f @ (g * self.trapezoid_weights).T
 
 
 def _as_curves(values, grid: Grid, what: str = "curve") -> np.ndarray:

@@ -1,6 +1,19 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import settings
+
+# hypothesis's pytest plugin imports this module, and libcst with it, at the
+# first failing example; libcst's import warns DeprecationWarning, which the
+# pytest filters turn into an INTERNALERROR that stops every later test.
+# Imported here, once, with that warning ignored for this import alone.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # without libcst the plugin skips its patch, as here
+        pass
 
 import fkwc.testing
 from fkwc import FunctionalDataset, Grid

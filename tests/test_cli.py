@@ -15,6 +15,7 @@ from fkwc import (
     DepthSpec,
     FunctionalDataset,
     Grid,
+    ParameterError,
     StudySpec,
     run_study,
     save_csv,
@@ -27,9 +28,13 @@ from fkwc.cli import (
     EXIT_OK,
     EXIT_PARAMETER,
     EXIT_REJECT,
+    _MAX_GRID_POINTS,
+    _MAX_GROUP_SIZE,
+    _MAX_PROJECTIONS,
     _density_from_json,
     _depth_spec,
     _depth_spec_from_json,
+    _study_from_json,
     build_parser,
     main,
 )
@@ -556,10 +561,20 @@ class TestMalformedSpecs:
                    "density": {"kind": "model", "draws": 100_000_000_000}}, "draws"),
         ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
                    "density": {"kind": "model", "draws": 0}}, "draws"),
+        # counts above their maxima, which ended in numpy's _ArrayMemoryError
+        ("simulate", {"groups": [{"size": 100_000_000_000}, {"size": 5}],
+                      "replications": 1, "grid_points": 21}, "size"),
+        ("simulate", dict(STUDY, sizes=[100_000_000_000, 5]), "sizes"),
+        ("simulate", dict(STUDY, grid_points=1_000_000_000), "grid_points"),
+        ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5],
+                   "density": {"kind": "model", "grid_points": 1_000_000_000}}, "grid_points"),
+        ("simulate", dict(STUDY, depths=[{"kind": "rp", "projections": 1_000_000_000}]),
+         "projections"),
     ], ids=["projections", "replications", "size", "thetas", "df", "N", "bandwidth",
             "percentile_r-text", "percentile_r-range", "depth-node", "group-node",
             "power-node", "density-node", "grid_points-simulate", "grid_points-model",
-            "draws-huge", "draws-zero"])
+            "draws-huge", "draws-zero", "size-huge", "sizes-huge", "grid_points-huge",
+            "grid_points-model-huge", "projections-huge"])
     def test_exit_parameter(self, command, spec, key, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec))
@@ -597,6 +612,40 @@ class TestMalformedSpecs:
         err = capsys.readouterr().err
         assert err.startswith(f"parameter error: {key} must be")
         assert repr(key) in err
+
+    def test_projections_flag_above_maximum(self, identical_groups_csv, capsys):
+        argv = ["test", "--input", str(identical_groups_csv), "--depth", "rp"]
+        assert main(argv + ["--projections", "1000000000"]) == EXIT_PARAMETER
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: projections must be an integer from 1 to")
+        assert "Traceback" not in err
+        assert main(argv + ["--projections", "0"]) == EXIT_PARAMETER
+
+    def test_counts_at_their_maxima_read(self):
+        spec = _study_from_json({
+            "scenario": 1, "sizes": [_MAX_GROUP_SIZE, 5], "grid_points": _MAX_GRID_POINTS,
+            "depths": [{"kind": "rp", "projections": _MAX_PROJECTIONS}]})
+        assert spec.group_sizes == (_MAX_GROUP_SIZE, 5)
+        assert spec.models[0].grid == Grid(_MAX_GRID_POINTS)
+        assert spec.depth_specs[0].num_projections == _MAX_PROJECTIONS
+        groups = _study_from_json({"groups": [{"size": _MAX_GROUP_SIZE}, {"size": 1}]})
+        assert groups.group_sizes == (_MAX_GROUP_SIZE, 1)
+        for key, over in (("sizes", {"sizes": [_MAX_GROUP_SIZE + 1, 5]}),
+                          ("grid_points", {"grid_points": _MAX_GRID_POINTS + 1}),
+                          ("projections", {"depths": [{"kind": "rp",
+                                                       "projections": _MAX_PROJECTIONS + 1}]})):
+            with pytest.raises(ParameterError, match=f"spec key {key!r}"):
+                _study_from_json(dict({"scenario": 1}, **over))
+
+    def test_absent_study_keys_keep_study_spec_defaults(self):
+        defaults = StudySpec(models=scenario_models(1), group_sizes=(100, 100),
+                             depth_specs=(DepthSpec(),))
+        assert _study_from_json({"scenario": 1}) == defaults
+        given = _study_from_json({"scenario": 1, "alpha": "0.1", "replications": "7",
+                                  "seed": 3.0, "percentile_r": 0.5, "param_name": 2,
+                                  "param_value": 0.25})
+        assert (given.alpha, given.replications, given.seed, given.percentile_r,
+                given.param_name, given.param_value) == (0.1, 7, 3, 0.5, "2", "0.25")
 
     def test_integral_floats_and_integer_text_read_as_integers(self, tmp_path, capsys):
         outputs = []

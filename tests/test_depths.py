@@ -53,12 +53,12 @@ def make_ds(curves, groups=None, grid=None):
     return FunctionalDataset(grid, curves, groups)
 
 
-def ksd_loop_reference(sample, qs, w, bandwidth) -> np.ndarray:
+def ksd_loop_reference(sample, qs, grid, bandwidth) -> np.ndarray:
     """One ksd channel the way it was first written: a fresh (k, k) matrix
     per query, gathered with ``np.ix_`` from the sample Gram matrix.  The
     kernel must reproduce it bit for bit."""
     n = sample.shape[0]
-    d2_ss = _pairwise_sq_dists(sample, sample, w)
+    d2_ss = _pairwise_sq_dists(sample, sample, grid)
     if bandwidth == MEDIAN_HEURISTIC:
         iu = np.triu_indices(n, k=1)
         pair = d2_ss[iu]
@@ -71,7 +71,7 @@ def ksd_loop_reference(sample, qs, w, bandwidth) -> np.ndarray:
     if qs is sample:  # the sample's own curves: the same matrix, bit for bit
         gram_qs = gram_ss
     else:
-        gram_qs = np.exp(-_pairwise_sq_dists(qs, sample, w) / sigma2)
+        gram_qs = np.exp(-_pairwise_sq_dists(qs, sample, grid) / sigma2)
     out = np.empty(qs.shape[0])
     for i in range(qs.shape[0]):
         feat_sq = np.maximum(2.0 - 2.0 * gram_qs[i], 0.0)
@@ -94,7 +94,7 @@ def rp_prime_reference(ds, spec, queries=None) -> np.ndarray:
     when neither has.  The one KDE loop must reproduce it bit for bit."""
     (s0, q0), (s1, q1) = _channels(ds, True, queries)
     w = ds.grid.trapezoid_weights
-    dirs = _rp_directions(w, spec.num_projections, fkwc.depths.derive_rng(spec.rng_seed, 0))
+    dirs = _rp_directions(ds.grid, spec.num_projections, fkwc.depths.derive_rng(spec.rng_seed, 0))
     n = s0.shape[0]
     depth = np.zeros(q0.shape[0])
     rows_equal0 = bool(np.all(s0 == s0[0]))
@@ -278,7 +278,7 @@ class TestRpShortGrids:
     @pytest.mark.parametrize("m", [5, 6, 21, 101])
     def test_directions_smooth_as_same_mode_convolution(self, m):
         w = Grid(m).trapezoid_weights
-        dirs = _rp_directions(w, 20, fkwc.depths.derive_rng(9, 0))
+        dirs = _rp_directions(Grid(m), 20, fkwc.depths.derive_rng(9, 0))
         raw = fkwc.depths.derive_rng(9, 0).standard_normal((20, m))
         smooth = np.array([np.convolve(r, np.full(5, 0.2), mode="same") for r in raw])
         norms = np.sqrt((smooth * smooth) @ w)
@@ -375,6 +375,18 @@ class TestMbd:
         want = self.brute_force_mbd(curves, grid.trapezoid_weights, order)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_order_above_sample_size_is_order_n(self, primed, grid21):
+        # every k > N adds nothing, so the sum stops at N instead of
+        # counting to the order
+        curves = np.random.default_rng(31).normal(size=(9, grid21.m)).cumsum(axis=1)
+        queries = curves[:3] + 0.5
+        ds = make_ds(curves, grid=grid21)
+        for q in (None, queries):
+            at_n = mbd(ds, DepthSpec(kind="mbd", use_derivatives=primed, band_order=9), q)
+            huge = mbd(ds, DepthSpec(kind="mbd", use_derivatives=primed, band_order=10**12), q)
+            assert huge.values.tobytes() == at_n.values.tobytes()
+
 
 class TestSpatialAndKsd:
     def test_two_curve_sample_depth_half(self, grid21):
@@ -386,14 +398,14 @@ class TestSpatialAndKsd:
         rng = np.random.default_rng(15)
         ds = make_ds(rng.normal(size=(10, grid21.m)), grid=grid21)
         far = 1e9 * np.ones((1, grid21.m))
-        assert _spatial_channel(ds.curves, far, grid21.trapezoid_weights)[0] == pytest.approx(0.0, abs=1e-6)
+        assert _spatial_channel(ds.curves, far, grid21)[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_spherically_symmetric_center_depth_one(self, grid21):
         t = grid21.points
         f = np.sin(2 * np.pi * t)
         h = np.cos(4 * np.pi * t)
         ds = make_ds(np.vstack([f, -f, h, -h]), grid=grid21)
-        got = _spatial_channel(ds.curves, np.zeros((1, grid21.m)), grid21.trapezoid_weights)
+        got = _spatial_channel(ds.curves, np.zeros((1, grid21.m)), grid21)
         assert got[0] == pytest.approx(1.0, abs=1e-14)
 
     def test_ksd_bandwidth_must_be_positive(self):
@@ -409,9 +421,9 @@ class TestSpatialAndKsd:
         calls = []
         original = fkwc.depths._pairwise_sq_dists
 
-        def counting(a, b, w):
+        def counting(a, b, grid):
             calls.append(a.shape)
-            return original(a, b, w)
+            return original(a, b, grid)
 
         monkeypatch.setattr(fkwc.depths, "_pairwise_sq_dists", counting)
         ds = make_ds(np.random.default_rng(12).normal(size=(9, grid21.m)), grid=grid21)
@@ -496,10 +508,10 @@ class TestKsdLoopReference:
     @example((np.zeros((3, 3)), np.zeros((1, 3)), MEDIAN_HEURISTIC))
     def test_lattice_channels(self, case):
         sample, queries, bandwidth = case
-        w = Grid(sample.shape[1]).trapezoid_weights
+        grid = Grid(sample.shape[1])
         for qs in (sample, queries):
-            got = _ksd_channel(sample, qs, w, bandwidth)
-            assert got.tobytes() == ksd_loop_reference(sample, qs, w, bandwidth).tobytes()
+            got = _ksd_channel(sample, qs, grid, bandwidth)
+            assert got.tobytes() == ksd_loop_reference(sample, qs, grid, bandwidth).tobytes()
 
 
 @st.composite
@@ -794,9 +806,9 @@ def _count_channel(monkeypatch, kind):
     calls = []
     original = getattr(fkwc.depths, CHANNEL_FUNCTIONS[kind])
 
-    def counting(sample, qs, w, *args):
+    def counting(sample, qs, grid, *args):
         calls.append((sample, args))
-        return original(sample, qs, w, *args)
+        return original(sample, qs, grid, *args)
 
     monkeypatch.setattr(fkwc.depths, CHANNEL_FUNCTIONS[kind], counting)
     return calls

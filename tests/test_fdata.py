@@ -1,5 +1,7 @@
 """Grid geometry, dataset validation, quadrature, differentiation, IO."""
 
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -82,21 +84,50 @@ class TestGrid:
 
 
 class TestInnerProduct:
-    """The trapezoid-rule L2 inner product (f * g) @ w that the kernels use."""
+    """The trapezoid-rule integral and L2 inner product the kernels use,
+    ``Grid.integrate`` and ``Grid.inner``."""
 
     def test_constant_one(self, grid101):
         one = np.ones(grid101.m)
-        assert (one * one) @ grid101.trapezoid_weights == pytest.approx(1.0, abs=1e-12)
+        assert grid101.integrate(one * one) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_times_one_is_half(self, grid101):
         t = grid101.points
-        assert t @ grid101.trapezoid_weights == pytest.approx(0.5, abs=1e-12)
+        assert grid101.integrate(t) == pytest.approx(0.5, abs=1e-12)
 
     def test_fourier_orthogonality(self):
         g = Grid.regular(201)
         t = g.points
-        val = (np.sin(2 * np.pi * t) * np.cos(2 * np.pi * t)) @ g.trapezoid_weights
+        val = g.integrate(np.sin(2 * np.pi * t) * np.cos(2 * np.pi * t))
         assert abs(val) < 1e-8
+
+    def test_inner_products_of_rows(self, grid21):
+        rng = np.random.default_rng(8)
+        f, h = rng.normal(size=(4, grid21.m)), rng.normal(size=(3, grid21.m))
+        want = [[grid21.integrate(fi * hj) for hj in h] for fi in f]
+        np.testing.assert_allclose(grid21.inner(f, h), want, rtol=1e-13, atol=1e-13)
+        assert grid21.inner(f, h[0]).tobytes() == (f @ (h[0] * grid21.trapezoid_weights)).tobytes()
+
+    @pytest.mark.parametrize("m, q", [(5, 7), (31, 50), (101, 100), (101, 300)])
+    def test_integrate_transposed_view_as_its_contiguous_copy(self, m, q):
+        # such a view, times the weights, sums in another order: on these
+        # shapes 1 to 177 of the q integrals differ in their last bits
+        values = np.random.default_rng(m + q).random((m, q))
+        got = Grid(m).integrate(values.T)
+        assert got.tobytes() == Grid(m).integrate(values.T.copy()).tobytes()
+
+    def test_weights_cached_read_only_and_kept_out_of_equality_and_pickles(self):
+        g = Grid(21)
+        w = g.trapezoid_weights
+        assert g.trapezoid_weights is w and not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+        assert g == Grid(21) and hash(g) == hash(Grid(21)) and g != Grid(22)
+        for back in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+            assert back == g and hash(back) == hash(g) and repr(back) == "Grid(m=21)"
+            assert "trapezoid_weights" not in vars(back)
+            assert not back.trapezoid_weights.flags.writeable
+            assert back.trapezoid_weights.tobytes() == w.tobytes()
 
 
 def ltr_norms(curves, grid):

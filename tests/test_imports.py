@@ -2,12 +2,14 @@
 the names the benchmark traces exist; only fdata computes derivatives, only
 depths._channels reads a dataset's channels in depths.py, only
 depths._channel_depth runs the cached channel functions, only sim.py draws the
-process families' normals and chi-square scales, and no fkwc module imports
-scipy.stats."""
+process families' normals and chi-square scales, only fdata.py reads the
+grid's quadrature weights, and no fkwc module imports scipy.stats.  A failing
+hypothesis property does not stop the test session."""
 
 import ast
 import importlib
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -121,6 +123,49 @@ def test_family_draws_only_in_sim():
                     callers.add(path.name if path.name == "sim.py"
                                 else f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert callers == {"sim.py", "depths._rp_directions"}, callers
+
+
+def test_quadrature_weights_read_only_in_fdata():
+    """No module but fdata.py reads ``.trapezoid_weights``: every L2 integral
+    of a curve is ``Grid.integrate`` or ``Grid.inner``."""
+    readers = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "fkwc").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "trapezoid_weights"
+    ]
+    assert readers and {r.split(":")[0] for r in readers} == {"fdata.py"}, readers
+
+
+FAILING_PROPERTY = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_failing_property_does_not_stop_the_session(tmp_path):
+    """At a property's first failing example hypothesis's pytest plugin
+    imports libcst, which warns DeprecationWarning; under pyproject's
+    filters that used to end the session in an INTERNALERROR (exit 3)
+    before any later test ran.  This suite's conftest.py runs the file."""
+    (tmp_path / "test_two.py").write_text(FAILING_PROPERTY)
+    shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(ROOT / "pyproject.toml"),
+         "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "-q", "test_two.py"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout
 
 
 def test_import_leaves_scipy_stats_unloaded():
