@@ -21,7 +21,6 @@ import os
 import sys
 
 import numpy as np
-from scipy import special
 
 from . import __version__
 from .depths import (
@@ -350,6 +349,8 @@ def _density_from_json(node) -> SupportDensity:
                 f"chi2 df must be at least 2, got {df!r}: below 2 the density is "
                 "unbounded at 0, and the trapezoid rule cannot integrate it"
             )
+        from scipy import special
+
         # chi2.ppf(1 - 1e-10, df) and chi2.pdf(z, df) as scipy.stats evaluates
         # them, bit for bit
         hi = float(2.0 * special.gammaincinv(df / 2, 1.0 - 1e-10))

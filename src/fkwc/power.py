@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy import special
 
 from .depths import DepthSpec, depth_sort_keys
 from .exceptions import InfeasibleError, NumericalError, ParameterError
@@ -267,6 +266,8 @@ def noncentral_chisq_sf(x: float, df: int, tau: float) -> float:
     # in floating point; the sum starts there, over O(sqrt(lam)) terms
     kmin = max(int(lam - spread), 0)
     ks = np.arange(kmin, kmax + 1)
+    from scipy import special
+
     # poisson.pmf(ks, lam) as scipy.stats evaluates it, bit for bit
     weights = np.exp(special.xlogy(ks, lam) - special.gammaln(ks + 1) - lam)
     keep = np.cumsum(weights) <= 1.0 - _POISSON_TAIL
@@ -286,6 +287,8 @@ def predicted_power(tau: float, j_groups: int, alpha: float = 0.05,
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie in (0, 1)")
     df = j_groups - 1
+    from scipy import special
+
     crit = float(2.0 * special.gammaincinv(df / 2, 1.0 - alpha))  # chi2.ppf, bit for bit
     power = noncentral_chisq_sf(crit, df, tau)
     return PowerResult(float(tau), power, alpha, j_groups, n_total)

@@ -18,8 +18,7 @@ import copy
 import itertools
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from typing import Optional
 
@@ -71,6 +70,11 @@ class ProcessModel:
             object.__setattr__(self, "eigenvalues", lams)
         if self.family == "skew_gaussian" and self.skew_shape < 0:
             raise ParameterError("skew shape must be >= 0")
+
+    def __reduce__(self):
+        # rebuilt from the fields: the cached factor is not sent, and each
+        # copy factors its own, read-only
+        return ProcessModel, tuple(getattr(self, f.name) for f in fields(self))
 
     @cached_property
     def kernel_factor(self) -> np.ndarray:
@@ -304,6 +308,8 @@ def run_study(spec: StudySpec, n_jobs: int = 1) -> StudyResult:
     chunks = math.ceil(spec.replications / _STUDY_CHUNK)
     workers = min(n_jobs, chunks, len(os.sched_getaffinity(0)))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool forks all its workers at the first submit
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_study_replicate, itertools.repeat(spec), reps,

@@ -3,8 +3,9 @@ the names the benchmark traces exist; only fdata computes derivatives, only
 depths._channels reads a dataset's channels in depths.py, only
 depths._channel_depth runs the cached channel functions, only sim.py draws the
 process families' normals and chi-square scales, only fdata.py reads the
-grid's quadrature weights, and no fkwc module imports scipy.stats.  A failing
-hypothesis property does not stop the test session."""
+grid's quadrature weights, no fkwc module imports scipy.stats, and scipy and
+the process pool load only where they are used.  A failing hypothesis property
+does not stop the test session."""
 
 import ast
 import importlib
@@ -169,8 +170,8 @@ def test_failing_property_does_not_stop_the_session(tmp_path):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    """``import fkwc, fkwc.cli`` loads numpy and scipy.special but not
-    scipy.stats, about half of the import's CPU time."""
+    """``import fkwc, fkwc.cli`` does not load scipy.stats, about half of
+    the import's CPU time when it did."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     script = "import sys, fkwc, fkwc.cli; assert 'scipy.stats' not in sys.modules"
     proc = subprocess.run(
@@ -206,3 +207,67 @@ def test_no_module_imports_scipy_stats():
         if _imports_scipy_stats(node)
     ]
     assert not found, found
+
+
+def test_no_module_level_scipy_or_pool_import():
+    """No top-level statement of src/fkwc imports scipy or concurrent.futures:
+    each is imported inside the function that uses it."""
+    def heavy(name):
+        return name.split(".")[0] == "scipy" or name.startswith("concurrent")
+
+    found = []
+    for path in sorted((SRC / "fkwc").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if heavy(n)]
+    assert not found, found
+
+
+LAZY_SCRIPT = """
+import sys, tempfile
+from pathlib import Path
+import numpy as np
+import fkwc, fkwc.cli
+from fkwc import DepthSpec, FunctionalDataset, Grid, ProcessModel, StudySpec, run_study
+
+grid = Grid.regular(21)
+model = ProcessModel(family="t1", grid=grid)
+specs = tuple(DepthSpec(kind=k, use_derivatives=p)
+              for k in ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd") for p in (False, True))
+study = StudySpec(models=(model, model), group_sizes=(6, 6), depth_specs=specs,
+                  replications=2, seed=5)
+rates = run_study(study, n_jobs=1).rejection_rates
+assert rates.shape == (12,), rates
+rng = np.random.default_rng(3)
+ds = FunctionalDataset(grid, rng.normal(size=(12, grid.m)), [1] * 6 + [2] * 6)
+with tempfile.TemporaryDirectory() as tmp:
+    fkwc.save_csv(ds, Path(tmp) / "in.csv")
+    out = Path(tmp) / "out.csv"
+    code = fkwc.cli.main(["depth", "--input", str(Path(tmp) / "in.csv"), "--depth", "mfhd",
+                          "--output", str(out)])
+    assert code == 0, code
+loaded = sorted(n for n in ("scipy.special", "multiprocessing") if n in sys.modules)
+assert not loaded, loaded
+res = fkwc.fkwc_test(ds)
+p = res.p_value
+assert "scipy.special" in sys.modules
+from scipy.stats import chi2
+assert p == float(chi2.sf(res.statistic, res.df)), (p, res.statistic)
+"""
+
+
+def test_scipy_and_pool_loaded_only_when_used():
+    """A serial study of all 12 depth specs and ``fkwc depth`` load neither
+    scipy.special nor multiprocessing; reading a p-value loads scipy.special
+    and gives chi2.sf's bits."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SCRIPT], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,7 @@
 """Process generators and the replicated study harness."""
 
+import concurrent.futures
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +125,22 @@ class TestGenerate:
         assert not factor.flags.writeable
         with pytest.raises(ValueError):
             factor[0, 0] = 1.0
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_pickled_by_fields(self, family, grid101):
+        """A pickle sends the fields and not the cached factor, and the copy
+        factors its own: read-only and byte-equal."""
+        model = replace(_model(family, grid101), skew_shape=2.5)
+        generate(model, 3, 0)
+        data = pickle.dumps(model)
+        assert len(data) < 1024
+        back = pickle.loads(data)
+        assert back == model and "kernel_factor" not in vars(back)
+        assert vars(back).keys() == vars(model).keys() - {"kernel_factor"}
+        np.testing.assert_array_equal(generate(back, 3, 1), generate(model, 3, 1))
+        if family != "eigen":
+            assert not back.kernel_factor.flags.writeable
+            assert back.kernel_factor.tobytes() == model.kernel_factor.tobytes()
 
 
 # one block, its edges, a merged 1-row tail (1,025 and 2,049) and many blocks
@@ -363,6 +381,8 @@ class TestRunStudy:
     def test_parallel_matches_serial(self, grid21):
         spec = self._small_spec(grid21)
         r1 = run_study(spec, n_jobs=1)
+        # the models now hold their factor; each worker factors its own copy
+        assert "kernel_factor" in vars(spec.models[0])
         r2 = run_study(spec, n_jobs=2)
         np.testing.assert_array_equal(r1.rejection_rates, r2.rejection_rates)
 
@@ -390,7 +410,8 @@ class TestRunStudy:
             def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(sim_mod, "ProcessPoolExecutor", RecordingPool)
+        # run_study imports the pool from concurrent.futures when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(sim_mod.os, "sched_getaffinity", lambda pid: set(range(cpus)))
         spec = self._small_spec(grid21, reps=reps)
         got = run_study(spec, n_jobs=n_jobs)

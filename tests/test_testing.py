@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.stats import chi2, norm, rankdata
 
 import fkwc.fdata
@@ -27,7 +28,7 @@ from fkwc import (
     wilcoxon_rank_sum,
 )
 from fkwc.depths import depth_sort_keys, derive_seed
-from fkwc.testing import _mid_ranks, adjust_pvalues
+from fkwc.testing import _chi2_tail_below, _mid_ranks, adjust_pvalues
 
 CHI2_1_CRIT = 3.84145882069413  # 0.95 quantile, frozen from an mpmath solve
 RANK_STATISTICS = {"W": kw_statistic, "M_r": lambda r, g: percentile_statistic(r, g, 1.0)}
@@ -254,6 +255,40 @@ class TestFkwcTest:
                 assert res.df == df
                 assert res.p_value == float(chi2.sf(res.statistic, df))
 
+    def test_p_value_read_on_demand(self, two_group_dataset):
+        res = fkwc_test(two_group_dataset, TestConfig(depth_spec=DepthSpec(kind="mbd")))
+        assert "p_value" not in vars(res) and "p_value" not in repr(res)
+        p = res.p_value
+        assert vars(res)["p_value"] is p
+        assert res == replace(res) and "p_value" not in vars(replace(res))
+
+    @given(
+        sizes=st.lists(st.integers(2, 6), min_size=2, max_size=5),
+        seed=st.integers(0, 2**16),
+        r=st.sampled_from([None, 0.6]),
+        alpha=st.floats(1e-6, 0.999),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reject_is_p_value_below_alpha(self, sizes, seed, r, alpha):
+        """For W and M_r, at a drawn alpha and at alpha on and one ulp
+        either side of the p-value itself."""
+        grid = Grid.regular(21)
+        rng = np.random.default_rng(seed)
+        groups = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+        scales = rng.uniform(0.5, 2.0, size=(groups.size, 1))
+        ds = FunctionalDataset(grid, scales * rng.normal(size=(groups.size, grid.m)), groups)
+        spec = DepthSpec(kind="ltr", rng_seed=seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # floor(rN) < J is degenerate but computed
+            res = fkwc_test(ds, TestConfig(depth_spec=spec, alpha=alpha, percentile_r=r))
+            assert res.reject == (res.p_value < alpha)
+            p = res.p_value
+            for a in (p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)):
+                if 0.0 < a < 1.0:
+                    at = fkwc_test(ds, TestConfig(depth_spec=spec, alpha=float(a), percentile_r=r))
+                    assert at.p_value == p
+                    assert at.reject == (p < a)
+
     @given(
         sizes=st.lists(st.integers(1, 7), min_size=2, max_size=6),
         seed=st.integers(0, 2**16),
@@ -299,6 +334,43 @@ class TestFkwcTest:
         r2 = fkwc_test(ds2, TestConfig(depth_spec=DepthSpec(kind="ltr", rng_seed=6)))
         assert r1.statistic == pytest.approx(r2.statistic, abs=1e-12)
         assert r1.p_value == pytest.approx(r2.p_value, abs=1e-12)
+
+
+def ulps_from(x, k):
+    """The float k ulps above (k < 0: below) the finite x >= 0, stopping at 0."""
+    bits = int(np.float64(x).view(np.int64)) + k
+    return float(np.int64(max(bits, 0)).view(np.float64))
+
+
+@st.composite
+def tail_points(draw):
+    """(df, x, alpha): x on or a few ulps from the critical value, within
+    +-3e-13 of it, uniform in [0, 4 crit], or at an edge."""
+    df = draw(st.integers(1, 80))
+    alpha = draw(st.one_of(
+        st.sampled_from([1e-300, 1e-12, 1e-3, 0.05, 0.5, 0.999]),
+        st.floats(1e-300, 0.999),
+    ))
+    crit = float(chi2.isf(alpha, df))  # chi2.ppf(1 - alpha, df) loses alpha < 1e-16
+    x = draw(st.one_of(
+        st.integers(-64, 64).map(lambda k: ulps_from(crit, k)),
+        st.floats(-3e-13, 3e-13).map(lambda e: crit * (1.0 + e)),
+        st.floats(0.0, 4.0).map(lambda u: u * crit),
+        st.sampled_from([0.0, 1e300, math.inf]),
+    ))
+    return df, x, alpha
+
+
+@given(point=tail_points())
+@example(point=(60, 2 * 600.0, 1e-300))
+@example(point=(61, 80.0, 0.05))
+@example(point=(1, ulps_from(float(chi2.isf(0.05, 1)), 1), 0.05))
+@settings(max_examples=2000, deadline=None)
+def test_chi2_tail_decision_equals_chdtrc(point):
+    """The closed-form decision agrees with comparing chdtrc, the reported
+    p-value, with alpha, across the fallback above df = 60 too."""
+    df, x, alpha = point
+    assert _chi2_tail_below(df, x, alpha) == (special.chdtrc(df, x) < alpha)
 
 
 def enumerated_exact_p(x, y):
