@@ -369,16 +369,19 @@ def _density_from_json(node) -> SupportDensity:
     if kind == "model":
         # base squared-norm law estimated from Monte Carlo draws of a
         # generative model
-        grid = Grid.regular(_read(node, "grid_points", _Count(3, _MAX_GRID_POINTS), 101))
+        grid = Grid(_read(node, "grid_points", _Count(3, _MAX_GRID_POINTS), 101))
         model = _model_from_json(node, grid)
         draws = _read(node, "draws", _Count(1, _MAX_DRAWS), 20_000)
         seed = _read(node, "seed", _integer, 0)
-        # one block of curves at a time, reduced to its squared norms
+        # one block of curves at a time, squared in place and reduced to its
+        # squared norms, then dropped before the next is drawn
         sq_norms = np.empty(draws)
         start = 0
         for x in generate_blocks(model, draws, seed):
-            sq_norms[start:start + len(x)] = grid.integrate(x * x)
+            x *= x
+            sq_norms[start:start + len(x)] = grid.integrate(x)
             start += len(x)
+            del x
         return density_from_samples(sq_norms)
     raise ParameterError(f"unknown density kind {kind!r}")
 
@@ -459,7 +462,7 @@ def _model_from_json(node, grid: Grid) -> ProcessModel:
 
 
 def _study_from_json(spec: dict) -> StudySpec:
-    grid = Grid.regular(_read(spec, "grid_points", _Count(3, _MAX_GRID_POINTS), 101))
+    grid = Grid(_read(spec, "grid_points", _Count(3, _MAX_GRID_POINTS), 101))
     if "scenario" in spec:
         models = scenario_models(_read(spec, "scenario", _integer), grid)
         sizes = _read(spec, "sizes", _Count(1, _MAX_GROUP_SIZE, many=True), (100, 100))

@@ -45,7 +45,7 @@ class ProcessModel:
     """
 
     family: str = "gaussian"
-    grid: Grid = field(default_factory=lambda: Grid.regular(101))
+    grid: Grid = field(default_factory=lambda: Grid(101))
     alpha: float = 0.05
     beta: float = 1.0
     eigenvalues: Optional[tuple] = None
@@ -172,10 +172,10 @@ def _draw_blocks(model: ProcessModel, rows: tuple, rng):
             rng.standard_normal((r, m))
     start = 0
     for r in rows:
+        # each family's arithmetic written over z, element for element the
+        # expression it stands for
         z = normals.standard_normal((r, m)) @ chol.T
-        if model.family == "gaussian":
-            yield z
-        elif model.family == "t1":
+        if model.family == "t1":
             if start == 0:
                 # after the first block's normals, which in one block are
                 # read from rng itself
@@ -183,14 +183,22 @@ def _draw_blocks(model: ProcessModel, rows: tuple, rng):
                 for i in np.flatnonzero(wdiv < 1e-300):
                     while wdiv[i] < 1e-300:
                         wdiv[i] = rng.chisquare(1.0)
-            yield z / np.sqrt(wdiv[start:start + r])[:, None]
-        else:
+            z /= np.sqrt(wdiv[start:start + r])[:, None]
+        elif model.family == "skew_gaussian":
+            # delta |z| + sqrt(1 - delta^2) z2 - delta sqrt(2 beta / pi)
             a = model.skew_shape
             delta = a / np.sqrt(1.0 + a * a)
             z2 = rng.standard_normal((r, m)) @ chol.T
-            x = delta * np.abs(z) + np.sqrt(1.0 - delta * delta) * z2
-            yield x - delta * np.sqrt(2.0 * model.beta / np.pi)
+            z2 *= np.sqrt(1.0 - delta * delta)
+            np.abs(z, out=z)
+            z *= delta
+            z += z2
+            del z2
+            z -= delta * np.sqrt(2.0 * model.beta / np.pi)
         start += r
+        yield z
+        # the caller may have dropped the block: hold none while drawing the next
+        del z
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +220,7 @@ def scenario_eigenvalues(scenario: int) -> tuple:
 
 def scenario_models(scenario: int, grid: Optional[Grid] = None) -> tuple:
     """Two eigen-family models realizing a catalog scenario."""
-    grid = grid if grid is not None else Grid.regular(101)
+    grid = grid if grid is not None else Grid(101)
     lam1, lam2 = scenario_eigenvalues(scenario)
     return (
         ProcessModel(family="eigen", grid=grid, eigenvalues=lam1),

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -30,12 +31,26 @@ fkwc.testing.TestResult.__test__ = False
 
 @pytest.fixture
 def grid101():
-    return Grid.regular(101)
+    return Grid(101)
 
 
 @pytest.fixture
 def grid21():
-    return Grid.regular(21)
+    return Grid(21)
+
+
+@pytest.fixture
+def traced_peak():
+    """The peak bytes tracemalloc traces while ``fn()`` runs: deterministic,
+    unlike the process's RSS."""
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture

@@ -35,7 +35,7 @@ from fkwc import (
     scenario_models,
 )
 
-GRID = Grid.regular(101)
+GRID = Grid(101)
 
 
 def _report(num, ok, desc, detail, elapsed):
@@ -235,7 +235,7 @@ def test_criterion_06_reversed_short_decay_rp_prime_target():
 
 def test_criterion_07_norm_depth_properties():
     start = time.time()
-    grid = Grid.regular(21)
+    grid = Grid(21)
     rng = np.random.default_rng(70707)
     base = rng.normal(size=(9, grid.m)) + np.sin(
         2 * np.pi * np.arange(1, 10)[:, None] * grid.points
@@ -349,7 +349,7 @@ def test_criterion_10_oracle_equivalences():
     rng = np.random.default_rng(1010)
     band_exact = True
     for n, m in ((4, 3), (5, 4), (6, 5)):
-        grid = Grid.regular(m)
+        grid = Grid(m)
         curves = rng.integers(-3, 4, size=(n, m)).astype(float)
         ds = FunctionalDataset(grid, curves, [1] * n)
         got = mbd(ds, DepthSpec(kind="mbd")).values

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,17 +369,13 @@ class TestCmdPower:
         assert payload["tau"].hex() == tau
         assert payload["predicted_power"].hex() == power
 
-    def test_model_density_memory_flat_in_draws(self):
-        # one block of curves plus 8 bytes a draw; drawn in one piece,
-        # 100,000 draws at m = 101 held two 81 MB arrays
-        tracemalloc.start()
-        try:
-            _density_from_json({"kind": "model", "family": "gaussian", "draws": 100_000,
-                                "seed": 1})
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 8e6
+    def test_model_density_memory_flat_in_draws(self, traced_peak):
+        # two blocks of curves, the last (1,696 rows) the largest, plus 8
+        # bytes a draw; drawn in one piece, 100,000 draws at m = 101 held two
+        # 81 MB arrays
+        peak = traced_peak(lambda: _density_from_json(
+            {"kind": "model", "family": "gaussian", "draws": 100_000, "seed": 1}))
+        assert peak < 2 * (1024 + 100_000 % 1024) * 101 * 8 + 100_000 * 8 + 0.25e6
 
     def test_heavy_tailed_model_density_is_numerical_error(self, tmp_path, capsys):
         # t1 squared norms span so many Freedman-Diaconis bin widths that the

@@ -48,7 +48,7 @@ ALL_KINDS = ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd")
 
 def make_ds(curves, groups=None, grid=None):
     curves = np.atleast_2d(np.asarray(curves, dtype=float))
-    grid = grid if grid is not None else Grid.regular(curves.shape[1])
+    grid = grid if grid is not None else Grid(curves.shape[1])
     groups = groups if groups is not None else [1] * curves.shape[0]
     return FunctionalDataset(grid, curves, groups)
 
@@ -368,7 +368,7 @@ class TestMbd:
     @pytest.mark.parametrize("n,m,order", [(4, 3, 2), (6, 5, 2), (5, 4, 3), (6, 3, 4)])
     def test_matches_brute_force(self, n, m, order):
         rng = np.random.default_rng(n * 100 + m + order)
-        grid = Grid.regular(m)
+        grid = Grid(m)
         curves = rng.integers(-3, 4, size=(n, m)).astype(float)  # ties on purpose
         ds = make_ds(curves, grid=grid)
         got = mbd(ds, DepthSpec(kind="mbd", band_order=order)).values
@@ -485,6 +485,13 @@ class TestKsdLoopReference:
         queries = np.vstack([ds.curves[7], _t1_dataset(61).curves[:5]])
         self.assert_same_bits(ds, DepthSpec(kind="ksd", use_derivatives=primed), queries)
 
+    def test_outside_queries_over_several_distance_blocks(self):
+        # 70 queries: two full blocks of 32 and a short one, sample curves
+        # among them
+        ds = _t1_dataset(60)
+        queries = np.vstack([_t1_dataset(61).curves[:40], ds.curves[:30]])
+        self.assert_same_bits(ds, DepthSpec(kind="ksd"), queries)
+
     @pytest.mark.parametrize("primed", [False, True])
     def test_duplicated_curves(self, primed):
         base = _t1_dataset(40).curves
@@ -512,6 +519,22 @@ class TestKsdLoopReference:
         for qs in (sample, queries):
             got = _ksd_channel(sample, qs, grid, bandwidth)
             assert got.tobytes() == ksd_loop_reference(sample, qs, grid, bandwidth).tobytes()
+
+
+class TestKsdMemory:
+    """``ksd`` holds three N x N arrays at its peak: the Gram matrix and the
+    two buffers of each query's (k, k) matrix (8.4 N^2 doubles before the
+    Gram matrix was built in place and the distances a block of queries at
+    a time)."""
+
+    @pytest.mark.parametrize("bandwidth", [MEDIAN_HEURISTIC, 0.7])
+    @pytest.mark.parametrize("q", [None, 50])
+    def test_peak_three_n_squared_doubles(self, bandwidth, q, traced_peak):
+        n, grid = 300, Grid(101)
+        sample = _t1_dataset(n).curves
+        qs = sample if q is None else _t1_dataset(q).curves
+        bound = 3 * n * n * 8 + 0.5e6 + (0 if q is None else q * n * 8)
+        assert traced_peak(lambda: _ksd_channel(sample, qs, grid, bandwidth)) <= bound
 
 
 @st.composite

@@ -96,7 +96,7 @@ class TestInnerProduct:
         assert grid101.integrate(t) == pytest.approx(0.5, abs=1e-12)
 
     def test_fourier_orthogonality(self):
-        g = Grid.regular(201)
+        g = Grid(201)
         t = g.points
         val = g.integrate(np.sin(2 * np.pi * t) * np.cos(2 * np.pi * t))
         assert abs(val) < 1e-8
@@ -145,14 +145,14 @@ class TestNorm:
         assert ltr_norms(-3.0 * np.ones(grid101.m), grid101)[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_unit_sine(self):
-        g = Grid.regular(201)
+        g = Grid(201)
         f = np.sqrt(2.0) * np.sin(2 * np.pi * g.points)
         assert ltr_norms(f, g)[0] == pytest.approx(1.0, abs=1e-6)
 
     @given(curve_arrays(m=11, n=2))
     @settings(max_examples=50, deadline=None)
     def test_triangle_inequality(self, pair):
-        g = Grid.regular(11)
+        g = Grid(11)
         f, h = ltr_norms(pair, g)
         assert ltr_norms(pair[0] + pair[1], g)[0] <= f + h + 1e-12
 
@@ -174,7 +174,7 @@ class TestDifferentiate:
     @given(curve_arrays(m=11, n=2), st.floats(-4, 4), st.floats(-4, 4))
     @settings(max_examples=50, deadline=None)
     def test_linearity(self, pair, a, b):
-        g = Grid.regular(11)
+        g = Grid(11)
         f, h = pair
         lhs = differentiate(a * f + b * h, g)
         rhs = a * differentiate(f, g) + b * differentiate(h, g)
@@ -328,6 +328,40 @@ class TestCsvJson:
         path.write_text("group,0,0.5,1\n1,1.0,oops,3.0\n2,1,2,3\n")
         with pytest.raises(DataError, match=r"row 2, column 3"):
             load_csv(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty file"),
+        ("group,0,0.5,1\r\n", "no curves found"),
+        # the blank line counts as row 3
+        ("group,0,0.5,1\r\n1,0,0,0\r\n\r\n2,0,0\r\n", "row 4 has 3 fields, expected 4"),
+        ("group,0,0.5,1\r\n1,0,0,0\r\nx,0,0,0\r\n", "row 3, column 1: bad group label 'x'"),
+        ("group,0,0.5,1\r\n1,0,0,0\r\n2,0,0,zz\r\n",
+         "row 3, column 4: could not parse 'zz' as a number"),
+    ], ids=["empty", "header-only", "blank-then-ragged", "bad-label", "bad-last-cell"])
+    def test_error_message_text(self, tmp_path, text, message):
+        path = tmp_path / "in.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {message}"
+
+    def test_cells_read_as_float_reads_them(self, tmp_path):
+        cells = ["-0", " 1.5 ", "1_0", "4.9e-324", "1e308", "+.5"]
+        path = tmp_path / "cells.csv"
+        points = ",".join(str(t) for t in Grid(len(cells)).points)
+        path.write_text(f"group,{points}\n1,{','.join(cells)}\n")
+        got = load_csv(path).curves
+        assert got.tobytes() == np.array([[float(c) for c in cells]]).tobytes()
+
+    def test_load_peaks_at_three_times_the_curve_bytes(self, tmp_path, traced_peak):
+        # rows parsed as the reader yields them; the list of every row's
+        # cell strings peaked at 11.9 times the curve bytes
+        rng = np.random.default_rng(7)
+        ds = FunctionalDataset(Grid(101), rng.standard_normal((300, 101)),
+                               np.repeat([1, 2, 3], 100))
+        path = tmp_path / "big.csv"
+        save_csv(ds, path)
+        assert traced_peak(lambda: load_csv(path)) <= 3 * ds.curves.nbytes
 
     def test_ragged_row_rejected(self, tmp_path):
         path = tmp_path / "ragged.csv"

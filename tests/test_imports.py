@@ -235,7 +235,7 @@ import numpy as np
 import fkwc, fkwc.cli
 from fkwc import DepthSpec, FunctionalDataset, Grid, ProcessModel, StudySpec, run_study
 
-grid = Grid.regular(21)
+grid = Grid(21)
 model = ProcessModel(family="t1", grid=grid)
 specs = tuple(DepthSpec(kind=k, use_derivatives=p)
               for k in ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd") for p in (False, True))

@@ -85,14 +85,14 @@ class TestMcRankProb:
             mc_rank_prob(m51, m101, reps=10)
 
     def test_identical_models_half(self):
-        g = Grid.regular(51)
+        g = Grid(51)
         model = ProcessModel(family="gaussian", grid=g, alpha=0.1, beta=1.0)
         est = mc_rank_prob(model, model, reps=4000, seed=3)
         assert abs(est.estimate - 0.5) <= 3 * est.std_error
         assert 0.0 <= est.estimate <= 1.0
 
     def test_larger_variance_has_larger_norms(self):
-        g = Grid.regular(51)
+        g = Grid(51)
         m1 = ProcessModel(family="gaussian", grid=g, alpha=0.1, beta=1.0)
         m2 = ProcessModel(family="gaussian", grid=g, alpha=0.1, beta=2.0)
         est = mc_rank_prob(m1, m2, reps=10_000, seed=4)
@@ -104,7 +104,7 @@ class TestMcRankProb:
         assert est_rev.estimate > 0.5 + 3 * est_rev.std_error
 
     def test_derivative_channel_included(self):
-        g = Grid.regular(51)
+        g = Grid(51)
         m1 = ProcessModel(family="eigen", grid=g, eigenvalues=(1.0, 1.0))
         m2 = ProcessModel(family="eigen", grid=g, eigenvalues=(2.0, 2.0))
         est = mc_rank_prob(m2, m1, p=1, reps=5000, seed=5)

@@ -175,6 +175,23 @@ class TestGenerateBlocks:
         assert got.tobytes() == generate(model, n, ref).tobytes()
         assert rng.standard_normal() == ref.standard_normal()
 
+    @pytest.mark.parametrize("family, blocks", [
+        ("gaussian", 2), ("t1", 2), ("skew_gaussian", 3), ("eigen", 1),
+    ])
+    def test_peak_blocks_for_a_caller_that_drops_each(self, family, blocks, grid101,
+                                                      traced_peak):
+        # a block's normals and their product, and skew_gaussian's second
+        # product; eigen's normals are (rows, 4); t1's scales are 8 bytes a row
+        model = _model(family, grid101)
+        if family != "eigen":
+            model.kernel_factor  # factored before the traced draws
+
+        def drain():
+            for x in generate_blocks(model, 4 * 1024, 1):
+                del x
+
+        assert traced_peak(drain) <= (blocks + 0.1) * 1024 * grid101.m * 8
+
     def test_count_below_one_refused_at_the_call(self, grid21):
         with pytest.raises(ParameterError):
             generate_blocks(_model("gaussian", grid21), 0, 0)

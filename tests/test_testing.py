@@ -272,7 +272,7 @@ class TestFkwcTest:
     def test_reject_is_p_value_below_alpha(self, sizes, seed, r, alpha):
         """For W and M_r, at a drawn alpha and at alpha on and one ulp
         either side of the p-value itself."""
-        grid = Grid.regular(21)
+        grid = Grid(21)
         rng = np.random.default_rng(seed)
         groups = np.repeat(np.arange(1, len(sizes) + 1), sizes)
         scales = rng.uniform(0.5, 2.0, size=(groups.size, 1))
@@ -298,7 +298,7 @@ class TestFkwcTest:
     @example(sizes=[1, 5, 1, 1, 2, 1], seed=3, r=0.6)
     @settings(max_examples=80, deadline=None)
     def test_mean_ranks_and_w_equal_masked_loop(self, sizes, seed, r):
-        grid = Grid.regular(21)
+        grid = Grid(21)
         rng = np.random.default_rng(seed)
         groups = np.repeat(np.arange(1, len(sizes) + 1), sizes)
         ds = FunctionalDataset(grid, rng.normal(size=(groups.size, grid.m)), groups)
