@@ -517,12 +517,14 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # the reader left (e.g. `| head`); the interpreter flushes stdout again
-        # at exit, so point fd 1 at devnull to keep that flush from raising
+        # at exit, so point fd 1 at devnull to keep that flush from raising.
+        # An OSError, so caught ahead of the unreadable paths below
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_INPUT
-    except (DataError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (DataError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # OSError: a path that cannot be opened, a directory among them
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ParameterError as exc:

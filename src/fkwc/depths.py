@@ -69,7 +69,7 @@ class DepthSpec:
         if w.ndim != 1 or w.size != 2 or not np.all((w >= 0) & np.isfinite(w)):
             raise ParameterError("channel_weights must be two finite nonnegative reals")
         if abs(w.sum() - 1.0) > 1e-12:
-            raise ParameterError(f"channel_weights must sum to 1, got {w.sum()!r}")
+            raise ParameterError(f"channel_weights must sum to 1, got {float(w.sum())!r}")
         object.__setattr__(self, "channel_weights", (float(w[0]), float(w[1])))
         bw = self.kernel_bandwidth
         if isinstance(bw, str):

@@ -80,23 +80,36 @@ def _as_curves(values, grid: Grid, what: str = "curve") -> np.ndarray:
     return arr
 
 
-def integer_labels(groups, error=DataError) -> np.ndarray:
-    """``groups`` as an integer array: integer arrays as they are, other
-    values whose float form is an integer within int64 range as that
-    integer (``True`` as 1, ``"2"`` as 2).  Anything else, NaN, +-inf,
-    2.5, ``"a"`` or a complex value among them, raises ``error``."""
+def group_labels(groups, error=DataError):
+    """``groups`` as 1-d int labels covering 1..J, each present, and the
+    read-only group sizes N_1..N_J.  Integer arrays keep their values;
+    other values whose float form is an integer within int64 range become
+    that integer (``True`` as 1, ``"2"`` as 2).  Anything else, NaN, +-inf,
+    2.5, ``"a"`` or a complex value among them, raises ``error``.  Coverage
+    is checked in O(N): no count array is longer than N + 1."""
+    labels = None
     try:
         groups = np.asarray(groups)
         if np.issubdtype(groups.dtype, np.integer):
-            return groups
-        # the cast to float would drop an imaginary part
-        flo = None if np.iscomplexobj(groups) else groups.astype(float)
+            labels = groups.astype(int)  # a copy; uint64 labels above 2**63 wrap below 1
+        elif not np.iscomplexobj(groups):  # the cast to float would drop an imaginary part
+            flo = groups.astype(float)
+            # NaN and +-inf fail the range test, which keeps the cast exact
+            if np.all((np.abs(flo) < 2.0**63) & (flo == np.round(flo))):
+                labels = flo.astype(int)
     except (TypeError, ValueError):
-        flo = None
-    # NaN and +-inf fail the range test, which keeps the cast exact
-    if flo is None or not np.all((np.abs(flo) < 2.0**63) & (flo == np.round(flo))):
+        pass
+    if labels is None:
         raise error("group labels must be integers")
-    return flo.astype(int)
+    if labels.ndim != 1:
+        raise error(f"group labels must be 1-d, got shape {labels.shape}")
+    if labels.size and 1 <= labels.min() and labels.max() <= labels.size:
+        sizes = np.bincount(labels)[1:]
+        if sizes.all():
+            labels.setflags(write=False)
+            sizes.setflags(write=False)
+            return labels, sizes
+    raise error("group labels must cover 1..J with every group present")
 
 
 def differentiate(f, grid: Grid):
@@ -115,7 +128,8 @@ def differentiate(f, grid: Grid):
 
 @dataclass(frozen=True, eq=False, init=False)
 class FunctionalDataset:
-    """N curves on a common grid with group labels 1..J.
+    """N curves on a common grid with group labels 1..J, checked by
+    :func:`group_labels`, and the read-only group sizes N_1..N_J.
 
     ``derivatives`` is the derivative channel the primed depths read:
     externally computed derivative curves of the same shape when given,
@@ -126,20 +140,14 @@ class FunctionalDataset:
     grid: Grid
     curves: np.ndarray
     groups: np.ndarray
+    group_sizes: np.ndarray
 
     def __init__(self, grid: Grid, curves, groups, derivatives=None):
         curves = _as_curves(curves, grid)
-        groups = np.asarray(groups)
-        if groups.ndim != 1 or groups.size != curves.shape[0]:
+        groups, sizes = group_labels(groups)
+        if groups.size != curves.shape[0]:
             raise DataError(
                 f"got {groups.size} group labels for {curves.shape[0]} curves"
-            )
-        groups = integer_labels(groups).astype(int)
-        labels = np.unique(groups)
-        j = labels.size
-        if j == 0 or labels[0] != 1 or labels[-1] != j:
-            raise DataError(
-                f"group labels must cover 1..J with every group present; got {labels.tolist()}"
             )
         if derivatives is not None:
             deriv = _as_curves(derivatives, grid, what="derivative")
@@ -153,10 +161,16 @@ class FunctionalDataset:
             self.__dict__["derivatives"] = deriv
         curves = curves.copy()
         curves.setflags(write=False)
-        groups.setflags(write=False)  # a copy: astype copies
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "curves", curves)
         object.__setattr__(self, "groups", groups)
+        object.__setattr__(self, "group_sizes", sizes)
+
+    def __reduce__(self):
+        # rebuilt through __init__: pickled copies of the arrays would come
+        # back writable, and the labels could then disagree with the sizes
+        return FunctionalDataset, (self.grid, self.curves, self.groups,
+                                   self.__dict__.get("derivatives"))
 
     @cached_property
     def derivatives(self) -> np.ndarray:
@@ -178,11 +192,7 @@ class FunctionalDataset:
 
     @property
     def n_groups(self) -> int:
-        return int(self.groups.max())
-
-    @property
-    def group_sizes(self) -> np.ndarray:
-        return np.bincount(self.groups, minlength=self.n_groups + 1)[1:]
+        return self.group_sizes.size
 
     def with_finite_difference_derivatives(self) -> "FunctionalDataset":
         """Return ``self``: the derivative channel is derived when first

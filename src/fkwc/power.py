@@ -9,7 +9,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .depths import DepthSpec, depth_sort_keys
+from .depths import DepthSpec, depth_sort_keys, derive_rng
 from .exceptions import InfeasibleError, NumericalError, ParameterError
 from .fdata import FunctionalDataset
 from .sim import generate
@@ -219,8 +219,8 @@ def mc_rank_prob(model_j, model_k, p: int = 0, reps: int = 10_000, seed: int = 0
             f"models must share one grid, got {model_j.grid!r} and {model_k.grid!r}"
         )
     spec = DepthSpec(kind="ltr", use_derivatives=p == 1)
-    rng_j = np.random.default_rng((seed, 11))
-    rng_k = np.random.default_rng((seed, 13))
+    rng_j = derive_rng(seed, 11)
+    rng_k = derive_rng(seed, 13)
 
     def keys(model, size, rng):
         ds = FunctionalDataset(model.grid, generate(model, size, rng), np.ones(size, dtype=int))

@@ -285,12 +285,10 @@ class StudyResult:
 
 
 def _study_replicate(spec: StudySpec, rep: int) -> np.ndarray:
-    grid = spec.models[0].grid
-    blocks, labels = [], []
-    for g, (model, size) in enumerate(zip(spec.models, spec.group_sizes), start=1):
-        blocks.append(generate(model, size, derive_seed(spec.seed, rep, g)))
-        labels.append(np.full(size, g))
-    ds = FunctionalDataset(grid, np.vstack(blocks), np.concatenate(labels))
+    blocks = [generate(model, size, derive_seed(spec.seed, rep, g))
+              for g, (model, size) in enumerate(zip(spec.models, spec.group_sizes), start=1)]
+    labels = np.repeat(np.arange(1, len(blocks) + 1), spec.group_sizes)
+    ds = FunctionalDataset(spec.models[0].grid, np.vstack(blocks), labels)
     rejections = np.zeros(len(spec.depth_specs), dtype=bool)
     for i, dspec in enumerate(spec.depth_specs):
         seeded = replace(dspec, rng_seed=derive_seed(spec.seed, rep, 1000 + i))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .depths import DepthSpec, RankVector, depth_ranks, depth_sort_keys, derive_seed
 from .exceptions import ParameterError
-from .fdata import FunctionalDataset, integer_labels
+from .fdata import FunctionalDataset, group_labels
 
 _CORRECTIONS = ("sidak", "bonferroni", "holm")
 
@@ -94,19 +94,14 @@ def _validate_ranks_groups(ranks, groups):
     raw ranks are checked here."""
     checked = isinstance(ranks, RankVector)
     ranks = np.asarray(ranks.ranks if checked else ranks)
-    groups = integer_labels(groups, ParameterError)
     n = ranks.size
     if n == 0:
         raise ParameterError("need at least one rank")
+    groups, sizes = group_labels(groups, ParameterError)
     if groups.size != n:
         raise ParameterError(f"{groups.size} group labels for {n} ranks")
     if not checked and not np.array_equal(np.sort(ranks), np.arange(1, n + 1)):
         raise ParameterError("ranks must form a permutation of 1..N (break ties first)")
-    if groups.min() < 1:
-        raise ParameterError("every group label in 1..J must appear at least once")
-    sizes = np.bincount(groups)[1:]
-    if np.any(sizes == 0):
-        raise ParameterError("every group label in 1..J must appear at least once")
     if sizes.size < 2:
         raise ParameterError("need at least two groups")
     return ranks, groups, sizes

@@ -489,6 +489,57 @@ class TestCmdSimulate:
         assert "BrokenPipeError" not in stderr
 
 
+class TestUnreadablePaths:
+    """A path that names a directory, or a file that is not UTF-8, is an
+    input error with a one-line message: ``main`` returns 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "--input", "{dir}"],
+        ["test", "--input", "{csv}", "--derivatives", "file={dir}"],
+        ["power", "--spec", "{dir}"],
+        ["simulate", "--spec", "{dir}"],
+        ["depth", "--input", "{csv}", "--output", "{dir}"],
+        ["test", "--input", "{latin1}"],
+    ], ids=["input-dir", "derivatives-dir", "power-spec-dir", "simulate-spec-dir",
+            "output-dir", "not-utf8"])
+    def test_exit_input(self, argv, identical_groups_csv, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"group,0,0.5,1\n1,0,\xff,0\n")
+        paths = {"dir": tmp_path, "csv": identical_groups_csv, "latin1": latin1}
+        assert main([arg.format(**paths) for arg in argv]) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+class TestRefusedValues:
+    """Each refused flag or spec value exits 3 with its message."""
+
+    STUDY = {"sizes": [8, 8], "grid_points": 21, "replications": 3}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["test", "--derivatives", "spline"],
+         "--derivatives must be 'finite-diff' or 'file=PATH'"),
+        (["depth", "--depth", "ksd", "--weights", "0.3", "0.3"],
+         "channel_weights must sum to 1, got 0.6"),
+    ], ids=["derivatives-mode", "weights-sum"])
+    def test_flags(self, argv, message, identical_groups_csv, capsys):
+        assert main(argv + ["--input", str(identical_groups_csv)]) == EXIT_PARAMETER
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+    @pytest.mark.parametrize("command, spec, message", [
+        ("power", {"deltas": [0.0, 1.0], "thetas": [0.5, 0.5], "density": {"kind": "gamma"}},
+         "unknown density kind 'gamma'"),
+        ("simulate", dict(STUDY, scenario=1, sizes=[8, 8, 8]),
+         "scenario studies are two-sample; give two sizes"),
+        ("simulate", STUDY, "study spec needs 'scenario' or 'groups'"),
+    ], ids=["density-kind", "scenario-sizes", "no-groups"])
+    def test_specs(self, command, spec, message, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main([command, "--spec", str(path)]) == EXIT_PARAMETER
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
+
+
 class TestParser:
     def test_unknown_command_rejected(self, capsys):
         with pytest.raises(SystemExit):

@@ -15,6 +15,7 @@ from fkwc import (
     DepthSpec,
     FunctionalDataset,
     Grid,
+    ParameterError,
     TestConfig,
     differentiate,
     fkwc_test,
@@ -23,6 +24,7 @@ from fkwc import (
     steel_mc,
 )
 from fkwc.depths import depth_sort_keys
+from fkwc.fdata import group_labels
 
 
 def curve_arrays(m=11, n=1):
@@ -222,8 +224,22 @@ class TestDataset:
             )
 
     def test_group_sizes(self, two_group_dataset):
-        assert two_group_dataset.n_groups == 2
-        np.testing.assert_array_equal(two_group_dataset.group_sizes, [15, 15])
+        ds = two_group_dataset
+        assert ds.n_groups == 2
+        np.testing.assert_array_equal(ds.group_sizes, [15, 15])
+        # counted once, when the dataset was built
+        assert ds.group_sizes is ds.group_sizes
+        assert not ds.group_sizes.flags.writeable and not ds.groups.flags.writeable
+
+    @pytest.mark.parametrize("derived", [False, True], ids=["channel-unread", "channel-derived"])
+    def test_copies_keep_arrays_read_only(self, two_group_dataset, derived):
+        ds = two_group_dataset
+        if derived:
+            ds.derivatives
+        for back in (pickle.loads(pickle.dumps(ds)), copy.deepcopy(ds), copy.copy(ds)):
+            for name in ("curves", "groups", "group_sizes", "derivatives"):
+                assert not getattr(back, name).flags.writeable, name
+                assert getattr(back, name).tobytes() == getattr(ds, name).tobytes(), name
 
     def test_subset_relabels(self, grid21):
         ds = FunctionalDataset(grid21, np.random.default_rng(0).normal(size=(9, grid21.m)),
@@ -231,6 +247,27 @@ class TestDataset:
         sub = ds.subset([3, 1])
         assert sub.n_curves == 6
         np.testing.assert_array_equal(sub.groups, [2, 2, 2, 1, 1, 1])
+
+
+class TestGroupLabels:
+    def test_labels_and_sizes(self):
+        given = np.array([2, 1, 2, 3], dtype=np.int32)
+        labels, sizes = group_labels(given)
+        assert labels.dtype == int and labels is not given and given.flags.writeable
+        np.testing.assert_array_equal(labels, [2, 1, 2, 3])
+        np.testing.assert_array_equal(sizes, [1, 2, 1])
+
+    @pytest.mark.parametrize("labels", [[], [0, 1], [1, 3],
+                                        np.array([1, 2**64 - 1], dtype=np.uint64)],
+                             ids=["empty", "zero", "gap", "uint64-above-int64"])
+    def test_labels_not_covering_one_to_j_rejected(self, labels):
+        with pytest.raises(ParameterError, match="cover 1..J"):
+            group_labels(labels, ParameterError)
+
+    @pytest.mark.parametrize("labels", [5, [[1, 2]], np.ones((2, 2, 1))], ids=["0-d", "2-d", "3-d"])
+    def test_labels_not_one_dimensional_rejected(self, labels):
+        with pytest.raises(DataError, match="1-d"):
+            group_labels(labels)
 
 
 class TestDerivativeChannel:

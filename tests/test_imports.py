@@ -3,7 +3,8 @@ the names the benchmark traces exist; only fdata computes derivatives, only
 depths._channels reads a dataset's channels in depths.py, only
 depths._channel_depth runs the cached channel functions, only sim.py draws the
 process families' normals and chi-square scales, only fdata.py reads the
-grid's quadrature weights, no fkwc module imports scipy.stats, and scipy and
+grid's quadrature weights or counts group labels, only depths.derive_rng and
+sim.py seed generators, no fkwc module imports scipy.stats, and scipy and
 the process pool load only where they are used.  A failing hypothesis property
 does not stop the test session."""
 
@@ -136,6 +137,46 @@ def test_quadrature_weights_read_only_in_fdata():
         if isinstance(node, ast.Attribute) and node.attr == "trapezoid_weights"
     ]
     assert readers and {r.split(":")[0] for r in readers} == {"fdata.py"}, readers
+
+
+def _numpy_calls(name):
+    """(file, line, keyword names) of each call of an attribute ``name``
+    in fkwc, ``np.<name>(...)`` among them."""
+    for path in sorted((SRC / "fkwc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == name):
+                yield path, node.lineno, {k.arg for k in node.keywords}
+
+
+def test_group_labels_counted_only_in_fdata():
+    """No module but fdata.py calls ``np.unique`` or counts with
+    ``np.bincount`` (a weighted sum excepted): what a grouping is, and its
+    sizes, are ``fdata.group_labels``'s to decide."""
+    fdata = importlib.import_module("fkwc.fdata")
+    assert callable(fdata.group_labels) and not hasattr(fdata, "integer_labels")
+    counts = [
+        f"{path.name}:{line}"
+        for name in ("unique", "bincount")
+        for path, line, keywords in _numpy_calls(name)
+        if path.name != "fdata.py" and "weights" not in keywords
+    ]
+    assert not counts, counts
+
+
+def test_seeded_generators_only_from_derive_rng_and_sim():
+    """``np.random.default_rng`` is called only in ``depths.derive_rng`` and
+    in sim.py, where a caller's seed or Generator enters: every other stream
+    is a child of (seed, key...)."""
+    callers = set()
+    for path in sorted((SRC / "fkwc").glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+                if getattr(func, "attr", None) == "default_rng":
+                    callers.add(path.name if path.name == "sim.py"
+                                else f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert callers == {"sim.py", "depths.derive_rng"}, callers
 
 
 FAILING_PROPERTY = """

@@ -332,6 +332,12 @@ class TestPredictedPowerAndSampleSize:
         assert at_n >= target
         assert below < target
 
+    def test_floor_of_the_search_returned_when_it_reaches_the_target(self):
+        # the search starts at N = 4J: certain orderings reach 0.6 there
+        probs, thetas = [[0.5, 1.0], [0.0, 0.5]], [0.5, 0.5]
+        assert required_sample_size(probs, thetas, 0.6) == 8
+        assert power_from_pairwise(probs, thetas, 8).predicted_power >= 0.6
+
     def test_infeasible_when_null(self):
         with pytest.raises(InfeasibleError):
             required_sample_size(symmetric_probs(2, 0.0), [0.5, 0.5], 0.9)

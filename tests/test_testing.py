@@ -152,6 +152,19 @@ class TestKwStatistic:
         with pytest.raises(ParameterError, match="must be integers"):
             RANK_STATISTICS[kind](np.array([1, 2, 3, 4]), labels)
 
+    @pytest.mark.parametrize("kind", RANK_STATISTICS)
+    def test_rejects_huge_label_without_counting_to_it(self, kind, traced_peak):
+        # np.bincount once sized its counts by the largest label: 7.11 PiB here
+        def call():
+            with pytest.raises(ParameterError, match="cover 1..J"):
+                RANK_STATISTICS[kind]([1, 2, 3, 4], [1, 1, 2, 10**15])
+        assert traced_peak(call) < 1_000_000
+
+    @pytest.mark.parametrize("kind", RANK_STATISTICS)
+    def test_rejects_two_dimensional_labels(self, kind):
+        with pytest.raises(ParameterError, match="1-d"):
+            RANK_STATISTICS[kind]([1, 2, 3, 4], [[1, 2], [1, 2]])
+
     def test_integral_float_labels_accepted(self):
         assert kw_statistic([1, 2, 3, 4], [1.0, 1.0, 2.0, 2.0]) == kw_statistic(
             [1, 2, 3, 4], [1, 1, 2, 2]
@@ -215,6 +228,11 @@ class TestFkwcTest:
         assert res.p_value > 0.85
         assert not res.reject
         assert res.tie_breaks_applied == 50
+
+    def test_one_group_refused(self, grid21):
+        ds = FunctionalDataset(grid21, np.zeros((4, grid21.m)), [1, 1, 1, 1])
+        with pytest.raises(ParameterError, match="at least two groups"):
+            fkwc_test(ds)
 
     def test_chi2_critical_value(self):
         assert chi2.ppf(0.95, 1) == pytest.approx(CHI2_1_CRIT, abs=1e-3)
@@ -539,6 +557,11 @@ class TestSteelMc:
             keys[two_group_dataset.groups == 1], keys[two_group_dataset.groups == 2]
         )
         assert res.pairwise_raw_p[0, 1] == pytest.approx(direct, abs=1e-12)
+
+    def test_one_group_refused(self, grid21):
+        ds = FunctionalDataset(grid21, np.zeros((4, grid21.m)), [1, 1, 1, 1])
+        with pytest.raises(ParameterError, match="at least two groups"):
+            steel_mc(ds, DepthSpec())
 
     def test_matrix_symmetric_unit_diagonal(self, grid101):
         rng = np.random.default_rng(40)
