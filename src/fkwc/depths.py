@@ -17,11 +17,13 @@ evaluation order or thread count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import arcsweep
 from .exceptions import DataError, ParameterError
 from .fdata import FunctionalDataset, Grid
 
@@ -283,9 +285,9 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
 # ---------------------------------------------------------------------------
 
 # queries x points per block of halfspace_depth_2d.  Its temporaries peak at
-# about 50 bytes a cell, 75 with the key buffer (1.2 MB a block); blocks of
-# 32,768 and 65,536 cells ran 1.2-1.4x slower per cell at n = 200 and 400,
-# and of 4,096 no faster.  A 100 x 100 slice is one block.
+# about 50 bytes a cell, 75 with the NumPy counts' key buffer (1.2 MB a
+# block); blocks of 32,768 and 65,536 cells ran 1.2-1.4x slower per cell at
+# n = 200 and 400, and of 4,096 no faster.  A 100 x 100 slice is one block.
 _HALFSPACE_BLOCK_CELLS = 1 << 14
 
 
@@ -300,29 +302,16 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     query at the origin, the minimal closed-halfplane count is n minus the
     largest number of the K nonzero direction angles in a half-open arc
     (b, b + pi], scanned at the 2K arcs that start or end at an angle.
-    All queries of a block are swept at once.  Per query, with a the
-    sorted angles, p = fl(a + pi) and s = fl(a + 2 pi):
-
-    * X_j = #{a <= p_j} + #{s <= p_j};
-    * Y_j = #{a <= a_j} + #{s <= a_j}, the end of a_j's run of ties (plus
-      the s that equal pi when a_j = pi, possible only when some a = -pi);
-      X_j - Y_j is only needed at those run ends, where Y_j = j + 1;
-    * Z_j = K + #{s <= s_j}, K plus the end of s_j's run of ties;
-
-    and the depth is (n - max_j max(X_j - Y_j, Z_j - X_j)) / n.  These
-    compare the same floats as the per-query sweep, so the counts are
-    identical to it.  X is a batched right-sided search: every comparison
-    behind it is between non-negative floats (a negative a is below every
-    p), whose bit patterns sort like their values, so one row-wise sort of
-    ``bits << 1 | tag`` keys, the tag putting a sample angle before a p it
-    equals, places each p after exactly X of them.
+    NumPy sorts the angles of all queries of a block at once, coincident
+    points padded with +inf; the largest arc of each row is counted by
+    the compiled sweep of :mod:`fkwc.arcsweep`, or, where none can be
+    built, by :func:`_max_arcs` in NumPy.  Both compare the same floats as
+    the per-query sweep, so the counts are identical to it.
 
     Cost: O(k q n log n) time in a fixed number of NumPy calls per block of
     at most ``_HALFSPACE_BLOCK_CELLS`` query-point pairs of one slice (one
-    block for q = n = 100), against about 15 calls per query for a sweep
-    one query at a time; O(block) memory.  Shapes and finiteness are
-    checked once per call, and every block sorts its keys in one buffer
-    allocated once per call.
+    block for q = n = 100); O(block) memory.  Shapes and finiteness are
+    checked once per call.
     """
     pts = np.asarray(points, dtype=float)
     qs = np.asarray(queries, dtype=float)
@@ -340,22 +329,47 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     # contiguous rows, about 5x faster than from the interleaved pairs
     pts, qs = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (pts, qs))
     rows = max(1, min(q, _HALFSPACE_BLOCK_CELLS // n))
-    keys = np.empty((rows, 3 * n))
+    max_arcs = arcsweep.load()
+    if max_arcs is None:  # every block sorts its keys in one buffer
+        max_arcs = functools.partial(_max_arcs, buf=np.empty((rows, 3 * n)))
     out = np.empty((k, q))
     for t in range(k):
         for lo in range(0, q, rows):
-            out[t, lo:lo + rows] = _halfspace_block(pts[t], qs[t, :, lo:lo + rows], keys)
+            out[t, lo:lo + rows] = _halfspace_block(pts[t], qs[t, :, lo:lo + rows], max_arcs)
     return out
 
 
-def _halfspace_block(pts: np.ndarray, qs: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """Depths of the queries ``qs`` (2, q) against ``pts`` (2, n), keyed in ``buf[:q]``."""
+def _halfspace_block(pts: np.ndarray, qs: np.ndarray, max_arcs) -> np.ndarray:
+    """Depths of the queries ``qs`` (2, q) against ``pts`` (2, n)."""
     dx, dy = pts[:, None, :] - qs[:, :, None]
-    q, n = dx.shape
+    n = dx.shape[1]
     coincident = (dx == 0.0) & (dy == 0.0)
     a = np.arctan2(dy, dx, out=dx)
     a[coincident] = np.inf  # no angle: sorts after the K real ones
     a.sort(axis=1)
+    return (n - max_arcs(a)) / n
+
+
+def _max_arcs(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The largest half-open arc count of each row of sorted angles ``a``
+    (q, n), keyed in ``buf[:q]``: the NumPy form of the compiled sweep.
+
+    Per row, with K finite angles, p = fl(a + pi) and s = fl(a + 2 pi):
+
+    * X_j = #{a <= p_j} + #{s <= p_j};
+    * Y_j = #{a <= a_j} + #{s <= a_j}, the end of a_j's run of ties (plus
+      the s that equal pi when a_j = pi, possible only when some a = -pi);
+      X_j - Y_j is only needed at those run ends, where Y_j = j + 1;
+    * Z_j = K + #{s <= s_j}, K plus the end of s_j's run of ties;
+
+    and the count is max_j max(X_j - Y_j, Z_j - X_j).  X is a batched
+    right-sided search: every comparison behind it is between
+    non-negative floats (a negative a is below every p), whose bit
+    patterns sort like their values, so one row-wise sort of
+    ``bits << 1 | tag`` keys, the tag putting a sample angle before a p it
+    equals, places each p after exactly X of them.
+    """
+    q, n = a.shape
     # Z_j - (j + 1), taken first, as the keys overwrite s: K, plus, on rows
     # where some s tie, the distance from s_j to the end of its run of ties
     keys = buf[:q]
@@ -363,7 +377,7 @@ def _halfspace_block(pts: np.ndarray, qs: np.ndarray, buf: np.ndarray) -> np.nda
     counts = np.arange(1, n + 1)
     run_end = np.ones((q, n), dtype=bool)
     np.not_equal(s[:, 1:], s[:, :-1], out=run_end[:, :-1])
-    z = np.repeat(n - np.count_nonzero(coincident, axis=1), n).reshape(q, n)
+    z = np.repeat(np.count_nonzero(a < np.inf, axis=1), n).reshape(q, n)
     tied = ~run_end.all(axis=1)
     if tied.any():
         ends = np.minimum.accumulate(np.where(run_end[tied], counts, n)[:, ::-1], axis=1)
@@ -388,7 +402,7 @@ def _halfspace_block(pts: np.ndarray, qs: np.ndarray, buf: np.ndarray) -> np.nda
     # s_i = pi exactly when a_i = -pi, and then s_i <= a_j for a_j = pi
     if (a[:, 0] == -np.pi).any():
         x -= (a == np.pi) * np.count_nonzero(a == -np.pi, axis=1)[:, None]
-    return (n - np.maximum(x, z, out=z).max(axis=1)) / n
+    return np.maximum(x, z, out=z).max(axis=1)
 
 
 def mfhd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:

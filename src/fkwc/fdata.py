@@ -251,49 +251,56 @@ def save_csv(ds: FunctionalDataset, path, derivatives_path=None) -> None:
 def _parse_wide_csv(path):
     # rows are parsed as the reader yields them: the file's text is never
     # held whole, only the parsed values (a blank line still counts as a row)
-    with open(path, newline="") as fh:
-        rows = csv.reader(fh)
-        header = next(rows, None)
-        if header is None:
-            raise DataError(f"{path}: empty file")
-        if not header or header[0].strip().lower() != "group":
-            raise DataError(f"{path}: first header column must be 'group'")
+    try:
+        with open(path, newline="") as fh:
+            return _parse_rows(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start:exc.start + 1].hex()
+        raise DataError(f"{path}: not UTF-8 text (byte 0x{bad}: {exc.reason})") from None
+
+
+def _parse_rows(path, rows):
+    """(grid, group labels, curves) of a wide CSV's rows; ``path`` names
+    the file in each message."""
+    header = next(rows, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if not header or header[0].strip().lower() != "group":
+        raise DataError(f"{path}: first header column must be 'group'")
+    try:
+        points = np.array([float(c) for c in header[1:]])
+    except ValueError as exc:
+        raise DataError(f"{path}: non-numeric grid point in header ({exc})") from None
+    m = points.size
+    if m < 3 or not (np.abs(points - np.linspace(0.0, 1.0, m)) <= _HEADER_TOL).all():
+        raise DataError(
+            f"{path}: header grid must be at least 3 equispaced points from 0 to 1"
+        )
+    grid = Grid(m)
+    groups, values = [], []
+    for r, row in enumerate(rows, start=2):
+        if not row:
+            continue
+        if len(row) != m + 1:
+            raise DataError(f"{path}: row {r} has {len(row)} fields, expected {m + 1}")
         try:
-            points = np.array([float(c) for c in header[1:]])
-        except ValueError as exc:
-            raise DataError(f"{path}: non-numeric grid point in header ({exc})") from None
-        m = points.size
-        if m < 3 or not (np.abs(points - np.linspace(0.0, 1.0, m)) <= _HEADER_TOL).all():
+            groups.append(int(row[0]))
+        except ValueError:
             raise DataError(
-                f"{path}: header grid must be at least 3 equispaced points from 0 to 1"
-            )
-        grid = Grid(m)
-        groups, values = [], []
-        for r, row in enumerate(rows, start=2):
-            if not row:
-                continue
-            if len(row) != m + 1:
-                raise DataError(
-                    f"{path}: row {r} has {len(row)} fields, expected {m + 1}"
-                )
-            try:
-                groups.append(int(row[0]))
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {r}, column 1: bad group label {row[0]!r}"
-                ) from None
-            try:
-                values.append(np.fromiter(map(float, row[1:]), float, m))
-            except ValueError:
-                # scan again only to name the cell
-                for c, cell in enumerate(row[1:], start=2):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}: row {r}, column {c}: could not parse {cell!r} as a number"
-                        ) from None
-                raise
+                f"{path}: row {r}, column 1: bad group label {row[0]!r}"
+            ) from None
+        try:
+            values.append(np.fromiter(map(float, row[1:]), float, m))
+        except ValueError:
+            # scan again only to name the cell
+            for c, cell in enumerate(row[1:], start=2):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(
+                        f"{path}: row {r}, column {c}: could not parse {cell!r} as a number"
+                    ) from None
+            raise
     if not values:
         raise DataError(f"{path}: no curves found")
     return grid, np.array(groups), np.array(values)

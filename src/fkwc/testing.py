@@ -116,10 +116,14 @@ def _group_mean_ranks(ranks, groups, sizes) -> np.ndarray:
 def kw_statistic(ranks, groups) -> float:
     """Rank dispersion statistic 12/(N(N+1)) * sum_j N_j (Rbar_j - (N+1)/2)^2."""
     ranks, groups, sizes = _validate_ranks_groups(ranks, groups)
-    n = ranks.size
+    return _kw_from_means(ranks.size, sizes, _group_mean_ranks(ranks, groups, sizes))
+
+
+def _kw_from_means(n: int, sizes, means) -> float:
+    """``kw_statistic`` from the group sizes and mean ranks of N ranks."""
     center = (n + 1) / 2.0
     total = 0.0
-    for nj, mean in zip(sizes, _group_mean_ranks(ranks, groups, sizes)):
+    for nj, mean in zip(sizes, means):
         total += nj * (mean - center) ** 2
     return 12.0 / (n * (n + 1)) * total
 
@@ -130,6 +134,11 @@ def percentile_statistic(ranks, groups, r: float) -> float:
     ranks, groups, sizes = _validate_ranks_groups(ranks, groups)
     if not 0.0 < r <= 1.0:
         raise ParameterError(f"r must lie in (0, 1], got {r}")
+    return _percentile_checked(ranks, groups, sizes, r)
+
+
+def _percentile_checked(ranks, groups, sizes, r: float) -> float:
+    """``percentile_statistic`` of checked ranks, labels, sizes and r."""
     n = ranks.size
     j_count = sizes.size
     n_prime = int(math.floor(r * n))
@@ -138,7 +147,7 @@ def percentile_statistic(ranks, groups, r: float) -> float:
     if n_prime < j_count:
         warnings.warn(
             f"floor(r*N) = {n_prime} < J = {j_count}: percentile statistic is degenerate",
-            stacklevel=2,
+            stacklevel=3,
         )
     group_of_rank = np.empty(n + 1, dtype=int)
     group_of_rank[ranks.astype(int)] = groups
@@ -199,16 +208,18 @@ def fkwc_test(ds: FunctionalDataset, config: TestConfig = TestConfig()) -> TestR
     if ds.n_groups < 2:
         raise ParameterError("need at least two groups")
     rv = depth_ranks(ds, config.depth_spec)
-    groups = ds.groups
+    # the dataset's labels and sizes were checked when it was built
+    ranks, groups, sizes = rv.ranks, ds.groups, ds.group_sizes
+    group_means = _group_mean_ranks(ranks, groups, sizes)
     if config.percentile_r is None:
-        stat = kw_statistic(rv, groups)
+        stat = _kw_from_means(ranks.size, sizes, group_means)
         kind = "W"
     else:
-        stat = percentile_statistic(rv, groups, config.percentile_r)
+        stat = _percentile_checked(ranks, groups, sizes, config.percentile_r)
         kind = "M_r"
     df = ds.n_groups - 1
     center = (groups.size + 1) / 2.0
-    means = tuple(_group_mean_ranks(rv.ranks, groups, ds.group_sizes).tolist())
+    means = tuple(group_means.tolist())
     devs = tuple((mu - center) ** 2 for mu in means)
     return TestResult(
         statistic=float(stat),

@@ -510,6 +510,16 @@ class TestUnreadablePaths:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag", ["--input", "--derivatives"])
+    def test_not_utf8_names_its_file(self, flag, identical_groups_csv, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.csv"
+        latin1.write_bytes(b"group,0,0.5,1\n1,0,\xff,0\n")
+        argv = (["--input", str(latin1)] if flag == "--input" else
+                ["--input", str(identical_groups_csv), "--derivatives", f"file={latin1}"])
+        assert main(["test", *argv]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {latin1}: not UTF-8 text (byte 0xff: invalid start byte)\n")
+
 
 class TestRefusedValues:
     """Each refused flag or spec value exits 3 with its message."""

@@ -1,6 +1,13 @@
 """Bivariate Tukey depth: independent halfplane-counting oracle,
 degenerate hand-verified configurations, and the per-query sweep that the
-batched kernel must reproduce count for count."""
+batched kernel must reproduce count for count, with its arc counts from the
+compiled sweep and from the NumPy fallback alike."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fkwc.depths
+from fkwc import arcsweep
 from fkwc import (
     DataError,
     DepthSpec,
@@ -186,6 +194,24 @@ def lattice_cases(draw):
     return pts, qs
 
 
+def counted_by(max_arcs, fn, *args):
+    """``fn(*args)`` with ``max_arcs`` counting the arcs; None forces the
+    NumPy fallback."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arcsweep, "load", lambda: max_arcs)
+        return fn(*args)
+
+
+@pytest.fixture
+def compiled():
+    """The compiled arc counts; skipped only where no C compiler is found."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    max_arcs = arcsweep.load()
+    assert max_arcs is not None, "cc is on PATH but the sweep did not build or load"
+    return max_arcs
+
+
 def _t1_dataset(n):
     curves = generate(ProcessModel(family="t1"), n, seed=(n, 2021))
     labels = [1] * (n // 2) + [2] * (n - n // 2)
@@ -205,13 +231,16 @@ class TestBatchedKernel:
                         [0.0, -2.0], [1.0, -4e-16]]), np.array([[0.0, 0.0]])))
     def test_equals_sweep_reference_on_lattices(self, case):
         pts, qs = case
-        assert np.array_equal(halfspace_depth_2d(pts, qs), sweep_reference(pts, qs))
+        got = halfspace_depth_2d(pts, qs)
+        assert got.tobytes() == counted_by(None, halfspace_depth_2d, pts, qs).tobytes()
+        assert np.array_equal(got, sweep_reference(pts, qs))
 
-    @pytest.mark.parametrize("n", [100, 200])
+    @pytest.mark.parametrize("n", [100, 200, 300])
     def test_primed_mfhd_equals_sweep_on_t1(self, n, monkeypatch):
         ds = _t1_dataset(n)
         spec = DepthSpec(kind="mfhd", use_derivatives=True)
         got = mfhd(ds, spec).values
+        assert got.tobytes() == counted_by(None, mfhd, _t1_dataset(n), spec).values.tobytes()
         monkeypatch.setattr(fkwc.depths, "halfspace_depth_2d", stacked_sweep_reference)
         assert np.array_equal(got, mfhd(ds, spec).values)
 
@@ -278,6 +307,118 @@ class TestBatchedKernel:
     def test_stacks_without_queries(self, k):
         out = halfspace_depth_2d(np.zeros((k, 3, 2)), np.zeros((k, 0, 2)))
         assert out.shape == (k, 0)
+
+
+CONCURRENT_BUILD = """
+import os, sys, time
+from pathlib import Path
+import numpy as np
+from fkwc import arcsweep, halfspace_depth_2d
+
+ready = Path(sys.argv[1])
+(ready / str(os.getpid())).touch()
+deadline = time.monotonic() + 60
+while len(list(ready.iterdir())) < 2 and time.monotonic() < deadline:
+    time.sleep(0.001)
+assert arcsweep.load() is not None
+pts = np.random.default_rng(5).standard_t(1, size=(101, 40, 2))
+sys.stdout.write(halfspace_depth_2d(pts, pts).tobytes().hex())
+"""
+
+
+class TestCompiledSweep:
+    """The compiled arc counts: built on first use into the cache, shared by
+    processes that build at once, and replaced by the NumPy counts with the
+    same bytes when they cannot be built or loaded."""
+
+    @pytest.fixture
+    def fresh_load(self):
+        arcsweep.load.cache_clear()
+        yield
+        arcsweep.load.cache_clear()
+
+    @staticmethod
+    def _t1_slices():
+        pts = np.random.default_rng(5).standard_t(1, size=(101, 40, 2))
+        return pts, pts
+
+    def test_source_compiles_without_warnings(self, tmp_path):
+        cc = shutil.which("cc")
+        if cc is None:
+            pytest.skip("no C compiler (cc) on PATH")
+        proc = subprocess.run(
+            [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", *arcsweep.FLAGS, "-x", "c", "-",
+             "-o", str(tmp_path / "sweep.so")],
+            input=arcsweep.SOURCE, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+
+    def test_kernel_takes_the_compiled_counts(self, compiled, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("NumPy counts ran")
+
+        monkeypatch.setattr(fkwc.depths, "_max_arcs", refuse)
+        pts, qs = self._t1_slices()
+        assert halfspace_depth_2d(pts, qs).shape == (101, 40)
+
+    def test_library_built_on_first_use_into_the_cache(self, compiled, fresh_load, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        pts, qs = self._t1_slices()
+        want = counted_by(None, halfspace_depth_2d, pts, qs).tobytes()
+        assert not (tmp_path / "fkwc").exists()
+        assert halfspace_depth_2d(pts, qs).tobytes() == want
+        assert [f.name for f in (tmp_path / "fkwc").iterdir()] == [arcsweep.library_path().name]
+
+    def test_concurrent_builds_share_one_library(self, compiled, tmp_path):
+        cache, ready = tmp_path / "cache", tmp_path / "ready"
+        ready.mkdir()
+        env = dict(os.environ, XDG_CACHE_HOME=str(cache),
+                   PYTHONPATH=str(Path(fkwc.__file__).parents[1]))
+        procs = [subprocess.Popen([sys.executable, "-c", CONCURRENT_BUILD, str(ready)],
+                                  env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                  text=True) for _ in range(2)]
+        outs = [proc.communicate(timeout=300) for proc in procs]
+        for proc, (_, err) in zip(procs, outs):
+            assert proc.returncode == 0, err
+        pts, qs = self._t1_slices()
+        want = counted_by(None, halfspace_depth_2d, pts, qs).tobytes().hex()
+        assert outs[0][0] == outs[1][0] == want
+        files = [f.name for f in (cache / "fkwc").iterdir()]
+        assert len(files) == 1 and files[0].startswith("arcsweep-"), files
+
+    @pytest.mark.parametrize("compiler", [
+        "exit 1",
+        'for a; do out=$a; done; echo junk > "$out"',
+        'for a; do out=$a; done; PATH={path} {cc} -shared -fPIC -x c /dev/null -o "$out"',
+    ], ids=["compiler-fails", "library-unloadable", "function-missing"])
+    def test_failed_build_falls_back(self, compiler, compiled, fresh_load, tmp_path,
+                                     monkeypatch):
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        script = compiler.format(path=os.environ["PATH"], cc=shutil.which("cc"))
+        (bin_dir / "cc").write_text(f"#!/bin/sh\n{script}\n")
+        (bin_dir / "cc").chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        pts, qs = self._t1_slices()
+        assert arcsweep.load() is None
+        # only a build that exits 0 puts a library in place, and no build
+        # leaves its temporary file behind
+        built = compiler != "exit 1"
+        assert arcsweep.library_path().exists() == built
+        assert len(list((tmp_path / "cache" / "fkwc").iterdir())) == built
+        got = halfspace_depth_2d(pts, qs)
+        assert got.tobytes() == counted_by(compiled, halfspace_depth_2d, pts, qs).tobytes()
+
+    def test_unwritable_cache_falls_back(self, compiled, fresh_load, tmp_path, monkeypatch):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
+        pts, qs = self._t1_slices()
+        assert arcsweep.load() is None
+        want = counted_by(compiled, halfspace_depth_2d, pts, qs).tobytes()
+        assert halfspace_depth_2d(pts, qs).tobytes() == want
 
 
 class TestValidation:

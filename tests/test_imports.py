@@ -4,8 +4,9 @@ depths._channels reads a dataset's channels in depths.py, only
 depths._channel_depth runs the cached channel functions, only sim.py draws the
 process families' normals and chi-square scales, only fdata.py reads the
 grid's quadrature weights or counts group labels, only depths.derive_rng and
-sim.py seed generators, no fkwc module imports scipy.stats, and scipy and
-the process pool load only where they are used.  A failing hypothesis property
+sim.py seed generators, no fkwc module imports scipy.stats, scipy and
+the process pool load only where they are used, and the compiled halfspace
+sweep is built only for ``mfhd'``.  A failing hypothesis property
 does not stop the test session."""
 
 import ast
@@ -312,3 +313,38 @@ def test_scipy_and_pool_loaded_only_when_used():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+NO_BUILD_SCRIPT = """
+import sys
+import fkwc, fkwc.cli
+from fkwc import DepthSpec, ProcessModel, StudySpec, arcsweep, run_study
+
+loaded = sorted(n for n in ("hashlib", "subprocess") if n in sys.modules)
+assert not loaded, loaded
+
+model = ProcessModel(family="t1", grid=fkwc.Grid(21))
+specs = tuple(DepthSpec(kind=k, use_derivatives=p)
+              for k in ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd") for p in (False, True)
+              if (k, p) != ("mfhd", True))
+study = StudySpec(models=(model, model), group_sizes=(6, 6), depth_specs=specs,
+                  replications=2, seed=5)
+assert run_study(study, n_jobs=1).rejection_rates.shape == (11,)
+assert arcsweep.load.cache_info().currsize == 0
+assert "subprocess" not in sys.modules
+"""
+
+
+def test_import_and_study_without_mfhd_prime_build_nothing(tmp_path):
+    """``import fkwc, fkwc.cli`` imports neither hashlib nor subprocess, and
+    a study of every spec but ``mfhd'`` neither builds nor loads the
+    compiled halfspace sweep nor imports subprocess: the library is built
+    at the first ``mfhd'`` evaluation.  (The study does load hashlib:
+    ``numpy.random`` imports it by way of ``secrets`` and ``hmac``.)"""
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_BUILD_SCRIPT], env=env, capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.iterdir())

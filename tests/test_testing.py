@@ -14,16 +14,21 @@ from scipy import special
 from scipy.stats import chi2, norm, rankdata
 
 import fkwc.fdata
+import fkwc.testing
 from fkwc import (
     DepthSpec,
     FunctionalDataset,
     Grid,
     ParameterError,
+    ProcessModel,
+    StudySpec,
     TestConfig,
     depth_ranks,
     fkwc_test,
+    generate,
     kw_statistic,
     percentile_statistic,
+    run_study,
     steel_mc,
     wilcoxon_rank_sum,
 )
@@ -331,6 +336,33 @@ class TestFkwcTest:
         assert kw_statistic(ranks, groups) == masked_kw(ranks, groups)
         if r is None:
             assert res.statistic == masked_kw(ranks, groups)
+
+    def test_labels_checked_once_per_dataset(self, monkeypatch):
+        """A study checks each replicate's labels once, when its dataset is
+        built; fkwc_test reads the checked labels and sizes, and its W and
+        M_r equal kw_statistic's and percentile_statistic's bits."""
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return group_labels(*args, **kwargs)
+
+        group_labels = fkwc.fdata.group_labels
+        monkeypatch.setattr(fkwc.fdata, "group_labels", counting)
+        monkeypatch.setattr(fkwc.testing, "group_labels", counting)
+        model = ProcessModel(family="t1", grid=Grid(21))
+        specs = (DepthSpec(kind="ltr"), DepthSpec(kind="mbd"), DepthSpec(kind="spatial"))
+        for r in (None, 0.7):
+            calls.clear()
+            run_study(StudySpec(models=(model, model), group_sizes=(6, 7), depth_specs=specs,
+                                replications=2, seed=5, percentile_r=r), n_jobs=1)
+            assert len(calls) == 2
+        ds = FunctionalDataset(Grid(21), generate(model, 13, seed=8), [1] * 6 + [2] * 7)
+        rv = depth_ranks(ds, specs[1])
+        for r, want in ((None, kw_statistic(rv, ds.groups)),
+                        (0.7, percentile_statistic(rv, ds.groups, 0.7))):
+            res = fkwc_test(ds, TestConfig(depth_spec=specs[1], percentile_r=r))
+            assert res.statistic == want
 
     def test_percentile_config_used(self, two_group_dataset):
         spec = DepthSpec(kind="ltr", rng_seed=3)
