@@ -7,7 +7,8 @@ compiles ``SOURCE`` with the system C compiler (``cc`` on ``PATH``) and
 caches the shared library under ``$XDG_CACHE_HOME/fkwc`` (default
 ``~/.cache/fkwc``), named by a CRC-32 of the source, the flags and the
 machine.  Each build writes a temporary file and renames it into place, so
-processes that build at once leave one whole library.  Without a
+processes that build at once leave one whole library, and a cached file
+that does not load (junk, or cut short) is built again, once.  Without a
 compiler, or when the build or the load fails, :func:`load` returns None
 and the NumPy counts in ``depths`` run.  Either way the choice is made
 once per process, and the counts are the same integers: both compare the
@@ -114,10 +115,15 @@ def load():
     (q, n) angle rows, or None; built on the first call of a process."""
     path = library_path()
     try:
-        if not (path.exists() or _build(path)):
-            return None
-        fn = ctypes.CDLL(str(path)).fkwc_max_arcs
-    except (OSError, AttributeError):  # AttributeError: a library without the function
+        try:
+            fn = ctypes.CDLL(str(path)).fkwc_max_arcs
+        except OSError:  # not built yet, or a cached file that does not load: build it, once
+            if not _build(path):
+                return None
+            fn = ctypes.CDLL(str(path)).fkwc_max_arcs
+    except (OSError, AttributeError):
+        # AttributeError: a library without the function, not rebuilt: the
+        # loader would hand back the handle it already holds for this path
         return None
     fn.argtypes = (ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_double,
                    ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p)

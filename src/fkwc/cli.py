@@ -1,14 +1,14 @@
 """Command-line front end.
 
-Subcommands: ``test`` (k-sample covariance test), ``mc`` (pairwise multiple
-comparisons), ``depth`` (per-curve depths and ranks), ``power`` (noncentral
-power / sample size from a JSON spec), ``simulate`` (replicated studies from
-a JSON spec).
+Each subcommand is one row of ``_COMMANDS``: its handler, help, flag groups
+and ``--format`` choices.  A handler returns its exit code, a JSON payload
+and rows for a table or CSV; ``main`` prints the one the format names, or
+writes it to ``--output``.
 
-Exit codes: 0 success (no rejection), 2 rejection at level alpha (``test``
-only), 1 input error or standard output closed by its reader (broken pipe),
-3 parameter error, a command-line usage error among them, 4 numerical
-error.
+Exit codes: 0 success (no rejection), 2 rejection at level alpha (the
+k-sample test only), 1 input error or standard output closed by its reader
+(broken pipe), 3 parameter error, a command-line usage error among them, 4
+numerical error.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -47,8 +48,8 @@ from .sim import (
     StudySpec,
     generate_blocks,
     run_study,
-    save_study_csv,
     scenario_models,
+    study_rows,
 )
 from .testing import TestConfig, fkwc_test, steel_mc
 
@@ -59,19 +60,15 @@ EXIT_PARAMETER = 3
 EXIT_NUMERICAL = 4
 
 
-def _add_io_flags(sub):
+def _add_data_flags(sub):
     sub.add_argument("--input", required=True, help="wide CSV dataset (group column, grid header)")
-    sub.add_argument("--output", help="write results to this path instead of stdout")
     sub.add_argument(
         "--derivatives",
         default="finite-diff",
         help="derivative channel: 'finite-diff' (default) or 'file=PATH' with a matching CSV",
     )
-
-
-def _add_depth_flags(sub):
-    # dests are the JSON depth-node keys; a flag left out stays out of the
-    # namespace, so DepthSpec's own default applies
+    # the depth flags' dests are the JSON depth-node keys; a flag left out
+    # stays out of the namespace, so DepthSpec's own default applies
     add = functools.partial(sub.add_argument, default=argparse.SUPPRESS)
     add("--depth", dest="kind", choices=DEPTH_KERNELS, help="depth function")
     add("--primed", action="store_true", help="augment the depth with derivatives")
@@ -83,63 +80,34 @@ def _add_depth_flags(sub):
     add("--seed", type=int, help="seed for projections and tie-breaking")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fkwc",
-        description="Depth-rank k-sample tests for equality of covariance operators",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p_test = subs.add_parser("test", help="k-sample covariance equality test")
-    _add_io_flags(p_test)
-    _add_depth_flags(p_test)
-    p_test.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    p_test.add_argument(
+def _add_test_flags(sub):
+    sub.add_argument("--alpha", type=float, default=0.05, help="significance level")
+    sub.add_argument(
         "--r", type=float, default=None,
         help="percentile modification: keep the floor(r*N) least-deep ranks (r in (0,1])",
     )
-    p_test.add_argument("--format", choices=("json", "table"), default="json")
 
-    p_mc = subs.add_parser("mc", help="pairwise multiple comparisons (Steel-type)")
-    _add_io_flags(p_mc)
-    _add_depth_flags(p_mc)
-    p_mc.add_argument("--correction", choices=("sidak", "bonferroni", "holm"), default="sidak")
-    p_mc.add_argument(
+
+def _add_mc_flags(sub):
+    sub.add_argument("--correction", choices=("sidak", "bonferroni", "holm"), default="sidak")
+    sub.add_argument(
         "--correction-count", type=int, default=None,
         help="family size m for the correction (default: number of pairs)",
     )
-    p_mc.add_argument("--method", choices=("normal", "exact"), default="normal",
-                      help="rank-sum p-value: normal approximation, or the exact null "
-                           "(up to about 100 vs 100 curves per group pair)")
-    p_mc.add_argument("--format", choices=("json", "table"), default="json")
-
-    p_depth = subs.add_parser("depth", help="per-curve depth values and ranks")
-    _add_io_flags(p_depth)
-    _add_depth_flags(p_depth)
-    p_depth.add_argument("--format", choices=("json", "csv"), default="csv")
-
-    p_power = subs.add_parser("power", help="power or sample size from a JSON spec")
-    p_power.add_argument("--spec", required=True, help="JSON file describing the computation")
-    p_power.add_argument("--output", help="write results to this path instead of stdout")
-    p_power.add_argument("--format", choices=("json", "table"), default="json")
-
-    p_sim = subs.add_parser("simulate", help="replicated size/power study from a JSON spec")
-    p_sim.add_argument("--spec", required=True, help="JSON study description")
-    p_sim.add_argument("--output", help="write results to this path instead of stdout")
-    p_sim.add_argument("--threads", type=int, default=1,
-                       help="most worker processes for replicates (>= 1); capped at one per "
-                            "8 replicates and per usable CPU")
-    p_sim.add_argument("--format", choices=("json", "csv"), default="csv")
-    return parser
+    sub.add_argument("--method", choices=("normal", "exact"), default="normal",
+                     help="rank-sum p-value: normal approximation, or the exact null "
+                          "(up to about 100 vs 100 curves per group pair)")
 
 
-def _emit(text: str, output) -> None:
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+def _add_power_flags(sub):
+    sub.add_argument("--spec", required=True, help="JSON file describing the computation")
+
+
+def _add_simulate_flags(sub):
+    sub.add_argument("--spec", required=True, help="JSON study description")
+    sub.add_argument("--threads", type=int, default=1,
+                     help="most worker processes for replicates (>= 1); capped at one per "
+                          "8 replicates and per usable CPU")
 
 
 def _load_dataset(args) -> FunctionalDataset:
@@ -161,32 +129,28 @@ def _table(rows) -> str:
     return "\n".join("  ".join(str(c).ljust(w) for c, w in zip(row, widths)) for row in rows)
 
 
-def cmd_test(args) -> int:
+def cmd_test(args) -> tuple:
     ds = _load_dataset(args)
     config = TestConfig(depth_spec=_depth_spec(args), alpha=args.alpha, percentile_r=args.r)
     result = fkwc_test(ds, config)
-    if args.format == "json":
-        _emit(json.dumps(result.to_dict(), indent=2), args.output)
-    else:
-        rows = [
-            ("statistic_kind", result.statistic_kind),
-            ("statistic", f"{result.statistic:.6g}"),
-            ("df", result.df),
-            ("p_value", f"{result.p_value:.6g}"),
-            ("alpha", result.alpha),
-            ("reject", "yes" if result.reject else "no"),
-        ]
-        rows += [
-            (f"group_{g} mean_rank", f"{mu:.4f} (dev {dev:.4f})")
-            for g, (mu, dev) in enumerate(
-                zip(result.group_mean_ranks, result.group_deviations), start=1
-            )
-        ]
-        _emit(_table(rows), args.output)
-    return EXIT_REJECT if result.reject else EXIT_OK
+    rows = [
+        ("statistic_kind", result.statistic_kind),
+        ("statistic", f"{result.statistic:.6g}"),
+        ("df", result.df),
+        ("p_value", f"{result.p_value:.6g}"),
+        ("alpha", result.alpha),
+        ("reject", "yes" if result.reject else "no"),
+    ]
+    rows += [
+        (f"group_{g} mean_rank", f"{mu:.4f} (dev {dev:.4f})")
+        for g, (mu, dev) in enumerate(
+            zip(result.group_mean_ranks, result.group_deviations), start=1
+        )
+    ]
+    return EXIT_REJECT if result.reject else EXIT_OK, result.to_dict(), rows
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args) -> tuple:
     ds = _load_dataset(args)
     result = steel_mc(
         ds,
@@ -195,26 +159,22 @@ def cmd_mc(args) -> int:
         correction=args.correction,
         method=args.method,
     )
-    if args.format == "json":
-        _emit(json.dumps(result.to_dict(), indent=2), args.output)
-    else:
-        j = result.pairwise_raw_p.shape[0]
-        rows = [("pair", "raw_p", "adjusted_p")]
-        for a in range(j):
-            for b in range(a + 1, j):
-                rows.append(
-                    (
-                        f"{a + 1} vs {b + 1}",
-                        f"{result.pairwise_raw_p[a, b]:.6g}",
-                        f"{result.pairwise_adjusted_p[a, b]:.6g}",
-                    )
+    j = result.pairwise_raw_p.shape[0]
+    rows = [("pair", "raw_p", "adjusted_p")]
+    for a in range(j):
+        for b in range(a + 1, j):
+            rows.append(
+                (
+                    f"{a + 1} vs {b + 1}",
+                    f"{result.pairwise_raw_p[a, b]:.6g}",
+                    f"{result.pairwise_adjusted_p[a, b]:.6g}",
                 )
-        rows.append(("comparisons", result.num_comparisons, result.correction))
-        _emit(_table(rows), args.output)
-    return EXIT_OK
+            )
+    rows.append(("comparisons", result.num_comparisons, result.correction))
+    return EXIT_OK, result.to_dict(), rows
 
 
-def cmd_depth(args) -> int:
+def cmd_depth(args) -> tuple:
     ds = _load_dataset(args)
     spec = _depth_spec(args)
     dv = compute_depth(ds, spec)
@@ -222,17 +182,13 @@ def cmd_depth(args) -> int:
     header = ("index", "group", "depth", "rank")
     columns = (range(len(ds.groups)), ds.groups.tolist(), dv.values.tolist(), rv.ranks.tolist())
     rows = list(zip(*columns))
-    if args.format == "json":
-        payload = {
-            "depth": spec.label,
-            "tie_breaks_applied": rv.tie_breaks_applied,
-            "curves": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        rows = [(i, g, format(d, ".17g"), r) for i, g, d, r in rows]
-        write_csv([header] + rows, args.output or None)
-    return EXIT_OK
+    payload = {
+        "depth": spec.label,
+        "tie_breaks_applied": rv.tie_breaks_applied,
+        "curves": [dict(zip(header, row)) for row in rows],
+    }
+    rows = [(i, g, format(d, ".17g"), r) for i, g, d, r in rows]
+    return EXIT_OK, payload, [header] + rows
 
 
 _REQUIRED = object()
@@ -386,40 +342,31 @@ def _density_from_json(node) -> SupportDensity:
     raise ParameterError(f"unknown density kind {kind!r}")
 
 
-def cmd_power(args) -> int:
+def cmd_power(args) -> tuple:
     with open(args.spec) as fh:
         spec = json.load(fh)
     alpha = _read(spec, "alpha", float, 0.05)
-    if "target_power" in spec:
-        target = _read(spec, "target_power", float)
+    if "target_power" in spec or "probs" in spec:
+        # N from the spec, or the smallest N that reaches target_power
+        target = _read(spec, "target_power", float) if "target_power" in spec else None
         probs, thetas = _read(spec, "probs"), _read(spec, "thetas")
-        n_req = required_sample_size(probs, thetas, target, alpha)
-        result = power_from_pairwise(probs, thetas, n_req, alpha)
-        payload = result.to_dict()
-        payload["required_N"] = n_req
-        payload["target_power"] = target
-    elif "probs" in spec:
-        result = power_from_pairwise(
-            _read(spec, "probs"), _read(spec, "thetas"), _read(spec, "N", _integer), alpha
-        )
-        payload = result.to_dict()
+        n = (_read(spec, "N", _integer) if target is None
+             else required_sample_size(probs, thetas, target, alpha))
+        payload = power_from_pairwise(probs, thetas, n, alpha).to_dict()
+        if target is not None:
+            payload.update(required_N=n, target_power=target)
     elif "deltas" in spec:
         las = LocalAlternativeSpec(
             deltas=_read(spec, "deltas", tuple),
             thetas=_read(spec, "thetas", tuple),
             density=_density_from_json(_read(spec, "density")),
         )
-        result = power_from_local(las, alpha)
-        payload = result.to_dict()
+        payload = power_from_local(las, alpha).to_dict()
     else:
         raise ParameterError(
             "power spec must contain 'target_power', 'probs', or 'deltas'"
         )
-    if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.output)
-    else:
-        _emit(_table(sorted((k, v) for k, v in payload.items())), args.output)
-    return EXIT_OK
+    return EXIT_OK, payload, sorted(payload.items())
 
 
 def _bandwidth(value):
@@ -482,24 +429,43 @@ def _study_from_json(spec: dict) -> StudySpec:
     )
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple:
     with open(args.spec) as fh:
         spec = _study_from_json(json.load(fh))
     result = run_study(spec, n_jobs=args.threads)
-    if args.format == "json":
-        _emit(json.dumps(result.to_dict(), indent=2), args.output)
-    else:
-        save_study_csv(result, args.output or None)
-    return EXIT_OK
+    return EXIT_OK, result.to_dict(), study_rows(result)
 
 
-_HANDLERS = {
-    "test": cmd_test,
-    "mc": cmd_mc,
-    "depth": cmd_depth,
-    "power": cmd_power,
-    "simulate": cmd_simulate,
+# command: (handler, help, flag groups, --format choices, --format default);
+# each handler returns (exit code, JSON payload, table or CSV rows)
+_COMMANDS = {
+    "test": (cmd_test, "k-sample covariance equality test",
+             (_add_data_flags, _add_test_flags), ("json", "table"), "json"),
+    "mc": (cmd_mc, "pairwise multiple comparisons (Steel-type)",
+           (_add_data_flags, _add_mc_flags), ("json", "table"), "json"),
+    "depth": (cmd_depth, "per-curve depth values and ranks",
+              (_add_data_flags,), ("json", "csv"), "csv"),
+    "power": (cmd_power, "power or sample size from a JSON spec",
+              (_add_power_flags,), ("json", "table"), "json"),
+    "simulate": (cmd_simulate, "replicated size/power study from a JSON spec",
+                 (_add_simulate_flags,), ("json", "csv"), "csv"),
 }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="fkwc",
+        description="Depth-rank k-sample tests for equality of covariance operators",
+    )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, flag_groups, formats, default) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for add_flags in flag_groups:
+            add_flags(sub)
+        sub.add_argument("--output", help="write results to this path instead of stdout")
+        sub.add_argument("--format", choices=formats, default=default)
+    return parser
 
 
 def main(argv=None) -> int:
@@ -512,7 +478,15 @@ def main(argv=None) -> int:
             return EXIT_PARAMETER
         raise
     try:
-        code = _HANDLERS[args.command](args)
+        code, payload, rows = _COMMANDS[args.command][0](args)
+        # the one place a result leaves the program: CSV lines end in \n on
+        # stdout and \r\n in a file; JSON or a table ends in one \n
+        if args.format == "csv":
+            write_csv(rows, args.output or None)
+        else:
+            text = json.dumps(payload, indent=2) if args.format == "json" else _table(rows)
+            with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+                print(text, file=fh)
         sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit
         return code
     except BrokenPipeError:

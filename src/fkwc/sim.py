@@ -328,8 +328,8 @@ def run_study(spec: StudySpec, n_jobs: int = 1) -> StudyResult:
     return StudyResult(spec=spec, rejection_rates=rates, std_errors=ses)
 
 
-def save_study_csv(result: StudyResult, path) -> None:
-    """Tidy CSV, one row per depth spec, to ``path``; None writes to stdout."""
+def study_rows(result: StudyResult) -> list:
+    """The rows of a study's tidy CSV: a header, then one row per depth spec."""
     spec = result.spec
     family = "+".join(sorted({m.family for m in spec.models}))
     rows = [
@@ -345,4 +345,9 @@ def save_study_csv(result: StudyResult, path) -> None:
         ]
         for dspec, rate, se in zip(spec.depth_specs, result.rejection_rates, result.std_errors)
     ]
-    write_csv([["depth", "family", "param", "value", "N", "rate", "se", "R"]] + rows, path)
+    return [["depth", "family", "param", "value", "N", "rate", "se", "R"]] + rows
+
+
+def save_study_csv(result: StudyResult, path) -> None:
+    """Tidy CSV, one row per depth spec, to ``path``; None writes to stdout."""
+    write_csv(study_rows(result), path)

@@ -88,6 +88,40 @@ class TestHelpCoverage:
             assert flag in text, f"{command} --help is missing {flag}"
 
 
+@pytest.mark.parametrize("command, fmt", [
+    ("test", "json"), ("test", "table"), ("mc", "json"), ("mc", "table"),
+    ("depth", "json"), ("depth", "csv"), ("power", "json"), ("power", "table"),
+    ("simulate", "json"), ("simulate", "csv"),
+])
+def test_stdout_matches_output_file(command, fmt, identical_groups_csv, tmp_path, capsys):
+    """The --output file holds what stdout prints: CSV with \\r\\n line ends
+    where stdout has \\n, JSON and tables byte for byte, ending in one \\n."""
+    specs = {
+        "power": {"probs": [[0.5, 0.54], [0.46, 0.5]], "thetas": [0.5, 0.5],
+                  "target_power": 0.8},
+        "simulate": {"scenario": 1, "sizes": [10, 10], "replications": 3, "seed": 2,
+                     "depths": [{"kind": "ltr"}, {"kind": "mbd", "primed": True}]},
+    }
+    if command in specs:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(specs[command]))
+        argv = [command, "--spec", str(path), "--format", fmt]
+    else:
+        argv = [command, "--input", str(identical_groups_csv), "--depth", "rp", "--primed",
+                "--format", fmt]
+    out = tmp_path / "out"
+    assert main(argv + ["--output", str(out)]) == EXIT_OK
+    assert main(argv) == EXIT_OK
+    stdout = capsys.readouterr().out
+    written = out.read_bytes().decode()
+    assert "\r" not in stdout and stdout.endswith("\n") and not stdout.endswith("\n\n")
+    if fmt == "csv":
+        assert "\n" not in written.replace("\r\n", "")
+        assert written.replace("\r\n", "\n") == stdout
+    else:
+        assert written == stdout
+
+
 class TestCmdTest:
     def test_identical_groups_accept(self, identical_groups_csv, capsys):
         code = main(["test", "--input", str(identical_groups_csv), "--depth", "ltr",
@@ -231,15 +265,6 @@ class TestCmdDepth:
         assert len(lines) == 51
         ranks = sorted(int(line.split(",")[3]) for line in lines[1:])
         assert ranks == list(range(1, 51))
-
-    def test_stdout_matches_output_file(self, identical_groups_csv, tmp_path, capsys):
-        argv = ["depth", "--input", str(identical_groups_csv), "--depth", "rp", "--primed"]
-        out = tmp_path / "depths.csv"
-        assert main(argv + ["--output", str(out)]) == EXIT_OK
-        assert main(argv) == EXIT_OK
-        stdout = capsys.readouterr().out
-        assert "\r" not in stdout
-        assert stdout == out.read_bytes().decode().replace("\r\n", "\n")
 
     def test_json_output(self, identical_groups_csv, capsys):
         code = main(["depth", "--input", str(identical_groups_csv), "--depth", "ltr",
@@ -455,18 +480,6 @@ class TestCmdSimulate:
         assert main(["simulate", "--spec", str(path), "--output", str(out)]) == EXIT_OK
         header = out.read_text().splitlines()[0]
         assert header == "depth,family,param,value,N,rate,se,R"
-
-    def test_stdout_matches_output_file(self, tmp_path, capsys):
-        spec_json = {"scenario": 1, "sizes": [10, 10], "replications": 3, "seed": 2,
-                     "depths": [{"kind": "ltr"}, {"kind": "mbd", "primed": True}]}
-        path = tmp_path / "study.json"
-        path.write_text(json.dumps(spec_json))
-        out = tmp_path / "res.csv"
-        assert main(["simulate", "--spec", str(path), "--output", str(out)]) == EXIT_OK
-        assert main(["simulate", "--spec", str(path)]) == EXIT_OK
-        stdout = capsys.readouterr().out
-        assert "\r" not in stdout
-        assert stdout == out.read_bytes().decode().replace("\r\n", "\n")
 
     def test_closed_stdout_pipe_exits_quietly(self, tmp_path):
         spec_json = {"scenario": 1, "sizes": [10, 10], "replications": 3, "seed": 2,

@@ -411,6 +411,23 @@ class TestCompiledSweep:
         got = halfspace_depth_2d(pts, qs)
         assert got.tobytes() == counted_by(compiled, halfspace_depth_2d, pts, qs).tobytes()
 
+    def test_damaged_cached_library_is_rebuilt(self, compiled, fresh_load, tmp_path,
+                                               monkeypatch):
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        path = arcsweep.library_path()
+        path.parent.mkdir()
+        path.write_text("junk")
+        pts, qs = self._t1_slices()
+        want = counted_by(None, halfspace_depth_2d, pts, qs).tobytes()
+        assert arcsweep.load() is not None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("NumPy counts ran")
+
+        monkeypatch.setattr(fkwc.depths, "_max_arcs", refuse)
+        assert halfspace_depth_2d(pts, qs).tobytes() == want
+        assert [f.name for f in path.parent.iterdir()] == [path.name]
+
     def test_unwritable_cache_falls_back(self, compiled, fresh_load, tmp_path, monkeypatch):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -4,10 +4,10 @@ depths._channels reads a dataset's channels in depths.py, only
 depths._channel_depth runs the cached channel functions, only sim.py draws the
 process families' normals and chi-square scales, only fdata.py reads the
 grid's quadrature weights or counts group labels, only depths.derive_rng and
-sim.py seed generators, no fkwc module imports scipy.stats, scipy and
-the process pool load only where they are used, and the compiled halfspace
-sweep is built only for ``mfhd'``.  A failing hypothesis property
-does not stop the test session."""
+sim.py seed generators, only cli.main writes a command's output, no fkwc
+module imports scipy.stats, scipy and the process pool load only where they
+are used, and the compiled halfspace sweep is built only for ``mfhd'``.  A
+failing hypothesis property does not stop the test session."""
 
 import ast
 import importlib
@@ -138,6 +138,25 @@ def test_quadrature_weights_read_only_in_fdata():
         if isinstance(node, ast.Attribute) and node.attr == "trapezoid_weights"
     ]
     assert readers and {r.split(":")[0] for r in readers} == {"fdata.py"}, readers
+
+
+def test_output_written_only_in_cli_main():
+    """In cli.py only ``main`` calls ``print``, ``json.dumps`` or
+    ``write_csv``, or opens a file for writing: each command's handler
+    returns its result, and main renders it once."""
+    writers = set()
+    for top in ast.parse((SRC / "fkwc" / "cli.py").read_text()).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            modes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "mode"]
+            writes = name == "open" and not all(
+                isinstance(m, ast.Constant) and set(m.value) <= set("rbt") for m in modes
+            )
+            if writes or name in ("print", "dump", "dumps", "write", "write_csv"):
+                writers.add(getattr(top, "name", f"line {top.lineno}"))
+    assert writers == {"main"}, writers
 
 
 def _numpy_calls(name):
