@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import arcsweep
+from . import compiled
 from .exceptions import DataError, ParameterError
 from .fdata import FunctionalDataset, Grid
 
@@ -304,7 +304,7 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     (b, b + pi], scanned at the 2K arcs that start or end at an angle.
     NumPy sorts the angles of all queries of a block at once, coincident
     points padded with +inf; the largest arc of each row is counted by
-    the compiled sweep of :mod:`fkwc.arcsweep`, or, where none can be
+    the compiled sweep of :mod:`fkwc.compiled`, or, where none can be
     built, by :func:`_max_arcs` in NumPy.  Both compare the same floats as
     the per-query sweep, so the counts are identical to it.
 
@@ -329,9 +329,11 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     # contiguous rows, about 5x faster than from the interleaved pairs
     pts, qs = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (pts, qs))
     rows = max(1, min(q, _HALFSPACE_BLOCK_CELLS // n))
-    max_arcs = arcsweep.load()
-    if max_arcs is None:  # every block sorts its keys in one buffer
+    kernels = compiled.load()
+    if kernels is None:  # every block sorts its keys in one buffer
         max_arcs = functools.partial(_max_arcs, buf=np.empty((rows, 3 * n)))
+    else:
+        max_arcs = kernels.max_arcs
     out = np.empty((k, q))
     for t in range(k):
         for lo in range(0, q, rows):
@@ -462,16 +464,33 @@ def mbd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
 # ---------------------------------------------------------------------------
 
 def _spatial_channel(sample, qs, grid) -> np.ndarray:
-    """1 - || mean_j s(q - X_j) || with s the unit map, s(0) = 0."""
+    """1 - || mean_j s(q - X_j) || with s the unit map, s(0) = 0.
+
+    The sums over j run in the compiled loop of :mod:`fkwc.compiled`, on
+    the norms of one :func:`_pairwise_sq_dists` call, or, where it cannot
+    be built, a query at a time in :func:`_spatial_sum`: the same float
+    operations in the same order, so the same bits."""
     n = sample.shape[0]
+    kernels = compiled.load()
+    if kernels is None:
+        sums = (_spatial_sum(sample, q, grid) for q in qs)
+    else:
+        sums = kernels.spatial_sums(sample, qs, np.sqrt(_pairwise_sq_dists(qs, sample, grid)))
     out = np.empty(qs.shape[0])
-    for i in range(qs.shape[0]):
-        diff = qs[i][None, :] - sample
-        norms = np.sqrt(grid.integrate(diff * diff))
-        keep = norms > 0.0
-        mean_vec = (diff[keep] / norms[keep, None]).sum(axis=0) / n
+    for i, total in enumerate(sums):
+        # a query at a time: one gemv over all the rows rounds differently
+        mean_vec = total / n
         out[i] = 1.0 - math.sqrt(max(float(grid.integrate(mean_vec * mean_vec)), 0.0))
     return out
+
+
+def _spatial_sum(sample, q, grid) -> np.ndarray:
+    """sum_j s(q - X_j) for one query ``q``: the NumPy form of the
+    compiled sums."""
+    diff = q[None, :] - sample
+    norms = np.sqrt(grid.integrate(diff * diff))
+    keep = norms > 0.0
+    return (diff[keep] / norms[keep, None]).sum(axis=0)
 
 
 def spatial_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
@@ -520,16 +539,18 @@ def _ksd_channel(sample, qs, grid, bandwidth) -> np.ndarray:
         gram_qs = gram_ss
     else:
         gram_qs = _gaussian_gram(_pairwise_sq_dists(qs, sample, grid), sigma2)
-    # Each query's (k, k) matrix is built in two reused buffers: a fancy-index
-    # gather of gram_ss costs about 8x its slice copies at N = 300.  The
-    # query drops the sample curves at distance 0: none for an outside
-    # query, one (itself) for a sample curve, more only for duplicates,
-    # which keep the gather.  Every element takes the same float operations
-    # as ((1 - g_j) - g_l + G_jl) / (d_j d_l), and the sum runs over a
-    # contiguous (k, k) view, so NumPy's pairwise summation, and with it
-    # every bit of the depth, is that of a freshly allocated matrix.
+    # Each query's (k, k) matrix of kernel-trick terms is built in one
+    # reused buffer, by the compiled loop of fkwc.compiled or, where it
+    # cannot be built, by _ksd_terms in NumPy with a second buffer.  The
+    # sum runs over a contiguous (k, k) view, so NumPy's pairwise
+    # summation, and with it every bit of the depth, is that of a freshly
+    # allocated matrix.
     inner_buf = np.empty(n * n)
-    tmp_buf = np.empty(n * n)
+    kernels = compiled.load()
+    if kernels is None:
+        ksd_terms = functools.partial(_ksd_terms, tmp_buf=np.empty(n * n))
+    else:
+        ksd_terms = kernels.ksd_terms
     out = np.empty(qs.shape[0])
     for i in range(qs.shape[0]):
         b = i % _KSD_QUERY_BLOCK
@@ -543,27 +564,41 @@ def _ksd_channel(sample, qs, grid, bandwidth) -> np.ndarray:
         if k == 0:
             out[i] = 1.0
             continue
-        ki = keep[b]
         inner = inner_buf[:k * k].reshape(k, k)
-        if k >= n - 1:
-            # the one dropped curve, or none: then j = n and the first
-            # slice is all of gram_ss, the other three empty
-            j = int(np.argmin(ki)) if k < n else n
-            inner[:j, :j] = gram_ss[:j, :j]
-            inner[:j, j:] = gram_ss[:j, j + 1:]
-            inner[j:, :j] = gram_ss[j + 1:, :j]
-            inner[j:, j:] = gram_ss[j + 1:, j + 1:]
-        else:
-            inner[...] = gram_ss[np.ix_(ki, ki)]
-        g = gram_qs[i][ki]
-        dk = dist[b][ki]
-        tmp = tmp_buf[:k * k].reshape(k, k)
-        np.subtract(1.0 - g[:, None], g[None, :], out=tmp)
-        inner += tmp
-        np.multiply(dk[:, None], dk[None, :], out=tmp)
-        inner /= tmp
+        ksd_terms(gram_ss, gram_qs[i], dist[b], keep[b], inner)
         out[i] = 1.0 - math.sqrt(max(inner.sum(), 0.0)) / n
     return out
+
+
+def _ksd_terms(gram_ss, g_row, d_row, keep, inner, tmp_buf) -> None:
+    """One query's (k, k) matrix ((1 - g_a) - g_b + G_ab) / (d_a d_b) over
+    the k curves a, b it keeps, written into ``inner``: the NumPy form of
+    the compiled terms, with ``tmp_buf`` (at least k * k doubles) for the
+    temporaries.
+
+    The query drops the sample curves at distance 0: none for an outside
+    query, one (itself) for a sample curve, more only for duplicates.  A
+    fancy-index gather of ``gram_ss`` costs about 8x its slice copies at
+    N = 300, so only duplicates take it.
+    """
+    n, k = gram_ss.shape[0], inner.shape[0]
+    if k >= n - 1:
+        # the one dropped curve, or none: then j = n and the first slice is
+        # all of gram_ss, the other three empty
+        j = int(np.argmin(keep)) if k < n else n
+        inner[:j, :j] = gram_ss[:j, :j]
+        inner[:j, j:] = gram_ss[:j, j + 1:]
+        inner[j:, :j] = gram_ss[j + 1:, :j]
+        inner[j:, j:] = gram_ss[j + 1:, j + 1:]
+    else:
+        inner[...] = gram_ss[np.ix_(keep, keep)]
+    g = g_row[keep]
+    dk = d_row[keep]
+    tmp = tmp_buf[:k * k].reshape(k, k)
+    np.subtract(1.0 - g[:, None], g[None, :], out=tmp)
+    inner += tmp
+    np.multiply(dk[:, None], dk[None, :], out=tmp)
+    inner /= tmp
 
 
 def ksd_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:

@@ -31,9 +31,9 @@ fkwc.testing.TestResult.__test__ = False
 
 @pytest.fixture(scope="session", autouse=True)
 def library_cache(tmp_path_factory):
-    """The compiled halfspace sweep (fkwc.arcsweep) is built into this
-    session's temporary directory, not into the user's cache; subprocesses
-    inherit the setting."""
+    """The compiled library (fkwc.compiled) is built into this session's
+    temporary directory, not into the user's cache; subprocesses inherit
+    the setting."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("cache")))
         yield

@@ -3,12 +3,14 @@
 import inspect
 import itertools
 import math
+import shutil
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fkwc.compiled
 import fkwc.depths
 from fkwc import (
     DataError,
@@ -85,6 +87,21 @@ def ksd_loop_reference(sample, qs, grid, bandwidth) -> np.ndarray:
         inner = (1.0 - g[:, None] - g[None, :] + gram_ss[np.ix_(keep, keep)])
         inner /= dk[:, None] * dk[None, :]
         out[i] = 1.0 - math.sqrt(max(inner.sum(), 0.0)) / n
+    return out
+
+
+def spatial_loop_reference(sample, qs, grid) -> np.ndarray:
+    """One spatial channel the way it was first written: per query, the
+    differences, their norms and the sum of the unit vectors in NumPy.
+    The compiled sums must reproduce it bit for bit."""
+    n = sample.shape[0]
+    out = np.empty(qs.shape[0])
+    for i in range(qs.shape[0]):
+        diff = qs[i][None, :] - sample
+        norms = np.sqrt(grid.integrate(diff * diff))
+        keep = norms > 0.0
+        mean_vec = (diff[keep] / norms[keep, None]).sum(axis=0) / n
+        out[i] = 1.0 - math.sqrt(max(float(grid.integrate(mean_vec * mean_vec)), 0.0))
     return out
 
 
@@ -521,6 +538,81 @@ class TestKsdLoopReference:
             assert got.tobytes() == ksd_loop_reference(sample, qs, grid, bandwidth).tobytes()
 
 
+@st.composite
+def channel_cases(draw):
+    """Samples for the ksd and spatial channels: heavy-tailed or smooth
+    curves, as drawn, rounded to integers with some zeros negated, with
+    duplicated rows (ksd's gather) or all identical (no curve kept), n = 1
+    among them, at scales 1 and 1e+-100; the queries mix sample curves and
+    new ones."""
+    n = draw(st.integers(1, 30))
+    m = draw(st.sampled_from([3, 4, 7, 21, 101]))
+    shape = draw(st.sampled_from(["generic", "integers", "duplicates", "identical"]))
+    scale = draw(st.sampled_from([1.0, 1e-100, 1e100]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        curves = rng.standard_t(1, size=(n, m))
+    else:
+        curves = rng.normal(size=(n, m)).cumsum(axis=1)
+    if shape == "integers":
+        curves = np.round(curves)
+        curves[(curves == 0.0) & (rng.random(size=curves.shape) < 0.5)] = -0.0
+    elif shape == "duplicates":
+        repeats = rng.integers(0, n, size=draw(st.integers(1, 4)))
+        curves = np.vstack([curves, curves[repeats], curves[repeats[:1]]])
+    elif shape == "identical":
+        curves = np.tile(curves[0], (n, 1))
+    sample = scale * curves
+    picks = rng.integers(0, sample.shape[0], size=draw(st.integers(0, 3)))
+    fresh = scale * np.round(rng.standard_t(1, size=(draw(st.integers(0, 3)), m)))
+    queries = np.vstack([sample[picks], fresh])
+    bandwidth = draw(st.sampled_from([MEDIAN_HEURISTIC, 0.5, 3.0]))
+    return sample, queries, Grid(m), bandwidth
+
+
+class TestCompiledChannels:
+    """The ksd and spatial channels equal their loop forms byte for byte,
+    with the compiled loops of ``fkwc.compiled`` and with the NumPy ones
+    that run when it is not loaded."""
+
+    @staticmethod
+    def assert_same_bits(sample, queries, grid, bandwidth):
+        for qs in (sample, queries):
+            got = _ksd_channel(sample, qs, grid, bandwidth)
+            assert got.tobytes() == ksd_loop_reference(sample, qs, grid, bandwidth).tobytes()
+            got = _spatial_channel(sample, qs, grid)
+            assert got.tobytes() == spatial_loop_reference(sample, qs, grid).tobytes()
+
+    def test_compiled_loops_load(self):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler (cc) on PATH")
+        assert fkwc.compiled.load() is not None
+
+    @given(channel_cases())
+    @settings(max_examples=300)
+    @example((np.zeros((1, 3)), np.zeros((1, 3)), Grid(3), MEDIAN_HEURISTIC))
+    @example((np.full((2, 3), -0.0), np.zeros((1, 3)), Grid(3), 0.5))
+    def test_compiled(self, case):
+        self.assert_same_bits(*case)
+
+    @given(channel_cases())
+    @settings(max_examples=100)
+    def test_numpy_fallback(self, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fkwc.compiled, "load", lambda: None)
+            self.assert_same_bits(*case)
+
+    @pytest.mark.parametrize("load", ["compiled", "fallback"])
+    def test_t1_channels_at_n_200(self, load):
+        ds = _t1_dataset(200)
+        queries = np.vstack([ds.curves[:20], _t1_dataset(21).curves])
+        with pytest.MonkeyPatch.context() as mp:
+            if load == "fallback":
+                mp.setattr(fkwc.compiled, "load", lambda: None)
+            for sample in (ds.curves, ds.derivatives):
+                self.assert_same_bits(sample, queries, ds.grid, MEDIAN_HEURISTIC)
+
+
 class TestKsdMemory:
     """``ksd`` holds three N x N arrays at its peak: the Gram matrix and the
     two buffers of each query's (k, k) matrix (8.4 N^2 doubles before the
@@ -535,6 +627,22 @@ class TestKsdMemory:
         qs = sample if q is None else _t1_dataset(q).curves
         bound = 3 * n * n * 8 + 0.5e6 + (0 if q is None else q * n * 8)
         assert traced_peak(lambda: _ksd_channel(sample, qs, grid, bandwidth)) <= bound
+
+    @pytest.mark.parametrize("q", [None, 50])
+    def test_numpy_terms_within_the_same_bound(self, q, traced_peak, monkeypatch):
+        monkeypatch.setattr(fkwc.compiled, "load", lambda: None)
+        self.test_peak_three_n_squared_doubles(MEDIAN_HEURISTIC, q, traced_peak)
+
+    @pytest.mark.parametrize("q", [None, 50])
+    def test_compiled_terms_two_n_squared_doubles(self, q, traced_peak):
+        # the compiled terms need no second buffer
+        if fkwc.compiled.load() is None:
+            pytest.skip("the compiled library is not available")
+        n, grid = 300, Grid(101)
+        sample = _t1_dataset(n).curves
+        qs = sample if q is None else _t1_dataset(q).curves
+        bound = 2 * n * n * 8 + 0.5e6 + (0 if q is None else q * n * 8)
+        assert traced_peak(lambda: _ksd_channel(sample, qs, grid, MEDIAN_HEURISTIC)) <= bound
 
 
 @st.composite

@@ -15,13 +15,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fkwc.depths
-from fkwc import arcsweep
+import fkwc.compiled
 from fkwc import (
     DataError,
     DepthSpec,
     FunctionalDataset,
     Grid,
     ProcessModel,
+    compute_depth,
     generate,
     halfspace_depth_2d,
     mfhd,
@@ -194,22 +195,22 @@ def lattice_cases(draw):
     return pts, qs
 
 
-def counted_by(max_arcs, fn, *args):
-    """``fn(*args)`` with ``max_arcs`` counting the arcs; None forces the
-    NumPy fallback."""
+def counted_by(kernels, fn, *args):
+    """``fn(*args)`` with the compiled ``kernels`` counting the arcs; None
+    forces the NumPy fallback."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arcsweep, "load", lambda: max_arcs)
+        mp.setattr(fkwc.compiled, "load", lambda: kernels)
         return fn(*args)
 
 
 @pytest.fixture
-def compiled():
-    """The compiled arc counts; skipped only where no C compiler is found."""
+def kernels():
+    """The compiled kernels; skipped only where no C compiler is found."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler (cc) on PATH")
-    max_arcs = arcsweep.load()
-    assert max_arcs is not None, "cc is on PATH but the sweep did not build or load"
-    return max_arcs
+    kernels = fkwc.compiled.load()
+    assert kernels is not None, "cc is on PATH but the library did not build or load"
+    return kernels
 
 
 def _t1_dataset(n):
@@ -313,29 +314,30 @@ CONCURRENT_BUILD = """
 import os, sys, time
 from pathlib import Path
 import numpy as np
-from fkwc import arcsweep, halfspace_depth_2d
+from fkwc import compiled, halfspace_depth_2d
 
 ready = Path(sys.argv[1])
 (ready / str(os.getpid())).touch()
 deadline = time.monotonic() + 60
 while len(list(ready.iterdir())) < 2 and time.monotonic() < deadline:
     time.sleep(0.001)
-assert arcsweep.load() is not None
+assert compiled.load() is not None
 pts = np.random.default_rng(5).standard_t(1, size=(101, 40, 2))
 sys.stdout.write(halfspace_depth_2d(pts, pts).tobytes().hex())
 """
 
 
 class TestCompiledSweep:
-    """The compiled arc counts: built on first use into the cache, shared by
-    processes that build at once, and replaced by the NumPy counts with the
-    same bytes when they cannot be built or loaded."""
+    """The compiled library (the arc counts, and the ksd and spatial loops):
+    built on first use into the cache, shared by processes that build at
+    once, and replaced by the NumPy loops with the same bytes when it
+    cannot be built or loaded, or lacks any of its functions."""
 
     @pytest.fixture
     def fresh_load(self):
-        arcsweep.load.cache_clear()
+        fkwc.compiled.load.cache_clear()
         yield
-        arcsweep.load.cache_clear()
+        fkwc.compiled.load.cache_clear()
 
     @staticmethod
     def _t1_slices():
@@ -347,13 +349,13 @@ class TestCompiledSweep:
         if cc is None:
             pytest.skip("no C compiler (cc) on PATH")
         proc = subprocess.run(
-            [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", *arcsweep.FLAGS, "-x", "c", "-",
-             "-o", str(tmp_path / "sweep.so")],
-            input=arcsweep.SOURCE, capture_output=True, text=True, timeout=120,
+            [cc, "-std=c99", "-Wall", "-Wextra", "-Werror", *fkwc.compiled.FLAGS, "-x", "c",
+             "-", "-o", str(tmp_path / "compiled.so")],
+            input=fkwc.compiled.SOURCE, capture_output=True, text=True, timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
 
-    def test_kernel_takes_the_compiled_counts(self, compiled, monkeypatch):
+    def test_kernel_takes_the_compiled_counts(self, kernels, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("NumPy counts ran")
 
@@ -361,16 +363,17 @@ class TestCompiledSweep:
         pts, qs = self._t1_slices()
         assert halfspace_depth_2d(pts, qs).shape == (101, 40)
 
-    def test_library_built_on_first_use_into_the_cache(self, compiled, fresh_load, tmp_path,
+    def test_library_built_on_first_use_into_the_cache(self, kernels, fresh_load, tmp_path,
                                                        monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         pts, qs = self._t1_slices()
         want = counted_by(None, halfspace_depth_2d, pts, qs).tobytes()
         assert not (tmp_path / "fkwc").exists()
         assert halfspace_depth_2d(pts, qs).tobytes() == want
-        assert [f.name for f in (tmp_path / "fkwc").iterdir()] == [arcsweep.library_path().name]
+        names = [f.name for f in (tmp_path / "fkwc").iterdir()]
+        assert names == [fkwc.compiled.library_path().name]
 
-    def test_concurrent_builds_share_one_library(self, compiled, tmp_path):
+    def test_concurrent_builds_share_one_library(self, kernels, tmp_path):
         cache, ready = tmp_path / "cache", tmp_path / "ready"
         ready.mkdir()
         env = dict(os.environ, XDG_CACHE_HOME=str(cache),
@@ -385,14 +388,19 @@ class TestCompiledSweep:
         want = counted_by(None, halfspace_depth_2d, pts, qs).tobytes().hex()
         assert outs[0][0] == outs[1][0] == want
         files = [f.name for f in (cache / "fkwc").iterdir()]
-        assert len(files) == 1 and files[0].startswith("arcsweep-"), files
+        assert len(files) == 1 and files[0].startswith("compiled-"), files
 
     @pytest.mark.parametrize("compiler", [
         "exit 1",
         'for a; do out=$a; done; echo junk > "$out"',
         'for a; do out=$a; done; PATH={path} {cc} -shared -fPIC -x c /dev/null -o "$out"',
-    ], ids=["compiler-fails", "library-unloadable", "function-missing"])
-    def test_failed_build_falls_back(self, compiler, compiled, fresh_load, tmp_path,
+        # the source with one function renamed: the library lacks that one
+        'PATH={path} exec {cc} -Dfkwc_max_arcs=fkwc_renamed "$@"',
+        'PATH={path} exec {cc} -Dfkwc_ksd_terms=fkwc_renamed "$@"',
+        'PATH={path} exec {cc} -Dfkwc_spatial_sums=fkwc_renamed "$@"',
+    ], ids=["compiler-fails", "library-unloadable", "function-missing", "max-arcs-missing",
+            "ksd-terms-missing", "spatial-sums-missing"])
+    def test_failed_build_falls_back(self, compiler, kernels, fresh_load, tmp_path,
                                      monkeypatch):
         bin_dir = tmp_path / "bin"
         bin_dir.mkdir()
@@ -402,24 +410,42 @@ class TestCompiledSweep:
         monkeypatch.setenv("PATH", str(bin_dir))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         pts, qs = self._t1_slices()
-        assert arcsweep.load() is None
+        assert fkwc.compiled.load() is None
         # only a build that exits 0 puts a library in place, and no build
         # leaves its temporary file behind
         built = compiler != "exit 1"
-        assert arcsweep.library_path().exists() == built
+        assert fkwc.compiled.library_path().exists() == built
         assert len(list((tmp_path / "cache" / "fkwc").iterdir())) == built
-        got = halfspace_depth_2d(pts, qs)
-        assert got.tobytes() == counted_by(compiled, halfspace_depth_2d, pts, qs).tobytes()
+        # all or none: each of the three kernels runs its NumPy loop
+        ran = set()
 
-    def test_damaged_cached_library_is_rebuilt(self, compiled, fresh_load, tmp_path,
+        def spy(name, fn):
+            def run(*args, **kwargs):
+                ran.add(name)
+                return fn(*args, **kwargs)
+            return run
+
+        for name in ("_max_arcs", "_ksd_terms", "_spatial_sum"):
+            monkeypatch.setattr(fkwc.depths, name, spy(name, getattr(fkwc.depths, name)))
+        got = halfspace_depth_2d(pts, qs)
+        assert got.tobytes() == counted_by(kernels, halfspace_depth_2d, pts, qs).tobytes()
+        ds = _t1_dataset(30)
+        for kind in ("ksd", "spatial"):
+            spec = DepthSpec(kind=kind)
+            got = compute_depth(ds, spec, ds.curves).values
+            assert got.tobytes() == counted_by(kernels, compute_depth, ds, spec,
+                                               ds.curves).values.tobytes()
+        assert ran == {"_max_arcs", "_ksd_terms", "_spatial_sum"}
+
+    def test_damaged_cached_library_is_rebuilt(self, kernels, fresh_load, tmp_path,
                                                monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        path = arcsweep.library_path()
+        path = fkwc.compiled.library_path()
         path.parent.mkdir()
         path.write_text("junk")
         pts, qs = self._t1_slices()
         want = counted_by(None, halfspace_depth_2d, pts, qs).tobytes()
-        assert arcsweep.load() is not None
+        assert fkwc.compiled.load() is not None
 
         def refuse(*args, **kwargs):
             raise AssertionError("NumPy counts ran")
@@ -428,13 +454,13 @@ class TestCompiledSweep:
         assert halfspace_depth_2d(pts, qs).tobytes() == want
         assert [f.name for f in path.parent.iterdir()] == [path.name]
 
-    def test_unwritable_cache_falls_back(self, compiled, fresh_load, tmp_path, monkeypatch):
+    def test_unwritable_cache_falls_back(self, kernels, fresh_load, tmp_path, monkeypatch):
         blocker = tmp_path / "file"
         blocker.write_text("")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker / "cache"))
         pts, qs = self._t1_slices()
-        assert arcsweep.load() is None
-        want = counted_by(compiled, halfspace_depth_2d, pts, qs).tobytes()
+        assert fkwc.compiled.load() is None
+        want = counted_by(kernels, halfspace_depth_2d, pts, qs).tobytes()
         assert halfspace_depth_2d(pts, qs).tobytes() == want
 
 

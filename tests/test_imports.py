@@ -6,8 +6,9 @@ process families' normals and chi-square scales, only fdata.py reads the
 grid's quadrature weights or counts group labels, only depths.derive_rng and
 sim.py seed generators, only cli.main writes a command's output, no fkwc
 module imports scipy.stats, scipy and the process pool load only where they
-are used, and the compiled halfspace sweep is built only for ``mfhd'``.  A
-failing hypothesis property does not stop the test session."""
+are used, and the compiled library is built only for ``ksd``, ``spatial``
+and ``mfhd'``, by the one module that loads it.  A failing hypothesis
+property does not stop the test session."""
 
 import ast
 import importlib
@@ -16,6 +17,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -337,29 +340,29 @@ def test_scipy_and_pool_loaded_only_when_used():
 NO_BUILD_SCRIPT = """
 import sys
 import fkwc, fkwc.cli
-from fkwc import DepthSpec, ProcessModel, StudySpec, arcsweep, run_study
+from fkwc import DepthSpec, ProcessModel, StudySpec, compiled, run_study
 
 loaded = sorted(n for n in ("hashlib", "subprocess") if n in sys.modules)
 assert not loaded, loaded
 
 model = ProcessModel(family="t1", grid=fkwc.Grid(21))
 specs = tuple(DepthSpec(kind=k, use_derivatives=p)
-              for k in ("ltr", "rp", "mfhd", "mbd", "spatial", "ksd") for p in (False, True)
+              for k in ("ltr", "rp", "mfhd", "mbd") for p in (False, True)
               if (k, p) != ("mfhd", True))
 study = StudySpec(models=(model, model), group_sizes=(6, 6), depth_specs=specs,
                   replications=2, seed=5)
-assert run_study(study, n_jobs=1).rejection_rates.shape == (11,)
-assert arcsweep.load.cache_info().currsize == 0
+assert run_study(study, n_jobs=1).rejection_rates.shape == (7,)
+assert compiled.load.cache_info().currsize == 0
 assert "subprocess" not in sys.modules
 """
 
 
 def test_import_and_study_without_mfhd_prime_build_nothing(tmp_path):
     """``import fkwc, fkwc.cli`` imports neither hashlib nor subprocess, and
-    a study of every spec but ``mfhd'`` neither builds nor loads the
-    compiled halfspace sweep nor imports subprocess: the library is built
-    at the first ``mfhd'`` evaluation.  (The study does load hashlib:
-    ``numpy.random`` imports it by way of ``secrets`` and ``hmac``.)"""
+    a study of ``ltr``, ``rp``, ``mfhd`` and ``mbd`` (primed but for
+    ``mfhd'``) neither builds nor loads the compiled library nor imports
+    subprocess.  (The study does load hashlib: ``numpy.random`` imports it
+    by way of ``secrets`` and ``hmac``.)"""
     env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
     proc = subprocess.run(
         [sys.executable, "-c", NO_BUILD_SCRIPT], env=env, capture_output=True, text=True,
@@ -367,3 +370,63 @@ def test_import_and_study_without_mfhd_prime_build_nothing(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert not list(tmp_path.iterdir())
+
+
+BUILD_SCRIPT = """
+import sys
+import numpy as np
+import fkwc
+from fkwc import DepthSpec, FunctionalDataset, compiled, compute_depth
+
+grid = fkwc.Grid(21)
+ds = FunctionalDataset(grid, np.random.default_rng(3).normal(size=(12, grid.m)), [1] * 12)
+assert compiled.load.cache_info().currsize == 0
+compute_depth(ds, DepthSpec(kind=sys.argv[1], use_derivatives=sys.argv[2] == "1"))
+assert compiled.load.cache_info().currsize == 1
+print(compiled.load() is not None)
+"""
+
+
+@pytest.mark.parametrize("kind, primed", [("ksd", False), ("spatial", False), ("mfhd", True)])
+def test_first_compiled_kernel_evaluation_builds_the_library(kind, primed, tmp_path):
+    """The first ``ksd``, ``spatial`` or ``mfhd'`` evaluation of a process
+    builds the compiled library into the cache and loads it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), XDG_CACHE_HOME=str(tmp_path))
+    proc = subprocess.run(
+        [sys.executable, "-c", BUILD_SCRIPT, kind, str(int(primed))], env=env,
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler (cc) on PATH")
+    assert proc.stdout.split() == ["True"]
+    files = [f.name for f in (tmp_path / "fkwc").iterdir()]
+    assert len(files) == 1 and files[0].startswith("compiled-"), files
+
+
+def test_compiled_library_owned_by_one_module():
+    """Only compiled.py imports ``ctypes``, and only depths.py imports the
+    compiled module and calls its ``load()``: one module holds the foreign
+    calls, one decides which loops run."""
+    ctypes_importers, compiled_importers, loaders = set(), set(), set()
+    for path in sorted((SRC / "fkwc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{a.name}".lstrip(".") for a in node.names]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "load"
+                    and getattr(node.func.value, "id", None) == "compiled"):
+                loaders.add(path.name)
+                continue
+            else:
+                continue
+            if any(n.split(".")[0] == "ctypes" for n in names):
+                ctypes_importers.add(path.name)
+            if any(n.split(".")[-1] == "compiled" or n.startswith("compiled.")
+                   or n.startswith("fkwc.compiled") for n in names):
+                compiled_importers.add(path.name)
+    assert ctypes_importers == {"compiled.py"}, ctypes_importers
+    assert compiled_importers == loaders == {"depths.py"}, (compiled_importers, loaders)

@@ -1,6 +1,7 @@
 """tools/code_lines.py: the code-line counter the change log quotes."""
 
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -48,3 +49,16 @@ def test_script_prints_each_file_and_the_total():
     assert files and all(name.endswith(".py") for _, name in files)
     assert total[1] == "total"
     assert int(total[0]) == sum(int(count) for count, _ in files)
+
+
+def test_closed_pipe_exits_quietly():
+    # the reader is gone before the first line, as `| head -1` leaves it
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, str(SCRIPT), "src"], cwd=ROOT, stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

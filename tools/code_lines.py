@@ -4,11 +4,13 @@ leaving out blank lines, comments and docstrings.
     python3 tools/code_lines.py [PATH ...]
 
 Each PATH is a file or a directory searched for ``*.py``; the default is
-``src``.  Prints the count of each file and the total.
+``src``.  Prints the count of each file and the total; exits 1, quietly,
+when the reader of its output leaves early (``| head -1``).
 """
 
 import ast
 import io
+import os
 import sys
 import tokenize
 from pathlib import Path
@@ -44,11 +46,20 @@ def main(argv) -> int:
         path = Path(arg)
         paths += sorted(path.rglob("*.py")) if path.is_dir() else [path]
     total = 0
-    for path in paths:
-        count = code_lines(path.read_text())
-        total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+    try:
+        for path in paths:
+            count = code_lines(path.read_text())
+            total += count
+            print(f"{count:6d}  {path}")
+        print(f"{total:6d}  total")
+        sys.stdout.flush()  # a closed pipe must raise here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader left (e.g. `| head -1`); the interpreter flushes stdout
+        # again at exit, so point fd 1 at devnull to keep that from raising
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 
