@@ -145,7 +145,7 @@ def _channels(ds: FunctionalDataset, use_derivatives: bool, queries):
     return chans
 
 
-def _channel_depth(ds, spec, queries, channel_fn, *args) -> DepthVector:
+def _channel_depth(ds, spec, queries, channel_fn, *args, distances=False) -> DepthVector:
     """``channel_fn(sample, queries, grid, *args)`` on the curves; primed, the
     average w0 * (curve depth) + w1 * (derivative depth) with the spec's
     channel weights.
@@ -153,6 +153,9 @@ def _channel_depth(ds, spec, queries, channel_fn, *args) -> DepthVector:
     Without ``queries`` each channel's values are kept on the dataset, keyed
     by (channel_fn, channel index, args), so a primed spec reads the curve
     channel its plain spec computed: the same array, so the same bits.
+    With ``distances``, ``channel_fn`` also takes ``sample_d2``, a function
+    that returns the channel's N x N sample distances, kept on the dataset
+    by :func:`_sample_sq_dists` whether or not ``queries`` is given.
     """
     chans = _channels(ds, spec.use_derivatives, queries)
     cache = ds._channel_depths if queries is None else {}
@@ -160,7 +163,10 @@ def _channel_depth(ds, spec, queries, channel_fn, *args) -> DepthVector:
     for c, chan in enumerate(chans):
         key = (channel_fn, c, args)
         if key not in cache:
-            cache[key] = channel_fn(*chan, ds.grid, *args)
+            kw = {}
+            if distances:
+                kw["sample_d2"] = functools.partial(_sample_sq_dists, ds, c, chan[0])
+            cache[key] = channel_fn(*chan, ds.grid, *args, **kw)
             cache[key].setflags(write=False)
         vals.append(cache[key])
     if spec.use_derivatives:
@@ -463,19 +469,24 @@ def mbd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
 # spatial and kernelized spatial depth
 # ---------------------------------------------------------------------------
 
-def _spatial_channel(sample, qs, grid) -> np.ndarray:
+def _spatial_channel(sample, qs, grid, sample_d2=None) -> np.ndarray:
     """1 - || mean_j s(q - X_j) || with s the unit map, s(0) = 0.
 
     The sums over j run in the compiled loop of :mod:`fkwc.compiled`, on
-    the norms of one :func:`_pairwise_sq_dists` call, or, where it cannot
-    be built, a query at a time in :func:`_spatial_sum`: the same float
-    operations in the same order, so the same bits."""
+    the squared distances of one :func:`_pairwise_sq_dists` call (for the
+    sample's own curves, those ``sample_d2`` returns when given), or, where
+    it cannot be built, a query at a time in :func:`_spatial_sum`: the same
+    float operations in the same order, so the same bits."""
     n = sample.shape[0]
     kernels = compiled.load()
     if kernels is None:
         sums = (_spatial_sum(sample, q, grid) for q in qs)
     else:
-        sums = kernels.spatial_sums(sample, qs, np.sqrt(_pairwise_sq_dists(qs, sample, grid)))
+        if qs is sample and sample_d2 is not None:
+            d2 = sample_d2()
+        else:
+            d2 = _pairwise_sq_dists(qs, sample, grid)
+        sums = kernels.spatial_sums(sample, qs, d2)
     out = np.empty(qs.shape[0])
     for i, total in enumerate(sums):
         # a query at a time: one gemv over all the rows rounds differently
@@ -496,7 +507,7 @@ def _spatial_sum(sample, q, grid) -> np.ndarray:
 def spatial_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Functional spatial depth; primed variant is the weighted average of
     the per-channel depths."""
-    return _channel_depth(ds, spec, queries, _spatial_channel)
+    return _channel_depth(ds, spec, queries, _spatial_channel, distances=True)
 
 
 def _pairwise_sq_dists(a, b, grid) -> np.ndarray:
@@ -510,64 +521,81 @@ def _pairwise_sq_dists(a, b, grid) -> np.ndarray:
     return out
 
 
-def _gaussian_gram(d2, sigma2) -> np.ndarray:
-    """exp(-d2 / sigma2), written over d2: the same operations in the same
-    order as the expression, without its two temporaries."""
-    np.negative(d2, out=d2)
-    d2 /= sigma2
-    return np.exp(d2, out=d2)
+def _sample_sq_dists(ds, c, sample) -> np.ndarray:
+    """The read-only N x N :func:`_pairwise_sq_dists` of channel ``c``'s
+    sample curves, computed once and kept on the dataset, which ``spatial``
+    and ``ksd`` both read."""
+    cache = ds._channel_distances
+    if c not in cache:
+        cache[c] = _pairwise_sq_dists(sample, sample, ds.grid)
+        cache[c].setflags(write=False)
+    return cache[c]
 
 
-# queries whose distances _ksd_channel holds at a time
-_KSD_QUERY_BLOCK = 32
+def _gaussian_gram(d2, sigma2, out=None) -> np.ndarray:
+    """exp(-d2 / sigma2) into ``out`` (``d2`` itself, or a new array when
+    None): the same operations in the same order as the expression,
+    without its two temporaries."""
+    out = np.negative(d2, out=out)
+    out /= sigma2
+    return np.exp(out, out=out)
 
 
-def _ksd_channel(sample, qs, grid, bandwidth) -> np.ndarray:
+def _ksd_channel(sample, qs, grid, bandwidth, sample_d2=None) -> np.ndarray:
+    """1 - || mean_j s(phi(q) - phi(X_j)) || with phi the Gaussian kernel's
+    feature map and s the unit map, s(0) = 0, by the kernel trick.
+
+    The sample distances are those ``sample_d2`` returns, read-only, or, when
+    it is None, a matrix of the channel's own, over which the Gram matrix is
+    then written.  Each query's sum of terms runs in the compiled loop of
+    :mod:`fkwc.compiled`, or, where it cannot be built, in
+    :func:`_ksd_sums`: the same bits."""
     n = sample.shape[0]
-    gram_ss = _pairwise_sq_dists(sample, sample, grid)
+    d2 = _pairwise_sq_dists(sample, sample, grid) if sample_d2 is None else sample_d2()
     if bandwidth == MEDIAN_HEURISTIC:
         # the pairs above the diagonal, in triu_indices' row-major order
-        pair = gram_ss[~np.tri(n, dtype=bool)]
-        sigma2 = float(np.median(pair)) if pair.size else 1.0
+        pair = d2[~np.tri(n, dtype=bool)]
+        sigma2 = float(np.median(pair, overwrite_input=True)) if pair.size else 1.0
         del pair
         if sigma2 <= 0.0:
             sigma2 = 1.0
     else:
         sigma2 = float(bandwidth)
-    _gaussian_gram(gram_ss, sigma2)
+    gram_ss = _gaussian_gram(d2, sigma2, out=d2 if sample_d2 is None else None)
     if qs is sample:  # the sample's own curves: the same matrix, bit for bit
         gram_qs = gram_ss
     else:
-        gram_qs = _gaussian_gram(_pairwise_sq_dists(qs, sample, grid), sigma2)
-    # Each query's (k, k) matrix of kernel-trick terms is built in one
-    # reused buffer, by the compiled loop of fkwc.compiled or, where it
-    # cannot be built, by _ksd_terms in NumPy with a second buffer.  The
-    # sum runs over a contiguous (k, k) view, so NumPy's pairwise
-    # summation, and with it every bit of the depth, is that of a freshly
-    # allocated matrix.
-    inner_buf = np.empty(n * n)
+        d2_qs = _pairwise_sq_dists(qs, sample, grid)
+        gram_qs = _gaussian_gram(d2_qs, sigma2, out=d2_qs)
     kernels = compiled.load()
-    if kernels is None:
-        ksd_terms = functools.partial(_ksd_terms, tmp_buf=np.empty(n * n))
-    else:
-        ksd_terms = kernels.ksd_terms
-    out = np.empty(qs.shape[0])
-    for i in range(qs.shape[0]):
-        b = i % _KSD_QUERY_BLOCK
-        if b == 0:
-            # feature-space distances a block of queries at a time: far
-            # fewer NumPy calls than row by row, far less memory than q x N
-            dist = np.sqrt(np.maximum(2.0 - 2.0 * gram_qs[i:i + _KSD_QUERY_BLOCK], 0.0))
-            keep = dist > 0.0
-            kept = np.count_nonzero(keep, axis=1)
-        k = int(kept[b])
-        if k == 0:
-            out[i] = 1.0
-            continue
-        inner = inner_buf[:k * k].reshape(k, k)
-        ksd_terms(gram_ss, gram_qs[i], dist[b], keep[b], inner)
-        out[i] = 1.0 - math.sqrt(max(inner.sum(), 0.0)) / n
-    return out
+    sums = _ksd_sums(gram_ss, gram_qs) if kernels is None else kernels.ksd_sums(gram_ss, gram_qs)
+    return 1.0 - np.sqrt(np.maximum(sums, 0.0)) / n
+
+
+# queries whose distances _ksd_sums holds at a time
+_KSD_QUERY_BLOCK = 32
+
+
+def _ksd_sums(gram_ss, gram_qs) -> np.ndarray:
+    """Per query (row of ``gram_qs``), the sum of its (k, k) terms: the
+    NumPy form of the compiled sums.  Each query's matrix is built by
+    :func:`_ksd_terms` in one reused buffer and summed as a contiguous
+    view, so NumPy's pairwise summation, and with it every bit, is that
+    of a freshly allocated matrix."""
+    n = gram_ss.shape[0]
+    inner_buf, tmp_buf = np.empty(n * n), np.empty(n * n)
+    sums = np.empty(gram_qs.shape[0])
+    for lo in range(0, gram_qs.shape[0], _KSD_QUERY_BLOCK):
+        # feature-space distances a block of queries at a time: far fewer
+        # NumPy calls than row by row, far less memory than q x N
+        block = gram_qs[lo:lo + _KSD_QUERY_BLOCK]
+        dist = np.sqrt(np.maximum(2.0 - 2.0 * block, 0.0))
+        keep = dist > 0.0
+        for b, k in enumerate(np.count_nonzero(keep, axis=1)):
+            inner = inner_buf[:k * k].reshape(k, k)
+            _ksd_terms(gram_ss, block[b], dist[b], keep[b], inner, tmp_buf)
+            sums[lo + b] = inner.sum()
+    return sums
 
 
 def _ksd_terms(gram_ss, g_row, d_row, keep, inner, tmp_buf) -> None:
@@ -604,7 +632,8 @@ def _ksd_terms(gram_ss, g_row, d_row, keep, inner, tmp_buf) -> None:
 def ksd_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Kernelized spatial depth with the Gaussian kernel, evaluated through
     the kernel trick; primed variant averages per-channel depths."""
-    return _channel_depth(ds, spec, queries, _ksd_channel, spec.kernel_bandwidth)
+    return _channel_depth(ds, spec, queries, _ksd_channel, spec.kernel_bandwidth,
+                          distances=True)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,13 @@ class FunctionalDataset:
         ``depths._channel_depth`` for as long as the dataset lives."""
         return {}
 
+    @cached_property
+    def _channel_distances(self) -> dict:
+        """Read-only N x N squared distances between this dataset's own
+        curves, per channel, kept by ``depths._sample_sq_dists`` for as long
+        as the dataset lives."""
+        return {}
+
     @property
     def n_curves(self) -> int:
         return self.curves.shape[0]

@@ -38,7 +38,9 @@ from fkwc.depths import (
     DEPTH_KERNELS,
     MEDIAN_HEURISTIC,
     _channels,
+    _gaussian_gram,
     _ksd_channel,
+    _ksd_sums,
     _pairwise_sq_dists,
     _rp_directions,
     _spatial_channel,
@@ -435,24 +437,41 @@ class TestSpatialAndKsd:
 
     @pytest.mark.parametrize("primed", [False, True])
     def test_ksd_sample_distances_once_per_channel(self, primed, grid21, monkeypatch):
+        # one N x N sample matrix per channel serves spatial and ksd, plain
+        # and primed, in-sample and against outside queries; those add only
+        # their own q x N distances
         calls = []
         original = fkwc.depths._pairwise_sq_dists
 
         def counting(a, b, grid):
-            calls.append(a.shape)
+            calls.append((a.shape[0], a is b))
             return original(a, b, grid)
 
         monkeypatch.setattr(fkwc.depths, "_pairwise_sq_dists", counting)
         ds = make_ds(np.random.default_rng(12).normal(size=(9, grid21.m)), grid=grid21)
-        copy = FunctionalDataset(grid21, ds.curves.copy(), ds.groups, ds.derivatives.copy())
-        spec = DepthSpec(kind="ksd", use_derivatives=primed)
+        copy = FunctionalDataset(grid21, ds.curves[:5].copy(), ds.groups[:5],
+                                 ds.derivatives[:5].copy())
         channels = 2 if primed else 1
-        own = ksd_depth(ds, spec).values
-        assert len(calls) == channels
+        primes = (False, True) if primed else (False,)
+        spatial = [spatial_depth(ds, DepthSpec(kind="spatial", use_derivatives=p)).values
+                   for p in primes]
+        assert calls == [(9, True)] * channels
+        spec = DepthSpec(kind="ksd", use_derivatives=primed)
         outside = ksd_depth(ds, spec, queries=copy).values
-        assert len(calls) == 3 * channels
-        # the reused matrix is the one the outside queries recompute
-        assert own.tobytes() == outside.tobytes()
+        assert calls[channels:] == [(5, False)] * channels
+        own = [ksd_depth(ds, DepthSpec(kind="ksd", use_derivatives=p)).values for p in primes]
+        assert len(calls) == 2 * channels
+        # the shared matrix gives the bits of the outside queries' own
+        # distances and of a dataset that shares nothing
+        assert own[-1][:5].tobytes() == outside.tobytes()
+        monkeypatch.setattr(fkwc.depths, "_pairwise_sq_dists", original)
+        fresh = make_ds(ds.curves, grid=grid21)
+        for p, got in zip(primes, spatial):
+            want = spatial_depth(fresh, DepthSpec(kind="spatial", use_derivatives=p)).values
+            assert got.tobytes() == want.tobytes()
+        for p, got in zip(primes, own):
+            want = ksd_depth(fresh, DepthSpec(kind="ksd", use_derivatives=p)).values
+            assert got.tobytes() == want.tobytes()
 
 
 def _t1_dataset(n):
@@ -483,8 +502,11 @@ class TestKsdLoopReference:
 
     @staticmethod
     def reference(ds, spec, queries=None):
+        def channel(sample, qs, grid, bandwidth, sample_d2):  # computes its own distances
+            return ksd_loop_reference(sample, qs, grid, bandwidth)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fkwc.depths, "_ksd_channel", ksd_loop_reference)
+            mp.setattr(fkwc.depths, "_ksd_channel", channel)
             return ksd_depth(ds, spec, queries).values
 
     def assert_same_bits(self, ds, spec, queries=None):
@@ -613,36 +635,109 @@ class TestCompiledChannels:
                 self.assert_same_bits(sample, queries, ds.grid, MEDIAN_HEURISTIC)
 
 
+@st.composite
+def ksd_sums_cases(draw):
+    """Sample curves, heavy-tailed at scales 1 and 1e+-100, some of them
+    duplicated or all identical, with queries that are the sample's own
+    curves (each keeps n - 1 or fewer) or new ones mixed with sample curves
+    (n or n - 1), and a squared bandwidth."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.sampled_from([3, 21]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sample = draw(st.sampled_from([1.0, 1e-100, 1e100])) * rng.standard_t(1, size=(n, m))
+    shape = draw(st.sampled_from(["generic", "duplicates", "identical"]))
+    if shape == "duplicates":
+        sample[rng.integers(0, n, size=n // 2)] = sample[0]
+    elif shape == "identical":
+        sample[:] = sample[0]
+    if draw(st.booleans()):
+        qs = sample
+    else:
+        qs = np.vstack([sample[:draw(st.integers(0, 2))], rng.standard_t(1, size=(3, m))])
+    return sample, qs, draw(st.sampled_from([0.5, 3.0, 1e100]))
+
+
+class TestKsdSums:
+    """The compiled ``ksd`` sums equal the NumPy form, each query's (k, k)
+    terms by ``_ksd_terms`` summed by ``inner.sum()``, byte for byte: the C
+    adds in NumPy's pairwise order, so these tests guard against a NumPy
+    that sums otherwise."""
+
+    @staticmethod
+    def assert_same_bits(sample, qs, sigma2):
+        kernels = fkwc.compiled.load()
+        if kernels is None:
+            pytest.skip("the compiled library is not available")
+        grid = Grid(sample.shape[1])
+        gram = _gaussian_gram(_pairwise_sq_dists(sample, sample, grid), sigma2)
+        gq = gram if qs is sample else _gaussian_gram(_pairwise_sq_dists(qs, sample, grid), sigma2)
+        assert kernels.ksd_sums(gram, gq).tobytes() == _ksd_sums(gram, gq).tobytes()
+        return np.count_nonzero(np.sqrt(np.maximum(2.0 - 2.0 * gq, 0.0)) > 0.0, axis=1)
+
+    # k = 0, k^2 < 8 (one short leaf), 121 and 144 terms (one leaf of 128 at
+    # most, then a split), several levels of splits; k = n - 1 for the
+    # sample's own curves, n for new ones, fewer for duplicated curves
+    @pytest.mark.parametrize("n, shape, kept", [
+        (3, "identical", {0}), (2, "own", {1}), (2, "outside", {2}), (3, "own", {2}),
+        (12, "own", {11}), (12, "outside", {12}), (13, "own", {12}), (40, "outside", {40}),
+        (14, "duplicates", {11, 13}),
+    ])
+    def test_kept_counts(self, n, shape, kept):
+        rng = np.random.default_rng(n)
+        sample = rng.normal(size=(n, 7)).cumsum(axis=1)
+        if shape == "identical":
+            sample[:] = sample[0]
+        elif shape == "duplicates":
+            sample[1:3] = sample[0]  # curves 0, 1 and 2 each drop all three
+        qs = rng.normal(size=(5, 7)) if shape == "outside" else sample
+        assert set(self.assert_same_bits(sample, qs, 3.0)) == kept
+
+    @given(ksd_sums_cases())
+    @settings(max_examples=200)
+    def test_random_cases(self, case):
+        self.assert_same_bits(*case)
+
+
 class TestKsdMemory:
-    """``ksd`` holds three N x N arrays at its peak: the Gram matrix and the
-    two buffers of each query's (k, k) matrix (8.4 N^2 doubles before the
-    Gram matrix was built in place and the distances a block of queries at
-    a time)."""
+    """``ksd``'s peak memory on one channel of 300 t1 curves.  A channel with
+    no shared sample distances writes its Gram matrix over its own; while
+    ``_pairwise_sq_dists`` forms them it holds two N x m rows of
+    differences, and the median heuristic selects in place.  The compiled
+    sums then need O(N) more and no (k, k) matrix of terms; the NumPy sums
+    hold two N x N buffers for it, three N x N arrays in all."""
+
+    @staticmethod
+    def peak(traced_peak, bandwidth, q):
+        sample = _t1_dataset(300).curves
+        qs = sample if q is None else _t1_dataset(q).curves
+
+        def run():
+            return _ksd_channel(sample, qs, Grid(101), bandwidth)
+
+        run()  # untraced first: NumPy's one-off allocations (np.median's first call: 1.1 MB)
+        return traced_peak(run)
 
     @pytest.mark.parametrize("bandwidth", [MEDIAN_HEURISTIC, 0.7])
     @pytest.mark.parametrize("q", [None, 50])
     def test_peak_three_n_squared_doubles(self, bandwidth, q, traced_peak):
-        n, grid = 300, Grid(101)
-        sample = _t1_dataset(n).curves
-        qs = sample if q is None else _t1_dataset(q).curves
+        n = 300
         bound = 3 * n * n * 8 + 0.5e6 + (0 if q is None else q * n * 8)
-        assert traced_peak(lambda: _ksd_channel(sample, qs, grid, bandwidth)) <= bound
+        assert self.peak(traced_peak, bandwidth, q) <= bound
 
     @pytest.mark.parametrize("q", [None, 50])
     def test_numpy_terms_within_the_same_bound(self, q, traced_peak, monkeypatch):
         monkeypatch.setattr(fkwc.compiled, "load", lambda: None)
         self.test_peak_three_n_squared_doubles(MEDIAN_HEURISTIC, q, traced_peak)
 
+    @pytest.mark.parametrize("bandwidth", [MEDIAN_HEURISTIC, 0.7])
     @pytest.mark.parametrize("q", [None, 50])
-    def test_compiled_terms_two_n_squared_doubles(self, q, traced_peak):
-        # the compiled terms need no second buffer
+    def test_compiled_sums_hold_no_term_matrix(self, bandwidth, q, traced_peak):
         if fkwc.compiled.load() is None:
             pytest.skip("the compiled library is not available")
-        n, grid = 300, Grid(101)
-        sample = _t1_dataset(n).curves
-        qs = sample if q is None else _t1_dataset(q).curves
-        bound = 2 * n * n * 8 + 0.5e6 + (0 if q is None else q * n * 8)
-        assert traced_peak(lambda: _ksd_channel(sample, qs, grid, MEDIAN_HEURISTIC)) <= bound
+        n, m = 300, 101
+        # the Gram matrix (and the queries' rows) plus two rows of differences
+        bound = (n * n + 2 * n * m + (0 if q is None else q * n)) * 8 + 0.1e6
+        assert self.peak(traced_peak, bandwidth, q) <= bound
 
 
 @st.composite
@@ -937,9 +1032,9 @@ def _count_channel(monkeypatch, kind):
     calls = []
     original = getattr(fkwc.depths, CHANNEL_FUNCTIONS[kind])
 
-    def counting(sample, qs, grid, *args):
+    def counting(sample, qs, grid, *args, **kwargs):
         calls.append((sample, args))
-        return original(sample, qs, grid, *args)
+        return original(sample, qs, grid, *args, **kwargs)
 
     monkeypatch.setattr(fkwc.depths, CHANNEL_FUNCTIONS[kind], counting)
     return calls

@@ -355,6 +355,15 @@ class TestCompiledSweep:
         )
         assert proc.returncode == 0, proc.stderr
 
+    def test_flags_keep_ieee_rounding_on_any_cpu(self):
+        # the loops must round as NumPy's do, and the cache name knows only
+        # platform.machine(), so no CPU-specific build may land in it
+        flags = fkwc.compiled.FLAGS
+        assert "-ffp-contract=off" in flags
+        banned = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
+                  "-fassociative-math", "-march=native"}
+        assert not banned & set(flags), flags
+
     def test_kernel_takes_the_compiled_counts(self, kernels, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("NumPy counts ran")
@@ -396,10 +405,10 @@ class TestCompiledSweep:
         'for a; do out=$a; done; PATH={path} {cc} -shared -fPIC -x c /dev/null -o "$out"',
         # the source with one function renamed: the library lacks that one
         'PATH={path} exec {cc} -Dfkwc_max_arcs=fkwc_renamed "$@"',
-        'PATH={path} exec {cc} -Dfkwc_ksd_terms=fkwc_renamed "$@"',
+        'PATH={path} exec {cc} -Dfkwc_ksd_sums=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_spatial_sums=fkwc_renamed "$@"',
     ], ids=["compiler-fails", "library-unloadable", "function-missing", "max-arcs-missing",
-            "ksd-terms-missing", "spatial-sums-missing"])
+            "ksd-sums-missing", "spatial-sums-missing"])
     def test_failed_build_falls_back(self, compiler, kernels, fresh_load, tmp_path,
                                      monkeypatch):
         bin_dir = tmp_path / "bin"
