@@ -1,9 +1,12 @@
 """The depth kernels' inner loops, compiled from C on first use.
 
-Three loops of :mod:`fkwc.depths` run here when a C compiler is found:
+The loops of three depths of :mod:`fkwc.depths` run here when a C
+compiler is found:
 
-* ``max_arcs``: the largest half-open arc of each sorted row of direction
-  angles, for :func:`fkwc.depths.halfspace_depth_2d` (``mfhd'``);
+* ``pair_keys``, ``query_keys`` and ``halfspace_sweep``: the events of
+  :func:`fkwc.depths.halfspace_depth_2d` (``mfhd'``), one uint64 per pair
+  of points (or of query and point), and the one pass over each sorted
+  row that counts the exact Tukey depths;
 * ``ksd_sums``: each query's sum of its (k, k) kernel-trick terms, for
   ``ksd``, formed 128 at a time on the stack and added in the pairwise
   order in which NumPy sums a contiguous array, so no (k, k) matrix is
@@ -17,13 +20,14 @@ the source, the flags and the machine.  Each build writes a temporary
 file and renames it into place, so processes that build at once leave one
 whole library, and a cached file that does not load (junk, or cut short)
 is built again, once.  Without a compiler, when the build or the load
-fails, or when the library lacks any of the three functions, :func:`load`
+fails, or when the library lacks any of its functions, :func:`load`
 returns None and every loop runs in NumPy in ``depths``.  Either way the
-choice is made once per process, and the results are the same bits: each
-function does the IEEE operations of its NumPy loop, in the same order.
-``FLAGS`` build at -O3, which vectorises the elementwise loops (GCC 12's
--O2 does not), and keep -ffp-contract=off; a vector IEEE divide rounds as
-the scalar one does.
+choice is made once per process, and the results are the same bits: the
+``ksd`` and ``spatial`` functions do the IEEE operations of their NumPy
+loops, in the same order, and the halfspace counts are exact on both
+paths.  ``FLAGS`` build at -O3, which vectorises the elementwise loops
+(GCC 12's -O2 does not), and keep -ffp-contract=off; a vector IEEE divide
+rounds as the scalar one does.
 """
 
 from __future__ import annotations
@@ -45,44 +49,256 @@ SOURCE = r"""
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
-/* For each of q rows of n ascending angles, coincident points padded with
-   +inf at the end, the largest number of the k finite angles in a
-   half-open arc (b, b + pi] that starts at an angle or half a turn before
-   one: max_j max(H(p_j) - H(a_j), H(s_j) - H(p_j)), where
-   H(x) = #{doubled <= x}, doubled = [a, a + 2 pi], p_j = a_j + pi and
-   s_j = a_j + 2 pi.  These are the right-sided searches of the per-query
-   sweep (Rousseeuw & Ruts, AS 307); a_j, p_j and s_j ascend with j, so
-   each count only moves forward.  doubled holds 2n + 1 doubles. */
-void fkwc_max_arcs(const double *angles, int64_t q, int64_t n, double pi,
-                   double two_pi, double *doubled, int64_t *out)
+/* mfhd': the exact bivariate Tukey depth by one sweep of pair directions.
+   An event is the line through a first point f (a sample point, or the
+   row's one query) and a second point s: the 64 bits hold its direction's
+   pseudo-angle in [0, 2) as a fixed-point key of 64 - bits bits, then f and
+   s in ib = (bits - 1) / 2 bits each, then a flip bit, set when s lies
+   below f (dy < 0, or dy = 0 and dx < 0), so that w = flip ? f - s : s - f
+   is the direction, in [0, pi).  A pair of coincident points gets the
+   largest key, KMAX (from top = 2 - 2^(bits - 63)), which sorts last; the
+   others are capped at KMAX - 1 (from cap = 2 - 2^(bits - 62)). */
+static inline uint64_t hs_event(double dx, double dy, uint64_t idx, double cap, double top,
+                                int64_t bits)
 {
-    for (int64_t r = 0; r < q; r++) {
-        const double *a = angles + r * n;
-        int64_t k = n;
-        while (k > 0 && a[k - 1] == INFINITY)
-            k--;
-        /* a +inf after the 2k angles stops every count */
-        for (int64_t i = 0; i < k; i++) {
-            doubled[i] = a[i];
-            doubled[k + i] = a[i] + two_pi;
+    /* & and |, a multiplication by -1 and the flip as a sign bit: no branch
+       and no int-float conversion, so the loops vectorise */
+    double sg = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0)) ? -1.0 : 1.0;
+    double wx = sg * dx, wy = sg * dy, ax = fabs(wx);
+    /* wy / (wx + wy) for wx > 0, else 1 + |wx| / (|wx| + wy): one division */
+    double key = (wx > 0.0 ? 0.0 : 1.0) + (wx > 0.0 ? wy : ax) / (ax + wy);
+    key = key < cap ? key : cap; /* a 0 / 0 too */
+    key = (dx == 0.0) & (dy == 0.0) ? top : key;
+    /* key + 2 in [2, 4): its low 52 bits are key 2^51, and their top
+       64 - bits bits the fixed-point key, truncated */
+    double k2 = copysign(key + 2.0, sg);
+    uint64_t kb;
+    memcpy(&kb, &k2, sizeof kb);
+    return ((kb & ((UINT64_C(1) << 52) - 1)) >> (bits - 12)) << bits | idx | kb >> 63;
+}
+
+/* The n(n - 1)/2 events i < j of each slice t0 <= t < t1 of pts, a stack of
+   (2, n) coordinate slices, one row of out per slice. */
+void fkwc_pair_keys(const double *pts, int64_t n, int64_t t0, int64_t t1, int64_t bits,
+                    uint64_t *out)
+{
+    int64_t ib = (bits - 1) / 2;
+    double cap = 2.0 - ldexp(1.0, (int)(bits - 62)), top = 2.0 - ldexp(1.0, (int)(bits - 63));
+    for (int64_t t = t0; t < t1; t++) {
+        const double *x = pts + t * 2 * n, *y = x + n;
+        for (int64_t i = 0; i < n; i++) {
+            double xi = x[i], yi = y[i];
+            uint64_t fi = (uint64_t)i << (ib + 1);
+            uint64_t *restrict o = out;
+            for (int64_t j = i + 1; j < n; j++)
+                o[j - i - 1] = hs_event(x[j] - xi, y[j] - yi, fi | (uint64_t)j << 1, cap, top,
+                                        bits);
+            out += n - i - 1;
         }
-        doubled[2 * k] = INFINITY;
-        int64_t ha = 0, hp = 0, hs = 0, best = 0;
-        for (int64_t j = 0; j < k; j++) {
-            double p = a[j] + pi, s = doubled[k + j];
-            while (doubled[ha] <= a[j])
-                ha++;
-            while (doubled[hp] <= p)
-                hp++;
-            while (doubled[hs] <= s)
-                hs++;
-            if (hp - ha > best)
-                best = hp - ha;
-            if (hs - hp > best)
-                best = hs - hp;
+    }
+}
+
+/* The n events of each cell c0 <= c < c1, the query c % q of slice c / q of
+   qs, a stack of (2, q) slices, against the n points of that slice of pts;
+   f is 0, one row of out per cell. */
+void fkwc_query_keys(const double *pts, const double *qs, int64_t n, int64_t q, int64_t c0,
+                     int64_t c1, int64_t bits, uint64_t *out)
+{
+    double cap = 2.0 - ldexp(1.0, (int)(bits - 62)), top = 2.0 - ldexp(1.0, (int)(bits - 63));
+    for (int64_t c = c0; c < c1; c++) {
+        const double *x = pts + c / q * 2 * n, *y = x + n;
+        double qx = qs[c / q * 2 * q + c % q], qy = qs[c / q * 2 * q + q + c % q];
+        uint64_t *restrict o = out + (c - c0) * n;
+        for (int64_t j = 0; j < n; j++)
+            o[j] = hs_event(x[j] - qx, y[j] - qy, (uint64_t)j << 1, cap, top, bits);
+    }
+}
+
+/* x + y = a + b exactly (Knuth's TwoSum) */
+static inline void two_sum(double a, double b, double *x, double *y)
+{
+    *x = a + b;
+    double bv = *x - a, av = *x - bv;
+    *y = (a - av) + (b - bv);
+}
+
+/* h += b, h a nonoverlapping expansion of len components by increasing
+   magnitude, zeros dropped; returns the new length */
+static int grow(double *h, int len, double b)
+{
+    int k = 0;
+    for (int i = 0; i < len; i++) {
+        double x, y;
+        two_sum(b, h[i], &x, &y);
+        b = x;
+        if (y != 0.0)
+            h[k++] = y;
+    }
+    if (b != 0.0 || k == 0)
+        h[k++] = b;
+    return k;
+}
+
+struct hs_table {
+    const double *qx, *qy, *px, *py; /* first and second points */
+    int64_t ib;
+};
+
+/* The sign of w1 x w2, the cross product of two events' directions:
+   Shewchuk's orient2d error bound decides it from floats, or else the
+   exact sum of the products of the differences' TwoSum expansions, each
+   product with its error from fma.  Exact for inputs of magnitude 0 or
+   in [2^-400, 2^500], where no product's error underflows. */
+static int hs_sign(const struct hs_table *tb, uint64_t e1, uint64_t e2)
+{
+    uint64_t mask = (UINT64_C(1) << tb->ib) - 1;
+    int64_t f1 = e1 >> (tb->ib + 1) & mask, s1 = e1 >> 1 & mask;
+    int64_t f2 = e2 >> (tb->ib + 1) & mask, s2 = e2 >> 1 & mask;
+    int flips = (int)((e1 ^ e2) & 1);
+    double ax = tb->qx[f1], ay = tb->qy[f1], bx = tb->px[s1], by = tb->py[s1];
+    double cx = tb->qx[f2], cy = tb->qy[f2], dx = tb->px[s2], dy = tb->py[s2];
+    double l = (bx - ax) * (dy - cy), r = (by - ay) * (dx - cx), det = l - r;
+    double bound = (3.0 + 16.0 * 0x1p-53) * 0x1p-53 * (fabs(l) + fabs(r));
+    int sign;
+    if (det > bound || -det > bound) {
+        sign = det > 0.0 ? 1 : -1;
+    } else {
+        double u[2], v[2], w[2], z[2], h[16];
+        int len = 0;
+        two_sum(bx, -ax, &u[0], &u[1]);
+        two_sum(dy, -cy, &v[0], &v[1]);
+        two_sum(by, -ay, &w[0], &w[1]);
+        two_sum(dx, -cx, &z[0], &z[1]);
+        for (int i = 0; i < 2; i++)
+            for (int j = 0; j < 2; j++) {
+                double p = u[i] * v[j], q = w[i] * z[j];
+                /* the products' errors, exact by fma */
+                len = grow(h, len, fma(u[i], v[j], -p));
+                len = grow(h, len, p);
+                len = grow(h, len, -fma(w[i], z[j], -q));
+                len = grow(h, len, -q);
+            }
+        sign = (h[len - 1] > 0.0) - (h[len - 1] < 0.0);
+    }
+    return flips ? -sign : sign;
+}
+
+/* events[0..len) in the exact order of their directions, by merge sort */
+static void hs_sort(uint64_t *ev, int64_t len, uint64_t *tmp, const struct hs_table *tb)
+{
+    if (len < 2)
+        return;
+    int64_t h = len / 2, i = 0, j = h, k = 0;
+    hs_sort(ev, h, tmp, tb);
+    hs_sort(ev + h, len - h, tmp, tb);
+    while (i < h && j < len)
+        tmp[k++] = hs_sign(tb, ev[j], ev[i]) > 0 ? ev[j++] : ev[i++];
+    while (i < h)
+        tmp[k++] = ev[i++];
+    for (int64_t x = 0; x < k; x++)
+        ev[x] = tmp[x];
+}
+
+/* Moves first point f's line past its second point s and, when shared,
+   s's past f: R[i] is D[i] - D0[i], where D = 2 L - K and L counts the
+   points left of the line through i, and hi[i] and lo[i] its extremes at
+   the ends of groups, read by hs_read. */
+static inline void hs_move(uint64_t e, int64_t ib, uint64_t mask, int shared, int64_t *R)
+{
+    int64_t f = e >> (ib + 1) & mask, s = e >> 1 & mask, d = 4 * (int64_t)(e & 1) - 2;
+    R[f] += d;
+    if (shared)
+        R[s] -= d;
+}
+
+static inline void hs_read(uint64_t e, int64_t ib, uint64_t mask, int shared, const int64_t *R,
+                           int64_t *hi, int64_t *lo)
+{
+    int64_t f = e >> (ib + 1) & mask, s = e >> 1 & mask;
+    hi[f] = R[f] > hi[f] ? R[f] : hi[f];
+    lo[f] = R[f] < lo[f] ? R[f] : lo[f];
+    if (shared) {
+        hi[s] = R[s] > hi[s] ? R[s] : hi[s];
+        lo[s] = R[s] < lo[s] ? R[s] : lo[s];
+    }
+}
+
+/* One row of ascending events: K[i] counts the points not coincident with
+   first point i, and ends as the most of them that an open halfplane
+   through i holds.  L[i] of them lie left of the line through i that rotates from just
+   before direction 0 (a point is left when above) to just before pi; with
+   D = 2 L - K, max(L, K - L) = (K + |D|) / 2.  An event moves its second
+   point across its first point's line and, when shared (the row holds
+   every pair of one sample), the first across the second's.  The sweep
+   ends where it started, sides swapped, so D ends at -D0 and R at -2 D0:
+   one pass gives D0 and the extremes of D.  Keys within 4 units of each
+   other are ordered, and grouped by equal direction, by hs_sign. */
+static void hs_row(uint64_t *ev, int64_t len, const struct hs_table *tb, int64_t slots,
+                   int shared, int64_t others, int64_t *R, int64_t *hi, int64_t *lo,
+                   int64_t *K, uint64_t *tmp)
+{
+    int64_t ib = tb->ib, bits = 2 * ib + 1;
+    uint64_t mask = (UINT64_C(1) << ib) - 1, kmax = (UINT64_C(1) << (64 - bits)) - 1;
+    for (int64_t i = 0; i < slots; i++) {
+        R[i] = hi[i] = lo[i] = 0;
+        K[i] = others;
+    }
+    for (; len > 0 && ev[len - 1] >> bits == kmax; len--) { /* coincident pairs */
+        K[ev[len - 1] >> (ib + 1) & mask]--;
+        if (shared)
+            K[ev[len - 1] >> 1 & mask]--;
+    }
+    for (int64_t e = 0; e < len; e++) {
+        if (e + 1 == len || (ev[e + 1] >> bits) - (ev[e] >> bits) >= 4) {
+            hs_move(ev[e], ib, mask, shared, R); /* the one event of its direction */
+            hs_read(ev[e], ib, mask, shared, R, hi, lo);
+            continue;
         }
-        out[r] = best;
+        int64_t c = e + 2;
+        while (c < len && (ev[c] >> bits) - (ev[c - 1] >> bits) < 4)
+            c++;
+        hs_sort(ev + e, c - e, tmp, tb);
+        for (int64_t g = e; g < c;) { /* g .. h - 1: one direction */
+            int64_t h = g + 1;
+            while (h < c && hs_sign(tb, ev[h - 1], ev[h]) == 0)
+                h++;
+            for (int64_t x = g; x < h; x++)
+                hs_move(ev[x], ib, mask, shared, R);
+            for (int64_t x = g; x < h; x++)
+                hs_read(ev[x], ib, mask, shared, R, hi, lo);
+            g = h;
+        }
+        e = c - 1;
+    }
+    for (int64_t i = 0; i < slots; i++) {
+        int64_t d0 = -R[i] / 2, up = d0 + hi[i], down = -(d0 + lo[i]);
+        K[i] = (K[i] + (up > down ? up : down)) / 2;
+    }
+}
+
+/* Depths (n - best) / n from rows of len ascending events: with qs NULL,
+   row r holds every pair of slice c0 + r of pts and writes its n depths to
+   out[(c0 + r) n ...]; else row r is cell c = c0 + r of fkwc_query_keys
+   and writes out[c].  work holds 4n int64, tmp len events. */
+void fkwc_halfspace_sweep(uint64_t *events, int64_t rows, int64_t len, const double *pts,
+                          const double *qs, int64_t n, int64_t q, int64_t c0, int64_t bits,
+                          int64_t *work, uint64_t *tmp, double *out)
+{
+    for (int64_t r = 0; r < rows; r++) {
+        int64_t c = c0 + r, t = qs ? c / q : c, slots = qs ? 1 : n;
+        struct hs_table tb;
+        tb.px = pts + t * 2 * n;
+        tb.py = tb.px + n;
+        tb.qx = qs ? qs + t * 2 * q + c % q : tb.px;
+        tb.qy = qs ? tb.qx + q : tb.py;
+        tb.ib = (bits - 1) / 2;
+        hs_row(events + r * len, len, &tb, slots, !qs, qs ? n : n - 1, work, work + n,
+               work + 2 * n, work + 3 * n, tmp);
+        double *o = qs ? out + c : out + c * n;
+        for (int64_t i = 0; i < slots; i++)
+            o[i] = (double)(n - work[3 * n + i]) / (double)n;
     }
 }
 
@@ -254,14 +470,18 @@ def _build(path: Path) -> bool:
 class Kernels(NamedTuple):
     """The compiled loops; see the module docstring."""
 
-    max_arcs: Callable
+    pair_keys: Callable
+    query_keys: Callable
+    halfspace_sweep: Callable
     ksd_sums: Callable
     spatial_sums: Callable
 
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _SIGNATURES = {
-    "fkwc_max_arcs": (_P, _I, _I, _D, _D, _P, _P),
+    "fkwc_pair_keys": (_P, _I, _I, _I, _I, _P),
+    "fkwc_query_keys": (_P, _P, _I, _I, _I, _I, _I, _P),
+    "fkwc_halfspace_sweep": (_P, _I, _I, _P, _P, _I, _I, _I, _I, _P, _P, _P),
     "fkwc_ksd_sums": (_P, _I, _P, _I, _P, _P, _P),
     "fkwc_spatial_sums": (_P, _P, _P, _I, _I, _I, _P),
 }
@@ -269,8 +489,8 @@ _SIGNATURES = {
 
 @functools.cache
 def load() -> Kernels | None:
-    """The three compiled loops, or None where any of them cannot be had;
-    built on the first call of a process."""
+    """The compiled loops, or None where any of them cannot be had; built
+    on the first call of a process."""
     path = library_path()
     try:
         try:
@@ -290,16 +510,32 @@ def load() -> Kernels | None:
         # for this path
         return None
 
-    def max_arcs(angles: np.ndarray) -> np.ndarray:
-        """The largest arc count of each sorted (q, n) angle row, (q,) int64."""
-        angles = np.ascontiguousarray(angles, dtype=float)
-        q, n = angles.shape
-        doubled = np.empty(2 * n + 1)
-        out = np.empty(q, dtype=np.int64)
-        # the floats NumPy adds: a + pi and a + 2.0 * pi
-        fns["fkwc_max_arcs"](angles.ctypes.data, q, n, np.pi, 2.0 * np.pi,
-                             doubled.ctypes.data, out.ctypes.data)
-        return out
+    def pair_keys(pts: np.ndarray, t0: int, t1: int, bits: int, out: np.ndarray) -> None:
+        """The events of every pair of each slice t0 <= t < t1 of the
+        contiguous (k, 2, n) ``pts`` into the rows of ``out``."""
+        fns["fkwc_pair_keys"](pts.ctypes.data, pts.shape[2], t0, t1, bits, out.ctypes.data)
+
+    def query_keys(pts: np.ndarray, qs: np.ndarray, c0: int, c1: int, bits: int,
+                   out: np.ndarray) -> None:
+        """The events of cells c0 <= c < c1 (query c % q of slice c // q of
+        the contiguous (k, 2, q) ``qs``) into the rows of ``out``."""
+        fns["fkwc_query_keys"](pts.ctypes.data, qs.ctypes.data, pts.shape[2], qs.shape[2],
+                               c0, c1, bits, out.ctypes.data)
+
+    def halfspace_sweep(events: np.ndarray, pts: np.ndarray, qs, c0: int, bits: int,
+                        out: np.ndarray) -> None:
+        """The depths of the sorted rows of ``events`` into the contiguous
+        (k, q) ``out``: slices c0, c0 + 1, ... of ``pts`` when ``qs`` is
+        None, else cells c0, c0 + 1, ...; ``events`` is reordered where
+        keys tie."""
+        rows, length = events.shape
+        n = pts.shape[2]
+        work = np.empty(4 * n, dtype=np.int64)
+        tmp = np.empty(length, dtype=np.uint64)
+        fns["fkwc_halfspace_sweep"](events.ctypes.data, rows, length, pts.ctypes.data,
+                                    None if qs is None else qs.ctypes.data, n,
+                                    0 if qs is None else qs.shape[2], c0, bits,
+                                    work.ctypes.data, tmp.ctypes.data, out.ctypes.data)
 
     def ksd_sums(gram: np.ndarray, gq: np.ndarray) -> np.ndarray:
         """Per row of the (q, n) kernel values ``gq``, the sum of its
@@ -329,4 +565,4 @@ def load() -> Kernels | None:
                                  q, n, m, out.ctypes.data)
         return out
 
-    return Kernels(max_arcs, ksd_sums, spatial_sums)
+    return Kernels(pair_keys, query_keys, halfspace_sweep, ksd_sums, spatial_sums)

@@ -145,7 +145,7 @@ def _channels(ds: FunctionalDataset, use_derivatives: bool, queries):
     return chans
 
 
-def _channel_depth(ds, spec, queries, channel_fn, *args, distances=False) -> DepthVector:
+def _channel_depth(ds, spec, queries, channel_fn, *args, shared=None) -> DepthVector:
     """``channel_fn(sample, queries, grid, *args)`` on the curves; primed, the
     average w0 * (curve depth) + w1 * (derivative depth) with the spec's
     channel weights.
@@ -153,9 +153,10 @@ def _channel_depth(ds, spec, queries, channel_fn, *args, distances=False) -> Dep
     Without ``queries`` each channel's values are kept on the dataset, keyed
     by (channel_fn, channel index, args), so a primed spec reads the curve
     channel its plain spec computed: the same array, so the same bits.
-    With ``distances``, ``channel_fn`` also takes ``sample_d2``, a function
-    that returns the channel's N x N sample distances, kept on the dataset
-    by :func:`_sample_sq_dists` whether or not ``queries`` is given.
+    With ``shared``, a (keyword, fn, *fn_args) tuple, ``channel_fn`` also
+    takes that keyword: a function that returns fn(sample, sample,
+    *fn_args) of the channel, kept on the dataset by :func:`_sample_table`
+    whether or not ``queries`` is given.
     """
     chans = _channels(ds, spec.use_derivatives, queries)
     cache = ds._channel_depths if queries is None else {}
@@ -164,8 +165,9 @@ def _channel_depth(ds, spec, queries, channel_fn, *args, distances=False) -> Dep
         key = (channel_fn, c, args)
         if key not in cache:
             kw = {}
-            if distances:
-                kw["sample_d2"] = functools.partial(_sample_sq_dists, ds, c, chan[0])
+            if shared is not None:
+                name, fn, *fn_args = shared
+                kw[name] = functools.partial(_sample_table, ds, c, fn, chan[0], chan[0], *fn_args)
             cache[key] = channel_fn(*chan, ds.grid, *args, **kw)
             cache[key].setflags(write=False)
         vals.append(cache[key])
@@ -177,15 +179,27 @@ def _channel_depth(ds, spec, queries, channel_fn, *args, distances=False) -> Dep
 
 def _strict_counts(sample, qs):
     """Per column (grid point or direction), the numbers of sample values
-    strictly below and strictly above each query value."""
+    strictly below and strictly above each query value: a (2, q, m) array,
+    which unpacks as (below, above)."""
     n, m = sample.shape
-    below = np.empty((qs.shape[0], m))
-    above = np.empty((qs.shape[0], m))
+    out = np.empty((2, qs.shape[0], m))
     for t in range(m):
         col = np.sort(sample[:, t])
-        below[:, t] = np.searchsorted(col, qs[:, t], side="left")
-        above[:, t] = n - np.searchsorted(col, qs[:, t], side="right")
-    return below, above
+        out[0, :, t] = np.searchsorted(col, qs[:, t], side="left")
+        out[1, :, t] = n - np.searchsorted(col, qs[:, t], side="right")
+    return out
+
+
+def _sample_table(ds, c, fn, *args) -> np.ndarray:
+    """``fn(*args)`` on channel ``c``'s sample curves, computed once and
+    kept on the dataset, read-only: the N x N :func:`_pairwise_sq_dists`
+    that ``spatial`` and ``ksd`` read, and the :func:`_strict_counts` that
+    ``mfhd`` and ``mbd`` read."""
+    cache = ds._channel_tables
+    if (fn, c) not in cache:
+        cache[fn, c] = fn(*args)
+        cache[fn, c].setflags(write=False)
+    return cache[fn, c]
 
 
 # ---------------------------------------------------------------------------
@@ -290,39 +304,48 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
 # integrated (multivariate functional) halfspace depth
 # ---------------------------------------------------------------------------
 
-# queries x points per block of halfspace_depth_2d.  Its temporaries peak at
-# about 50 bytes a cell, 75 with the NumPy counts' key buffer (1.2 MB a
-# block); blocks of 32,768 and 65,536 cells ran 1.2-1.4x slower per cell at
-# n = 200 and 400, and of 4,096 no faster.  A 100 x 100 slice is one block.
-_HALFSPACE_BLOCK_CELLS = 1 << 14
+# events a halfspace_depth_2d call holds at a time, 8 bytes each, whatever
+# N: blocks of slices while one slice's n(n - 1)/2 pairs fit (n <= 362),
+# else blocks of queries, n events each (past n = 65,536, one query's n)
+_HALFSPACE_BLOCK_KEYS = 1 << 16
+
+# the compiled predicates are exact on coordinates of magnitude 0 or within
+# these bounds, where no error-free product under- or overflows; other
+# inputs take the NumPy path, which decides near ties with Fraction
+_EXACT_RANGE = (2.0**-400, 2.0**500)
 
 
-def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
+def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) -> np.ndarray:
     """Exact bivariate Tukey depth of each query against ``points``.
 
     ``points`` (n, 2) and ``queries`` (q, 2) give the q depths; stacks of
     k such slices, (k, n, 2) and (k, q, 2), give (k, q), slice t of the
-    queries against slice t of the points.
+    queries against slice t of the points.  Without ``queries`` the points
+    are their own queries, and each pair of points serves both.
 
-    Rotating-line formulation (Rousseeuw & Ruts, AS 307, 1996): with the
-    query at the origin, the minimal closed-halfplane count is n minus the
-    largest number of the K nonzero direction angles in a half-open arc
-    (b, b + pi], scanned at the 2K arcs that start or end at an angle.
-    NumPy sorts the angles of all queries of a block at once, coincident
-    points padded with +inf; the largest arc of each row is counted by
-    the compiled sweep of :mod:`fkwc.compiled`, or, where none can be
-    built, by :func:`_max_arcs` in NumPy.  Both compare the same floats as
-    the per-query sweep, so the counts are identical to it.
+    The depth of q is (n - the most points an open halfplane through q
+    holds) / n.  A line turning about q carries a point from one side to
+    the other as it passes the point's direction; Rousseeuw & Ruts (AS 307,
+    1996) sort those directions for each query and sweep them.  Here each
+    pair of points (or of query and point) is one event, the direction of
+    the line through both, keyed by a division-only pseudo-angle in [0, 2)
+    and packed with the pair's indices into a uint64, so that one row sort
+    orders a slice's events for all of its points and one pass counts.
+    Keys within 4 units of each other, which the roundings of the
+    differences, the division and the packing could misorder, are ordered
+    and grouped by the exact sign of the cross product of their
+    directions.  The counts are exact, so both paths, the compiled one of
+    :mod:`fkwc.compiled` and :class:`_NumpySweep` (which takes the points'
+    own depths as outside queries), give the same bytes.
 
-    Cost: O(k q n log n) time in a fixed number of NumPy calls per block of
-    at most ``_HALFSPACE_BLOCK_CELLS`` query-point pairs of one slice (one
-    block for q = n = 100); O(block) memory.  Shapes and finiteness are
-    checked once per call.
+    Cost: O(k n^2 log n) time for the points' own depths, O(k q n log n)
+    for q queries, in blocks of at most ``_HALFSPACE_BLOCK_KEYS`` events;
+    shapes and finiteness are checked once per call.
     """
     pts = np.asarray(points, dtype=float)
-    qs = np.asarray(queries, dtype=float)
+    qs = pts if queries is None else np.asarray(queries, dtype=float)
     if pts.ndim == qs.ndim == 2:
-        return halfspace_depth_2d(pts[None], qs[None])[0]
+        return halfspace_depth_2d(pts[None], None if queries is None else qs[None])[0]
     if (pts.ndim != 3 or qs.ndim != 3 or pts.shape[::2] != qs.shape[::2]
             or pts.shape[1] < 1 or pts.shape[2] != 2):
         raise DataError(f"points and queries must have shapes ([k,] n >= 1, 2) and "
@@ -331,86 +354,148 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
         raise DataError("points and queries must be finite")
     k, n, _ = pts.shape
     q = qs.shape[1]
-    # (k, 2, n) and (k, 2, q): a block's differences then come from
-    # contiguous rows, about 5x faster than from the interleaved pairs
-    pts, qs = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (pts, qs))
-    rows = max(1, min(q, _HALFSPACE_BLOCK_CELLS // n))
-    kernels = compiled.load()
-    if kernels is None:  # every block sorts its keys in one buffer
-        max_arcs = functools.partial(_max_arcs, buf=np.empty((rows, 3 * n)))
-    else:
-        max_arcs = kernels.max_arcs
+    # (k, 2, n) and (k, 2, q): each slice's x and y as contiguous rows
+    pts = np.ascontiguousarray(pts.transpose(0, 2, 1))
+    qs = pts if queries is None else np.ascontiguousarray(qs.transpose(0, 2, 1))
+    # two indices of at least 10 bits and a flip bit below the key
+    bits = 2 * max(10, (n - 1).bit_length()) + 1
+    kernels = compiled.load() if _in_exact_range(pts, qs) else None
+    pairs = n * (n - 1) // 2
+    shared = queries is None and pairs <= _HALFSPACE_BLOCK_KEYS and kernels is not None
+    step, length, total = ((max(1, _HALFSPACE_BLOCK_KEYS // max(pairs, 1)), pairs, k) if shared
+                           else (max(1, _HALFSPACE_BLOCK_KEYS // n), n, k * q))
+    size = min(step, total) * length
+    sweep = _NumpySweep(size) if kernels is None else kernels
+    events = np.empty(size, dtype=np.uint64)
     out = np.empty((k, q))
-    for t in range(k):
-        for lo in range(0, q, rows):
-            out[t, lo:lo + rows] = _halfspace_block(pts[t], qs[t, :, lo:lo + rows], max_arcs)
+    for c0 in range(0, total, step):
+        c1 = min(total, c0 + step)
+        ev = events[:(c1 - c0) * length].reshape(c1 - c0, length)
+        if shared:
+            sweep.pair_keys(pts, c0, c1, bits, ev)
+        else:
+            sweep.query_keys(pts, qs, c0, c1, bits, ev)
+        ev.sort(axis=1)
+        sweep.halfspace_sweep(ev, pts, None if shared else qs, c0, bits, out)
     return out
 
 
-def _halfspace_block(pts: np.ndarray, qs: np.ndarray, max_arcs) -> np.ndarray:
-    """Depths of the queries ``qs`` (2, q) against ``pts`` (2, n)."""
-    dx, dy = pts[:, None, :] - qs[:, :, None]
-    n = dx.shape[1]
-    coincident = (dx == 0.0) & (dy == 0.0)
-    a = np.arctan2(dy, dx, out=dx)
-    a[coincident] = np.inf  # no angle: sorts after the K real ones
-    a.sort(axis=1)
-    return (n - max_arcs(a)) / n
+def _in_exact_range(*arrays) -> bool:
+    """Whether every coordinate is 0 or of a magnitude within ``_EXACT_RANGE``."""
+    lo, hi = _EXACT_RANGE
+    for a in arrays:
+        mag = np.abs(a)
+        if mag.max(initial=0.0) > hi or mag.min(initial=lo, where=mag > 0.0) < lo:
+            return False
+    return True
 
 
-def _max_arcs(a: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The largest half-open arc count of each row of sorted angles ``a``
-    (q, n), keyed in ``buf[:q]``: the NumPy form of the compiled sweep.
+class _NumpySweep:
+    """The NumPy form of the compiled ``query_keys`` and ``halfspace_sweep``
+    on outside queries, which :func:`halfspace_depth_2d` also gives it the
+    points' own depths as: a row is one query's n events, so its sweep is a
+    cumulative sum along the row.  Its buffers are made once per call, for
+    ``size`` events.  Near ties are decided in Fraction arithmetic, so any
+    finite input is exact; where some |dx| + |dy| reaches 2^1020 (a
+    difference may have overflowed), every event of the block is one near
+    tie."""
 
-    Per row, with K finite angles, p = fl(a + pi) and s = fl(a + 2 pi):
+    def __init__(self, size: int):
+        self.dx, self.dy, self.key = np.empty(size), np.empty(size), np.empty(size)
+        self.run = np.empty(size, dtype=np.int64)
 
-    * X_j = #{a <= p_j} + #{s <= p_j};
-    * Y_j = #{a <= a_j} + #{s <= a_j}, the end of a_j's run of ties (plus
-      the s that equal pi when a_j = pi, possible only when some a = -pi);
-      X_j - Y_j is only needed at those run ends, where Y_j = j + 1;
-    * Z_j = K + #{s <= s_j}, K plus the end of s_j's run of ties;
+    def query_keys(self, pts, qs, c0, c1, bits, out):
+        """The compiled ``hs_event`` of every (query, point) pair of cells
+        c0 <= c < c1, f = 0."""
+        t, r = np.divmod(np.arange(c0, c1), qs.shape[2])
+        kmax = (1 << (64 - bits)) - 1
+        dx, dy, key = (b[:out.size].reshape(out.shape) for b in (self.dx, self.dy, self.key))
+        with np.errstate(over="ignore", invalid="ignore"):  # a huge block; 0 / 0
+            for d, c in ((dx, 0), (dy, 1)):
+                np.take(pts[:, c], t, axis=0, out=d, mode="clip")
+                d -= qs[t, c, r][:, None]
+            flip = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0))
+            # w = +-(dx, dy) has |dx| and |dy| as |wx| and wy, and wx > 0
+            # where dx and dy have opposite signs but for dy = 0, dx < 0
+            right = ((dx > 0.0) & (dy >= 0.0)) | ((dx < 0.0) & (dy <= 0.0))
+            np.abs(dx, out=dx)
+            np.abs(dy, out=dy)
+            np.add(dx, dy, out=key)
+            huge = key.max(initial=0.0) >= 2.0**1020
+            np.copyto(dx, dy, where=right)  # the numerator: wy, or |wx|
+            np.divide(dx, key, out=dx)
+        coincident = key == 0.0
+        np.add(dx, ~right, out=key)
+        key *= 2.0 ** (63 - bits)
+        np.minimum(key, kmax - 1, out=key)
+        if huge:
+            key[...] = 0.0
+        key[coincident] = kmax
+        np.copyto(out, key, casting="unsafe")
+        out <<= np.uint64(bits)
+        out |= np.arange(out.shape[1], dtype=np.uint64) << np.uint64(1)
+        out |= flip
 
-    and the count is max_j max(X_j - Y_j, Z_j - X_j).  X is a batched
-    right-sided search: every comparison behind it is between
-    non-negative floats (a negative a is below every p), whose bit
-    patterns sort like their values, so one row-wise sort of
-    ``bits << 1 | tag`` keys, the tag putting a sample angle before a p it
-    equals, places each p after exactly X of them.
-    """
-    q, n = a.shape
-    # Z_j - (j + 1), taken first, as the keys overwrite s: K, plus, on rows
-    # where some s tie, the distance from s_j to the end of its run of ties
-    keys = buf[:q]
-    s = np.add(a, 2.0 * np.pi, out=keys[:, n:2 * n])
-    counts = np.arange(1, n + 1)
-    run_end = np.ones((q, n), dtype=bool)
-    np.not_equal(s[:, 1:], s[:, :-1], out=run_end[:, :-1])
-    z = np.repeat(np.count_nonzero(a < np.inf, axis=1), n).reshape(q, n)
-    tied = ~run_end.all(axis=1)
-    if tied.any():
-        ends = np.minimum.accumulate(np.where(run_end[tied], counts, n)[:, ::-1], axis=1)
-        z[tied] += ends[:, ::-1] - counts
-    # X: a clipped at 0 stays below every p; the shift drops the sign bit,
-    # so a -0.0 keys as 0, and tag 1 marks the p
-    np.maximum(a, 0.0, out=keys[:, :n])
-    np.add(a, np.pi, out=keys[:, 2 * n:])
-    bits = keys.view(np.uint64)
-    bits <<= np.uint64(1)
-    bits[:, 2 * n:] |= np.uint64(1)
-    bits.sort(axis=1)
-    # the tags from the low bytes, as bools: flatnonzero is ~4x faster on those
-    x = np.flatnonzero((bits.astype(np.uint8) & 1).view(bool)).reshape(q, n)
-    x -= 3 * n * np.arange(q)[:, None] + 2 * counts - 1  # X_j - (j + 1)
-    z -= x  # Z_j - X_j
-    # ties of a_j share X_j, so X_j - Y_j peaks at the end of their run,
-    # where Y_j = j + 1; the +inf padding ends no run
-    np.not_equal(a[:, 1:], a[:, :-1], out=run_end[:, :-1])
-    run_end[:, -1] = a[:, -1] < np.inf
-    x *= run_end
-    # s_i = pi exactly when a_i = -pi, and then s_i <= a_j for a_j = pi
-    if (a[:, 0] == -np.pi).any():
-        x -= (a == np.pi) * np.count_nonzero(a == -np.pi, axis=1)[:, None]
-    return np.maximum(x, z, out=z).max(axis=1)
+    def halfspace_sweep(self, ev, pts, qs, c0, bits, out):
+        """The depths of the queries of cells c0, c0 + 1, ... from their
+        sorted rows of events."""
+        rows, n = ev.shape
+        q = qs.shape[2]
+        run = self.run[:ev.size].reshape(ev.shape)
+        kint = np.right_shift(ev, np.uint64(bits), out=run.view(np.uint64))
+        valid = kint != (1 << (64 - bits)) - 1
+        gaps = np.subtract(kint[:, 1:], kint[:, :-1],
+                           out=self.key.view(np.uint64)[:rows * (n - 1)].reshape(rows, n - 1))
+        # joined: in the group of the event before, by the exact order of
+        # the runs of near-equal keys
+        joined = np.zeros((rows, n + 1), dtype=bool)
+        near = np.zeros((rows, n + 1), dtype=np.int8)
+        near[:, 1:n] = (gaps < 4) & valid[:, 1:]
+        edges = np.diff(near, axis=1)
+        for r, lo, hi in zip(*np.nonzero(edges == 1), np.nonzero(edges == -1)[1] + 1):
+            t, i = divmod(c0 + r, q)
+            ev[r, lo:hi], starts = _exact_order(ev[r, lo:hi], qs[t, :, i:i + 1], pts[t],
+                                                (bits - 1) // 2)
+            joined[r, lo:hi] = ~np.array(starts)
+        # D = 2 L - K, L counting the points left of the line through the
+        # query, moves by -2 as a point above passes and +2 below; read
+        # where each group of events ends
+        np.bitwise_and(ev, np.uint64(1), out=run.view(np.uint64))
+        run *= 4
+        run -= 2
+        run *= valid
+        count = np.count_nonzero(valid, axis=1)
+        d0 = count - np.count_nonzero(run > 0, axis=1) * 2
+        np.cumsum(run, axis=1, out=run)
+        run += d0[:, None]
+        np.abs(run, out=run)
+        run *= valid & ~joined[:, 1:]
+        best = np.maximum(np.abs(d0), run.max(axis=1, initial=0))
+        out.reshape(-1)[c0:c0 + rows] = (n - (count + best) // 2) / n
+
+
+def _exact_order(events, first, second, ib):
+    """A run of events with near-equal keys in the exact order of their
+    directions, and True where a direction starts: ``first`` and ``second``
+    are the (2, .) coordinates that the events' f and s index."""
+    from fractions import Fraction  # here, not at import: it loads decimal, ≈ 0.5 MB
+
+    mask = (1 << ib) - 1
+
+    def direction(e):
+        f, s = e >> (ib + 1) & mask, e >> 1 & mask
+        w = [Fraction(second[c, s]) - Fraction(first[c, f]) for c in (0, 1)]
+        return (-w[0], -w[1]) if e & 1 else (w[0], w[1])
+
+    dirs = {int(e): direction(int(e)) for e in events}
+
+    def cross(a, b):
+        return dirs[a][0] * dirs[b][1] - dirs[a][1] * dirs[b][0]
+
+    # a comes first where a x b > 0: the angles of a and b lie in [0, pi)
+    order = sorted(dirs, key=functools.cmp_to_key(lambda a, b: -np.sign(cross(a, b))))
+    starts = [True] + [cross(a, b) != 0 for a, b in zip(order, order[1:])]
+    return np.array(order, dtype=np.uint64), starts
 
 
 def mfhd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
@@ -418,18 +503,23 @@ def mfhd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
 
     Unprimed: univariate depth min(#below, #above)/N per point.  Primed:
     exact bivariate Tukey depth of the (value, derivative) pairs, all m
-    grid points in one :func:`halfspace_depth_2d` call on (m, N, 2) and
-    (m, q, 2) stacks.
+    grid points in one :func:`halfspace_depth_2d` call on an (m, N, 2)
+    stack, and an (m, q, 2) one for outside queries.
     """
     chans = _channels(ds, spec.use_derivatives, queries)
     sample, qs = chans[0]
     if not spec.use_derivatives:
         n = sample.shape[0]
-        below, above = _strict_counts(sample, qs)
+        if queries is None:
+            below, above = _sample_table(ds, 0, _strict_counts, sample, sample)
+        else:
+            below, above = _strict_counts(sample, qs)
         return DepthVector(ds.grid.integrate(np.minimum(n - above, n - below) / n), spec)
-    # the (value, derivative) pairs of each grid point: (m, N, 2) and (m, q, 2)
-    pts, qpts = (np.stack((c.T, d.T), axis=2) for c, d in zip(*chans))
-    return DepthVector(ds.grid.integrate(halfspace_depth_2d(pts, qpts).T), spec)
+    # the (value, derivative) pairs of each grid point, as (m, N, 2) and
+    # (m, q, 2) views of contiguous (m, 2, N) and (m, 2, q) stacks
+    pts, qpts = (np.stack((c.T, d.T), axis=1).transpose(0, 2, 1) for c, d in zip(*chans))
+    depths = halfspace_depth_2d(pts, None if queries is None else qpts)
+    return DepthVector(ds.grid.integrate(depths.T), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -444,13 +534,17 @@ def _falling_comb(a: np.ndarray, k: int) -> np.ndarray:
     return out / math.factorial(k)
 
 
-def _mbd_channel(sample, qs, grid, order: int) -> np.ndarray:
+def _mbd_channel(sample, qs, grid, order: int, sample_counts=None) -> np.ndarray:
     """Sum over k=2..order of the expected in-band time fraction, where
     bands are delimited by k-subsets of sample curves (weak inequalities,
     own pairings included when the query is in the sample).  No band has
-    more than the n sample curves, so k stops at n."""
+    more than the n sample curves, so k stops at n.  The sample's own
+    counts are those ``sample_counts`` returns, when given."""
     n = sample.shape[0]
-    strictly_below, strictly_above = _strict_counts(sample, qs)
+    if qs is sample and sample_counts is not None:
+        strictly_below, strictly_above = sample_counts()
+    else:
+        strictly_below, strictly_above = _strict_counts(sample, qs)
     depth = np.zeros(qs.shape[0])
     for k in range(2, min(order, n) + 1):
         total = math.comb(n, k)
@@ -462,7 +556,8 @@ def _mbd_channel(sample, qs, grid, order: int) -> np.ndarray:
 def mbd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Modified band depth; the primed variant averages the curve and
     derivative channel depths with the spec's channel weights."""
-    return _channel_depth(ds, spec, queries, _mbd_channel, spec.band_order)
+    return _channel_depth(ds, spec, queries, _mbd_channel, spec.band_order,
+                          shared=("sample_counts", _strict_counts))
 
 
 # ---------------------------------------------------------------------------
@@ -507,29 +602,20 @@ def _spatial_sum(sample, q, grid) -> np.ndarray:
 def spatial_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
     """Functional spatial depth; primed variant is the weighted average of
     the per-channel depths."""
-    return _channel_depth(ds, spec, queries, _spatial_channel, distances=True)
+    return _channel_depth(ds, spec, queries, _spatial_channel,
+                          shared=("sample_d2", _pairwise_sq_dists, ds.grid))
 
 
 def _pairwise_sq_dists(a, b, grid) -> np.ndarray:
     # direct differences: identical curves yield exactly zero, which the
-    # s(0) = 0 convention relies on
+    # s(0) = 0 convention relies on; one difference buffer serves every row
     out = np.empty((a.shape[0], b.shape[0]))
+    diff = np.empty(b.shape)
     for i in range(a.shape[0]):
-        diff = a[i][None, :] - b
+        np.subtract(a[i], b, out=diff)
         diff *= diff
         out[i] = grid.integrate(diff)
     return out
-
-
-def _sample_sq_dists(ds, c, sample) -> np.ndarray:
-    """The read-only N x N :func:`_pairwise_sq_dists` of channel ``c``'s
-    sample curves, computed once and kept on the dataset, which ``spatial``
-    and ``ksd`` both read."""
-    cache = ds._channel_distances
-    if c not in cache:
-        cache[c] = _pairwise_sq_dists(sample, sample, ds.grid)
-        cache[c].setflags(write=False)
-    return cache[c]
 
 
 def _gaussian_gram(d2, sigma2, out=None) -> np.ndarray:
@@ -553,8 +639,9 @@ def _ksd_channel(sample, qs, grid, bandwidth, sample_d2=None) -> np.ndarray:
     n = sample.shape[0]
     d2 = _pairwise_sq_dists(sample, sample, grid) if sample_d2 is None else sample_d2()
     if bandwidth == MEDIAN_HEURISTIC:
-        # the pairs above the diagonal, in triu_indices' row-major order
-        pair = d2[~np.tri(n, dtype=bool)]
+        # the pairs above the diagonal, in triu_indices' row-major order,
+        # gathered by rows: no N x N mask
+        pair = np.concatenate([d2[i, i + 1:] for i in range(n)])
         sigma2 = float(np.median(pair, overwrite_input=True)) if pair.size else 1.0
         del pair
         if sigma2 <= 0.0:
@@ -633,7 +720,7 @@ def ksd_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVect
     """Kernelized spatial depth with the Gaussian kernel, evaluated through
     the kernel trick; primed variant averages per-channel depths."""
     return _channel_depth(ds, spec, queries, _ksd_channel, spec.kernel_bandwidth,
-                          distances=True)
+                          shared=("sample_d2", _pairwise_sq_dists, ds.grid))
 
 
 # ---------------------------------------------------------------------------

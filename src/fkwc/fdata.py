@@ -187,10 +187,10 @@ class FunctionalDataset:
         return {}
 
     @cached_property
-    def _channel_distances(self) -> dict:
-        """Read-only N x N squared distances between this dataset's own
-        curves, per channel, kept by ``depths._sample_sq_dists`` for as long
-        as the dataset lives."""
+    def _channel_tables(self) -> dict:
+        """Read-only tables of this dataset's own curves against themselves,
+        per channel (N x N squared distances, strict counts), kept by
+        ``depths._sample_table`` for as long as the dataset lives."""
         return {}
 
     @property

@@ -474,6 +474,31 @@ class TestSpatialAndKsd:
             assert got.tobytes() == want.tobytes()
 
 
+    def test_strict_counts_once_per_channel(self, grid21, monkeypatch):
+        # mfhd, mbd and mbd' read one table of the sample's strict counts
+        # per channel; outside queries add only their own q x m counts
+        calls = []
+        original = fkwc.depths._strict_counts
+
+        def counting(sample, qs):
+            calls.append((sample.shape[0], qs.shape[0], qs is sample))
+            return original(sample, qs)
+
+        monkeypatch.setattr(fkwc.depths, "_strict_counts", counting)
+        ds = make_ds(np.random.default_rng(14).normal(size=(9, grid21.m)), grid=grid21)
+        specs = [DepthSpec(kind="mfhd"), DepthSpec(kind="mbd"),
+                 DepthSpec(kind="mbd", use_derivatives=True)]
+        got = [compute_depth(ds, spec).values for spec in specs]
+        assert calls == [(9, 9, True), (9, 9, True)]
+        outside = mfhd(ds, specs[0], queries=ds.curves[:5].copy()).values
+        assert calls[2:] == [(9, 5, False)]
+        assert outside.tobytes() == got[0][:5].tobytes()
+        monkeypatch.setattr(fkwc.depths, "_strict_counts", original)
+        for spec, vals in zip(specs, got):
+            fresh = make_ds(ds.curves, grid=grid21)
+            assert vals.tobytes() == compute_depth(fresh, spec).values.tobytes()
+
+
 def _t1_dataset(n):
     curves = generate(ProcessModel(family="t1"), n, seed=(n, 2021))
     return make_ds(curves, grid=Grid(101))
@@ -701,10 +726,11 @@ class TestKsdSums:
 class TestKsdMemory:
     """``ksd``'s peak memory on one channel of 300 t1 curves.  A channel with
     no shared sample distances writes its Gram matrix over its own; while
-    ``_pairwise_sq_dists`` forms them it holds two N x m rows of
-    differences, and the median heuristic selects in place.  The compiled
-    sums then need O(N) more and no (k, k) matrix of terms; the NumPy sums
-    hold two N x N buffers for it, three N x N arrays in all."""
+    ``_pairwise_sq_dists`` forms them it holds one N x m buffer of
+    differences, and the median heuristic selects in place in a copy of the
+    N(N - 1)/2 pairs, the larger of the two at N = 300 and m = 101.  The
+    compiled sums then need O(N) more and no (k, k) matrix of terms; the
+    NumPy sums hold two N x N buffers for it, three N x N arrays in all."""
 
     @staticmethod
     def peak(traced_peak, bandwidth, q):
@@ -735,8 +761,10 @@ class TestKsdMemory:
         if fkwc.compiled.load() is None:
             pytest.skip("the compiled library is not available")
         n, m = 300, 101
-        # the Gram matrix (and the queries' rows) plus two rows of differences
-        bound = (n * n + 2 * n * m + (0 if q is None else q * n)) * 8 + 0.1e6
+        # the Gram matrix (and the queries' rows) plus one buffer of
+        # differences, or, larger here, the median heuristic's pairs
+        extra = max(n * m, n * (n - 1) // 2 if bandwidth == MEDIAN_HEURISTIC else 0)
+        bound = (n * n + extra + (0 if q is None else q * n)) * 8 + 0.1e6
         assert self.peak(traced_peak, bandwidth, q) <= bound
 
 

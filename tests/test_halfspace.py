@@ -1,7 +1,9 @@
-"""Bivariate Tukey depth: independent halfplane-counting oracle,
-degenerate hand-verified configurations, and the per-query sweep that the
-batched kernel must reproduce count for count, with its arc counts from the
-compiled sweep and from the NumPy fallback alike."""
+"""Bivariate Tukey depth: an independent halfplane-counting oracle in exact
+integer arithmetic, degenerate hand-verified configurations, and the
+per-query sweep of AS 307 in floats.  The kernel's counts must equal the
+oracle's, from the compiled sweep and from the NumPy fallback alike, on
+the points' own depths and on outside queries, and stay the same bytes
+under exact maps of the plane and without NumPy's AVX-512 kernels."""
 
 import os
 import shutil
@@ -29,35 +31,58 @@ from fkwc import (
 )
 
 
+def exact_ints(values) -> np.ndarray:
+    """The finite floats ``values`` as Python ints (an object array) over
+    one common power-of-two denominator: exact, and any scale."""
+    ratios = [float(v).as_integer_ratio() for v in np.ravel(values)]
+    den = max((d for _, d in ratios), default=1)
+    return np.array([n * (den // d) for n, d in ratios], dtype=object).reshape(np.shape(values))
+
+
 def halfspace_oracle(points, query):
-    """O(n^2) candidate-direction counting with dot/cross predicates.
+    """O(n^2) candidate-direction counting with exact dot/cross predicates.
 
     The minimizing closed halfplane has a boundary direction perpendicular
     to some data point offset; each candidate is evaluated just off the
     boundary on both sides, where boundary membership is decided by the
-    sign of the cross product.
+    sign of the cross product.  The offsets are exact integers (the inputs
+    over a common denominator), so every sign is exact.  For the candidate
+    normal u = (-v_y, v_x) of offset v, u . w is the cross product
+    v x w and the boundary cross product -v . w; u = (v_y, -v_x) negates
+    the first and not the second.
     """
-    pts = np.asarray(points, dtype=float)
-    n = pts.shape[0]
-    d = pts - np.asarray(query, dtype=float)
-    nonzero = (d[:, 0] != 0.0) | (d[:, 1] != 0.0)
-    z = n - int(np.count_nonzero(nonzero))
-    dd = d[nonzero]
+    coords = exact_ints(np.vstack([np.asarray(points, dtype=float),
+                                   np.asarray(query, dtype=float)[None]]))
+    d = coords[:-1] - coords[-1]
+    n = d.shape[0]
+    dd = d[(d[:, 0] != 0) | (d[:, 1] != 0)]
+    z = n - dd.shape[0]
     if dd.shape[0] == 0:
         return 1.0
+
+    def sign(a):
+        return (a > 0).astype(int) - (a < 0).astype(int)
+
+    cross = sign(np.multiply.outer(dd[:, 0], dd[:, 1]) - np.multiply.outer(dd[:, 1], dd[:, 0]))
+    dot = sign(np.multiply.outer(dd[:, 0], dd[:, 0]) + np.multiply.outer(dd[:, 1], dd[:, 1]))
     best = dd.shape[0]
-    for v in dd:
-        for u in ((-v[1], v[0]), (v[1], -v[0])):
-            # elementwise products: BLAS dots can use FMA, which breaks the
-            # exact self-cancellation the boundary predicate relies on
-            dots = dd[:, 0] * u[0] + dd[:, 1] * u[1]
-            crosses = dd[:, 0] * (-u[1]) + dd[:, 1] * u[0]
-            strict = int(np.count_nonzero(dots < 0))
-            boundary = dots == 0
-            plus = strict + int(np.count_nonzero(boundary & (crosses < 0)))
-            minus = strict + int(np.count_nonzero(boundary & (crosses > 0)))
-            best = min(best, plus, minus)
+    for dots, crosses in ((cross, -dot), (-cross, dot)):
+        strict = np.count_nonzero(dots < 0, axis=1)
+        boundary = dots == 0
+        plus = strict + np.count_nonzero(boundary & (crosses < 0), axis=1)
+        minus = strict + np.count_nonzero(boundary & (crosses > 0), axis=1)
+        best = min(best, int(plus.min()), int(minus.min()))
     return (z + best) / n
+
+
+def stacked_oracle(points, queries=None):
+    """``halfspace_oracle`` at every query of (k, n, 2) and (k, q, 2)
+    stacks, or (n, 2) and (q, 2); the points themselves without queries."""
+    pts = np.asarray(points, dtype=float)
+    qs = pts if queries is None else np.asarray(queries, dtype=float)
+    if pts.ndim == 2:
+        return stacked_oracle(pts[None], qs[None])[0]
+    return np.array([[halfspace_oracle(p, q) for q in qt] for p, qt in zip(pts, qs)])
 
 
 def sweep_reference(points, queries):
@@ -92,8 +117,10 @@ def sweep_reference(points, queries):
     return out
 
 
-def stacked_sweep_reference(points, queries):
-    """``sweep_reference`` slice by slice of (k, n, 2) and (k, q, 2) stacks."""
+def stacked_sweep_reference(points, queries=None):
+    """``sweep_reference`` slice by slice of (k, n, 2) and (k, q, 2) stacks;
+    the points themselves without queries."""
+    queries = points if queries is None else queries
     return np.stack([sweep_reference(p, q) for p, q in zip(points, queries)])
 
 
@@ -125,6 +152,20 @@ class TestHandCases:
         center = halfspace_depth_2d(pts, np.array([[0.0, 0.0]]))[0]
         assert corner == pytest.approx(1 / 4)
         assert center == pytest.approx(2 / 4)
+
+    @pytest.mark.parametrize("compiled", [True, False], ids=["compiled", "numpy"])
+    def test_exactly_opposite_offsets(self, compiled):
+        # (2, -150) and (-2, 150) from the query: every closed halfplane
+        # through it holds a point, and the line through both holds both.
+        # In float angles, fl(a + pi) rounds past the other point's angle
+        # and the AS 307 sweep counts both in one half-open arc: depth 0
+        pts = np.array([[3.0, -100.0], [-1.0, 200.0]])
+        query = np.array([[1.0, 50.0]])
+        load = fkwc.compiled.load() if compiled else None
+        assert counted_by(load, halfspace_depth_2d, pts, query).tolist() == [0.5]
+        assert sweep_reference(pts, query).tolist() == [0.0]
+        own = counted_by(load, halfspace_depth_2d, np.vstack([pts, query]))
+        assert own.tolist() == [1 / 3, 1 / 3, 2 / 3]
 
 
 class TestOracleEquivalence:
@@ -169,6 +210,87 @@ class TestProperties:
         base = halfspace_depth_2d(pts, pts)
         mapped = halfspace_depth_2d(pts @ amat.T + shift, pts @ amat.T + shift)
         np.testing.assert_allclose(mapped, base, atol=1e-12)
+
+
+def _channels(kind, n, seed):
+    """Curve and slope channels of n curves on 101 points: t1 draws and
+    their finite differences, or both rounded to one decimal."""
+    ds = FunctionalDataset(Grid(101), generate(ProcessModel(family="t1"), n, seed=seed), [1] * n)
+    if kind == "t1":
+        return ds.curves, ds.derivatives
+    return np.round(ds.curves, 1), np.round(ds.derivatives, 1)
+
+
+# the maps of the (value, slope) plane that are exact in floats
+EXACT_MAPS = {
+    "negate-value": lambda c, d: (-c, d),
+    "negate-slope": lambda c, d: (c, -d),
+    "swap": lambda c, d: (d, c),
+    "scale-2^-7-2^9": lambda c, d: (c * 2.0**-7, d * 2.0**9),
+    "scale-2^300-2^-300": lambda c, d: (c * 2.0**300, d * 2.0**-300),
+}
+
+
+class TestExactMaps:
+    """``mfhd'`` depths are the same bytes after an exact map of each grid
+    point's (value, slope) plane: the counts are exact, and the Tukey depth
+    is invariant under the affine maps of the plane."""
+
+    @pytest.mark.parametrize("kind", ["t1", "rounded"])
+    @pytest.mark.parametrize("name", list(EXACT_MAPS))
+    def test_exact_maps_keep_the_bytes(self, name, kind):
+        grid, spec = Grid(101), DepthSpec(kind="mfhd", use_derivatives=True)
+        c, d = _channels(kind, 40, 77)
+        qc, qd = _channels(kind, 6, 78)
+
+        def depths(c, d, qc, qd):
+            ds = FunctionalDataset(grid, c, [1] * len(c), d)
+            queries = FunctionalDataset(grid, qc, [1] * len(qc), qd)
+            return mfhd(ds, spec).values, mfhd(ds, spec, queries).values
+
+        want = depths(c, d, qc, qd)
+        got = depths(*EXACT_MAPS[name](c, d), *EXACT_MAPS[name](qc, qd))
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+PORTABLE = """
+import sys
+import numpy as np
+from fkwc import halfspace_depth_2d
+
+stacks = np.load(sys.argv[1])
+for name in sorted(stacks.files):
+    pts = stacks[name]
+    print(name, halfspace_depth_2d(pts).tobytes().hex(),
+          halfspace_depth_2d(pts, pts[:, ::3] + 0.5).tobytes().hex())
+"""
+
+
+class TestPortability:
+    """No CPU-dependent NumPy kernel reaches a count: the depths are the
+    same bytes with NumPy's AVX-512 (X86_V4) kernels, and its AVX2 (X86_V3)
+    ones, turned off, which is what a CPU without them runs."""
+
+    @pytest.mark.parametrize("disabled", ["AVX512_SPR AVX512_ICL X86_V4",
+                                          "AVX512_SPR AVX512_ICL X86_V4 X86_V3"],
+                             ids=["no-x86-v4", "no-x86-v3"])
+    def test_same_bytes_without_simd_kernels(self, disabled, tmp_path):
+        rng = np.random.default_rng(19)
+        c, d = _channels("t1", 60, 79)
+        # on this lattice the float-angle sweep of AS 307 gives other bytes
+        # with the X86_V4 kernels off: arctan2's bits decide its ties
+        stacks = {"t1": np.stack((c.T, d.T), axis=2),
+                  "lattice": rng.integers(-30, 31, size=(20, 60, 2)) * 0.1}
+        np.savez(tmp_path / "stacks.npz", **stacks)
+        want = [f"{name} {halfspace_depth_2d(pts).tobytes().hex()} "
+                f"{halfspace_depth_2d(pts, pts[:, ::3] + 0.5).tobytes().hex()}"
+                for name, pts in sorted(stacks.items())]
+        env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+                   PYTHONPATH=str(Path(fkwc.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", PORTABLE, str(tmp_path / "stacks.npz")],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == want
 
 
 @st.composite
@@ -219,6 +341,47 @@ def _t1_dataset(n):
     return FunctionalDataset(Grid(101), curves, labels)
 
 
+def assert_exact(pts, qs):
+    """Both count paths give the oracle's depths at ``qs``, and the points'
+    own depths (each pair shared by its two points) are the bytes of the
+    points queried as outside queries."""
+    want, want_own = stacked_oracle(pts, qs), stacked_oracle(pts)
+    for load in (fkwc.compiled.load(), None):
+        got = counted_by(load, halfspace_depth_2d, pts, qs)
+        assert got.tolist() == want.tolist()
+        own = counted_by(load, halfspace_depth_2d, pts)
+        assert own.tobytes() == counted_by(load, halfspace_depth_2d, pts, pts).tobytes()
+        assert own.tolist() == want_own.tolist()
+
+
+@st.composite
+def rounded_cases(draw):
+    """Points rounded to one decimal, whose differences round in binary, so
+    that parallel offsets get keys a few ulp apart; or points at exactly
+    opposite and collinear offsets k v, k = +-1, +-2, +-3, from a base point
+    on a lattice scaled by a power of two (every sum exact), the offsets'
+    slopes up to 1:300.  Some zeros are signed negative.  Queried at every
+    point, at the base point and at rounded points outside."""
+    if draw(st.booleans()):
+        tenths = st.integers(-40, 40).map(lambda v: v / 10)
+        pts = np.array(draw(st.lists(st.tuples(tenths, tenths), min_size=1, max_size=24)))
+        base = np.array(draw(st.tuples(tenths, tenths)))
+    else:
+        scale = draw(st.sampled_from([1.0, 0.5, 2.0**-30, 2.0**40]))
+        base = np.array(draw(st.tuples(st.integers(-50, 50), st.integers(-50, 50))), dtype=float)
+        offsets = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-300, 300)),
+                                min_size=1, max_size=5))
+        ks = draw(st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), min_size=1, max_size=4))
+        pts = np.array([base + k * np.array(o, dtype=float) for o in offsets for k in ks])
+        pts, base = pts * scale, base * scale
+    negative_zero = np.array(draw(st.lists(st.tuples(st.booleans(), st.booleans()),
+                                           min_size=len(pts), max_size=len(pts))))
+    pts[negative_zero & (pts == 0.0)] = -0.0
+    far = st.integers(-60, 60).map(lambda v: v / 10)
+    extra = np.array(draw(st.lists(st.tuples(far, far), max_size=4)), dtype=float)
+    return pts, np.concatenate([pts, base[None], extra.reshape(-1, 2)])
+
+
 class TestBatchedKernel:
     @given(lattice_cases())
     @settings(max_examples=300)
@@ -230,11 +393,15 @@ class TestBatchedKernel:
     # a1 < a2 with fl(a1 + 2 pi) == fl(a2 + 2 pi) but fl(a1 + pi) < fl(a2 + pi)
     @example((np.array([[0.0, -1.0], [1.0, 0.0], [0.0, 1.0], [-2.0, 2.0], [-1.0, 0.0],
                         [0.0, -2.0], [1.0, -4e-16]]), np.array([[0.0, 0.0]])))
-    def test_equals_sweep_reference_on_lattices(self, case):
-        pts, qs = case
-        got = halfspace_depth_2d(pts, qs)
-        assert got.tobytes() == counted_by(None, halfspace_depth_2d, pts, qs).tobytes()
-        assert np.array_equal(got, sweep_reference(pts, qs))
+    def test_equals_exact_oracle_on_lattices(self, case):
+        assert_exact(*case)
+
+    @given(rounded_cases())
+    @settings(max_examples=200)
+    # item 17's minimal case: exactly opposite offsets (2, -150), (-2, 150)
+    @example((np.array([[3.0, -100.0], [-1.0, 200.0]]), np.array([[1.0, 50.0]])))
+    def test_exact_on_rounded_opposite_and_collinear(self, case):
+        assert_exact(*case)
 
     @pytest.mark.parametrize("n", [100, 200, 300])
     def test_primed_mfhd_equals_sweep_on_t1(self, n, monkeypatch):
@@ -249,8 +416,8 @@ class TestBatchedKernel:
         ds = _t1_dataset(40)
         calls = []
 
-        def counting(points, queries):
-            calls.append((points.shape, queries.shape))
+        def counting(points, queries=None):
+            calls.append((points.shape, None if queries is None else queries.shape))
             return halfspace_depth_2d(points, queries)
 
         monkeypatch.setattr(fkwc.depths, "halfspace_depth_2d", counting)
@@ -258,29 +425,32 @@ class TestBatchedKernel:
         mfhd(ds, spec)
         mfhd(ds, spec, queries=ds.curves[:7])
         m = ds.grid.m
-        assert calls == [((m, 40, 2), (m, 40, 2)), ((m, 40, 2), (m, 7, 2))]
+        assert calls == [((m, 40, 2), None), ((m, 40, 2), (m, 7, 2))]
 
-    @pytest.mark.parametrize("cells", [1 << 14, 7 * 60])
-    def test_stack_equals_slices(self, cells, monkeypatch):
+    @pytest.mark.parametrize("keys", [1 << 14, 7 * 60])
+    def test_stack_equals_slices(self, keys, monkeypatch):
         # t-distributed slices, one on a lattice so that ties are common;
-        # with 7 x 60 cells a block holds 7 of the 13 queries, so the
-        # shared key buffer is refilled by blocks of different heights
+        # 1 << 14 keys hold 9 slices' 1,770 pairs, 7 x 60 only 7 queries'
+        # 60 events, so the points' own depths are taken query by query too
         rng = np.random.default_rng(12)
         pts = rng.standard_t(1, size=(5, 60, 2))
         pts[2] = rng.integers(-2, 3, size=(60, 2))
         qs = np.concatenate([pts[:, :9], rng.standard_t(1, size=(5, 4, 2))], axis=1)
-        monkeypatch.setattr(fkwc.depths, "_HALFSPACE_BLOCK_CELLS", cells)
+        monkeypatch.setattr(fkwc.depths, "_HALFSPACE_BLOCK_KEYS", keys)
         got = halfspace_depth_2d(pts, qs)
-        assert got.shape == (5, 13)
+        own = halfspace_depth_2d(pts)
+        assert got.shape == (5, 13) and own.shape == (5, 60)
         for t in range(5):
             assert got[t].tobytes() == halfspace_depth_2d(pts[t], qs[t]).tobytes()
-        assert np.array_equal(got, stacked_sweep_reference(pts, qs))
+            assert own[t].tobytes() == halfspace_depth_2d(pts[t]).tobytes()
+        assert got.tolist() == stacked_oracle(pts, qs).tolist()
+        assert own.tolist() == stacked_oracle(pts).tolist()
 
     def test_tied_s_in_some_rows(self):
         # about the origin, four angles of the middle slice differ but
         # s = a + 2 pi rounds them to one float, and (-1, 0), at angle pi,
-        # lies between their p = a + pi, so the depth there needs Z_j from
-        # the end of the run of ties; no other query row has tied s
+        # lies between their p = a + pi; the pseudo-angle keys of the four
+        # lie within 4 units, so the exact step orders them
         rng = np.random.default_rng(4)
         pts = rng.normal(size=(3, 12, 2))
         pts[1, :5] = [[1.0, 1e-17], [1.0, 2e-17], [1.0, -3e-17], [1.0, -4e-16], [-1.0, 0.0]]
@@ -288,17 +458,30 @@ class TestBatchedKernel:
         a = np.arctan2(pts[1, :4, 1], pts[1, :4, 0])
         assert np.unique(a).size == 4 and np.unique(a + 2.0 * np.pi).size == 1
         assert np.unique(a + np.pi).size == 2
-        got = halfspace_depth_2d(pts, qs)
-        assert got.tobytes() == stacked_sweep_reference(pts, qs).tobytes()
+        assert_exact(pts, qs)
 
     def test_blocks_match_one_block(self, monkeypatch):
         rng = np.random.default_rng(11)
         pts = rng.standard_t(1, size=(60, 2))
         qs = np.concatenate([pts, rng.standard_t(1, size=(13, 2))])
         whole = halfspace_depth_2d(pts, qs)
-        monkeypatch.setattr(fkwc.depths, "_HALFSPACE_BLOCK_CELLS", 7 * 60)
+        monkeypatch.setattr(fkwc.depths, "_HALFSPACE_BLOCK_KEYS", 7 * 60)
         assert np.array_equal(halfspace_depth_2d(pts, qs), whole)
         assert np.array_equal(whole, sweep_reference(pts, qs))
+
+    @pytest.mark.parametrize("scale", [2.0**-420, 2.0**520, 2.0**1022],
+                             ids=["2^-420", "2^520", "2^1022"])
+    def test_outside_the_compiled_range(self, scale):
+        # past the compiled predicates' range the NumPy path decides in
+        # Fraction arithmetic; near 2^1023 the differences overflow and
+        # every event is a near tie
+        rng = np.random.default_rng(13)
+        pts = rng.integers(-3, 4, size=(2, 15, 2)) * scale
+        pts[1] = np.round(rng.uniform(-3.0, 3.0, size=(15, 2)), 1) * scale
+        assert not fkwc.depths._in_exact_range(pts)
+        want = stacked_oracle(pts / scale)
+        with np.errstate(all="raise"):
+            assert halfspace_depth_2d(pts).tolist() == want.tolist()
 
     def test_no_queries(self):
         out = halfspace_depth_2d(np.zeros((3, 2)), np.zeros((0, 2)))
@@ -308,6 +491,10 @@ class TestBatchedKernel:
     def test_stacks_without_queries(self, k):
         out = halfspace_depth_2d(np.zeros((k, 3, 2)), np.zeros((k, 0, 2)))
         assert out.shape == (k, 0)
+
+    def test_one_point_is_its_own_deepest(self):
+        assert halfspace_depth_2d(np.array([[2.0, -1.0]])).tolist() == [1.0]
+        assert halfspace_depth_2d(np.zeros((3, 1, 2))).tolist() == [[1.0]] * 3
 
 
 CONCURRENT_BUILD = """
@@ -328,7 +515,8 @@ sys.stdout.write(halfspace_depth_2d(pts, pts).tobytes().hex())
 
 
 class TestCompiledSweep:
-    """The compiled library (the arc counts, and the ksd and spatial loops):
+    """The compiled library (the halfspace keys and sweep, and the ksd and
+    spatial loops):
     built on first use into the cache, shared by processes that build at
     once, and replaced by the NumPy loops with the same bytes when it
     cannot be built or loaded, or lacks any of its functions."""
@@ -368,9 +556,10 @@ class TestCompiledSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("NumPy counts ran")
 
-        monkeypatch.setattr(fkwc.depths, "_max_arcs", refuse)
+        monkeypatch.setattr(fkwc.depths, "_NumpySweep", refuse)
         pts, qs = self._t1_slices()
         assert halfspace_depth_2d(pts, qs).shape == (101, 40)
+        assert halfspace_depth_2d(pts).shape == (101, 40)
 
     def test_library_built_on_first_use_into_the_cache(self, kernels, fresh_load, tmp_path,
                                                        monkeypatch):
@@ -404,11 +593,14 @@ class TestCompiledSweep:
         'for a; do out=$a; done; echo junk > "$out"',
         'for a; do out=$a; done; PATH={path} {cc} -shared -fPIC -x c /dev/null -o "$out"',
         # the source with one function renamed: the library lacks that one
-        'PATH={path} exec {cc} -Dfkwc_max_arcs=fkwc_renamed "$@"',
+        'PATH={path} exec {cc} -Dfkwc_pair_keys=fkwc_renamed "$@"',
+        'PATH={path} exec {cc} -Dfkwc_query_keys=fkwc_renamed "$@"',
+        'PATH={path} exec {cc} -Dfkwc_halfspace_sweep=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_ksd_sums=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_spatial_sums=fkwc_renamed "$@"',
-    ], ids=["compiler-fails", "library-unloadable", "function-missing", "max-arcs-missing",
-            "ksd-sums-missing", "spatial-sums-missing"])
+    ], ids=["compiler-fails", "library-unloadable", "function-missing", "pair-keys-missing",
+            "query-keys-missing", "halfspace-sweep-missing", "ksd-sums-missing",
+            "spatial-sums-missing"])
     def test_failed_build_falls_back(self, compiler, kernels, fresh_load, tmp_path,
                                      monkeypatch):
         bin_dir = tmp_path / "bin"
@@ -425,7 +617,7 @@ class TestCompiledSweep:
         built = compiler != "exit 1"
         assert fkwc.compiled.library_path().exists() == built
         assert len(list((tmp_path / "cache" / "fkwc").iterdir())) == built
-        # all or none: each of the three kernels runs its NumPy loop
+        # all or none: each of the three depths runs its NumPy loop
         ran = set()
 
         def spy(name, fn):
@@ -434,7 +626,7 @@ class TestCompiledSweep:
                 return fn(*args, **kwargs)
             return run
 
-        for name in ("_max_arcs", "_ksd_terms", "_spatial_sum"):
+        for name in ("_NumpySweep", "_ksd_terms", "_spatial_sum"):
             monkeypatch.setattr(fkwc.depths, name, spy(name, getattr(fkwc.depths, name)))
         got = halfspace_depth_2d(pts, qs)
         assert got.tobytes() == counted_by(kernels, halfspace_depth_2d, pts, qs).tobytes()
@@ -444,7 +636,7 @@ class TestCompiledSweep:
             got = compute_depth(ds, spec, ds.curves).values
             assert got.tobytes() == counted_by(kernels, compute_depth, ds, spec,
                                                ds.curves).values.tobytes()
-        assert ran == {"_max_arcs", "_ksd_terms", "_spatial_sum"}
+        assert ran == {"_NumpySweep", "_ksd_terms", "_spatial_sum"}
 
     def test_damaged_cached_library_is_rebuilt(self, kernels, fresh_load, tmp_path,
                                                monkeypatch):
@@ -459,7 +651,7 @@ class TestCompiledSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("NumPy counts ran")
 
-        monkeypatch.setattr(fkwc.depths, "_max_arcs", refuse)
+        monkeypatch.setattr(fkwc.depths, "_NumpySweep", refuse)
         assert halfspace_depth_2d(pts, qs).tobytes() == want
         assert [f.name for f in path.parent.iterdir()] == [path.name]
 
