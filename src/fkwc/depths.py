@@ -180,14 +180,44 @@ def _channel_depth(ds, spec, queries, channel_fn, *args, shared=None) -> DepthVe
 def _strict_counts(sample, qs):
     """Per column (grid point or direction), the numbers of sample values
     strictly below and strictly above each query value: a (2, q, m) array,
-    which unpacks as (below, above)."""
+    which unpacks as (below, above).
+
+    One argsort per column orders the pooled values: the sample alone when
+    ``qs`` is the sample, else the sample followed by the queries.  Equal
+    values (0.0 and -0.0 among them) sit in one run of the sorted row; a
+    value's counts are the sample values before its run starts and after
+    it ends.  They read the values alone, not the order within a run, so
+    the sort need not be stable, and every sort gives the same counts."""
     n, m = sample.shape
-    out = np.empty((2, qs.shape[0], m))
-    for t in range(m):
-        col = np.sort(sample[:, t])
-        out[0, :, t] = np.searchsorted(col, qs[:, t], side="left")
-        out[1, :, t] = n - np.searchsorted(col, qs[:, t], side="right")
-    return out
+    own = qs is sample
+    # (m, p): a row of pooled values per column, the sample first
+    pool = np.ascontiguousarray((sample if own else np.concatenate((sample, qs))).T)
+    p = pool.shape[1]
+    order = np.argsort(pool, axis=1)
+    vals = np.take_along_axis(pool, order, axis=1)
+    new = vals[:, 1:] != vals[:, :-1]
+    del pool, vals
+    # the first and one past the last sorted position of each run
+    succ = np.broadcast_to(np.arange(1, p), (m, p - 1))
+    start = np.zeros((m, p), dtype=np.intp)
+    np.copyto(start[:, 1:], succ, where=new)
+    np.maximum.accumulate(start, axis=1, out=start)
+    end = np.full((m, p), p, dtype=np.intp)
+    np.copyto(end[:, :-1], succ, where=new)
+    del new
+    np.minimum.accumulate(end[:, ::-1], axis=1, out=end[:, ::-1])
+    if not own:  # positions to the numbers of sample values before them
+        before = np.zeros((m, p + 1), dtype=np.intp)
+        np.cumsum(order < n, axis=1, out=before[:, 1:])
+        start = np.take_along_axis(before, start, axis=1)
+        end = np.take_along_axis(before, end, axis=1)
+        del before
+    np.subtract(n, end, out=end)
+    # scattered back to the pooled order, as (2, p, m)
+    counts = np.empty((2, p, m))
+    np.put_along_axis(counts[0].T, order, start, axis=1)
+    np.put_along_axis(counts[1].T, order, end, axis=1)
+    return counts[:, p - qs.shape[0]:]
 
 
 def _sample_table(ds, c, fn, *args) -> np.ndarray:
@@ -265,7 +295,8 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
     if not spec.use_derivatives:
         sample, qs = chans[0]
         n = sample.shape[0]
-        below, above = _strict_counts(ds.grid.inner(sample, dirs), ds.grid.inner(qs, dirs))
+        zs = ds.grid.inner(sample, dirs)
+        below, above = _strict_counts(zs, zs if qs is sample else ds.grid.inner(qs, dirs))
         f = (below + 0.5 * (n - above - below)) / n  # mid-rank CDF per direction
         depth = np.zeros(qs.shape[0])
         for k in range(spec.num_projections):
@@ -304,10 +335,14 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
 # integrated (multivariate functional) halfspace depth
 # ---------------------------------------------------------------------------
 
-# events a halfspace_depth_2d call holds at a time, 8 bytes each, whatever
-# N: blocks of slices while one slice's n(n - 1)/2 pairs fit (n <= 362),
-# else blocks of queries, n events each (past n = 65,536, one query's n)
+# events a halfspace_depth_2d call holds at a time, 8 bytes each: blocks of
+# slices while one slice's n(n - 1)/2 pairs fit (n <= 362), else blocks of
+# queries, n events each (past n = 65,536, one query's n)
 _HALFSPACE_BLOCK_KEYS = 1 << 16
+# a slice's pairs, keyed once each for the points' own depths, are held in
+# one block of their own up to this many (4 MB, n <= 1,024), not keyed
+# twice as outside queries
+_HALFSPACE_SLICE_KEYS = 1 << 19
 
 # the compiled predicates are exact on coordinates of magnitude 0 or within
 # these bounds, where no error-free product under- or overflows; other
@@ -339,8 +374,10 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) ->
     own depths as outside queries), give the same bytes.
 
     Cost: O(k n^2 log n) time for the points' own depths, O(k q n log n)
-    for q queries, in blocks of at most ``_HALFSPACE_BLOCK_KEYS`` events;
-    shapes and finiteness are checked once per call.
+    for q queries, in blocks of at most ``_HALFSPACE_BLOCK_KEYS`` events,
+    or one slice's n(n - 1)/2 where those exceed it, up to
+    ``_HALFSPACE_SLICE_KEYS``; shapes and finiteness are checked once per
+    call.
     """
     pts = np.asarray(points, dtype=float)
     qs = pts if queries is None else np.asarray(queries, dtype=float)
@@ -361,7 +398,7 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) ->
     bits = 2 * max(10, (n - 1).bit_length()) + 1
     kernels = compiled.load() if _in_exact_range(pts, qs) else None
     pairs = n * (n - 1) // 2
-    shared = queries is None and pairs <= _HALFSPACE_BLOCK_KEYS and kernels is not None
+    shared = queries is None and pairs <= _HALFSPACE_SLICE_KEYS and kernels is not None
     step, length, total = ((max(1, _HALFSPACE_BLOCK_KEYS // max(pairs, 1)), pairs, k) if shared
                            else (max(1, _HALFSPACE_BLOCK_KEYS // n), n, k * q))
     size = min(step, total) * length

@@ -107,6 +107,18 @@ def spatial_loop_reference(sample, qs, grid) -> np.ndarray:
     return out
 
 
+def strict_counts_loop_reference(sample, qs) -> np.ndarray:
+    """The (2, q, m) counts of sample values strictly below and strictly
+    above each query value, one column at a time: sort, then search."""
+    n, m = sample.shape
+    out = np.empty((2, qs.shape[0], m))
+    for t in range(m):
+        col = np.sort(sample[:, t])
+        out[0, :, t] = np.searchsorted(col, qs[:, t], side="left")
+        out[1, :, t] = n - np.searchsorted(col, qs[:, t], side="right")
+    return out
+
+
 def rp_prime_reference(ds, spec, queries=None) -> np.ndarray:
     """Primed ``rp`` the way it was first written: a bivariate KDE, a
     univariate one in the other coordinate when one has no spread, and 1.0
@@ -502,6 +514,62 @@ class TestSpatialAndKsd:
 def _t1_dataset(n):
     curves = generate(ProcessModel(family="t1"), n, seed=(n, 2021))
     return make_ds(curves, grid=Grid(101))
+
+
+@st.composite
+def strict_counts_cases(draw):
+    """Columns of heavy-tailed, Gaussian, one-decimal-rounded or integer
+    values (zeros negated at random among the last two), or all equal,
+    n = 1 among them; the queries mix sample values and new ones, none
+    too."""
+    n = draw(st.integers(1, 40))
+    m = draw(st.integers(1, 7))
+    shape = draw(st.sampled_from(["t1", "gaussian", "one-decimal", "integers", "equal"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def values(rows):
+        if shape == "t1":
+            return rng.standard_t(1, size=(rows, m))
+        if shape == "equal":
+            return np.full((rows, m), 0.5)
+        vals = rng.normal(size=(rows, m))
+        vals = np.round(vals, 1) if shape == "one-decimal" else np.round(2.0 * vals)
+        vals[(vals == 0.0) & (rng.random(size=vals.shape) < 0.5)] = -0.0
+        return vals
+
+    sample = values(n)
+    picks = rng.integers(0, n, size=draw(st.integers(0, 5)))
+    queries = np.vstack([sample[picks], values(draw(st.integers(0, 5)))])
+    rng.shuffle(queries)
+    return sample, queries
+
+
+class TestStrictCountsTable:
+    """``_strict_counts``, one sorted table per channel, equals the
+    column-by-column sort and search, array for array, for the sample's own
+    values and for outside queries."""
+
+    @staticmethod
+    def assert_equal(sample, queries):
+        for qs in (sample, queries):
+            got = fkwc.depths._strict_counts(sample, qs)
+            want = strict_counts_loop_reference(sample, qs)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @given(strict_counts_cases())
+    @settings(max_examples=300)
+    @example((np.zeros((1, 1)), np.zeros((0, 1))))
+    @example((np.array([[0.0], [-0.0], [1.0]]), np.array([[-0.0], [0.0], [0.5]])))
+    def test_random_cases(self, case):
+        self.assert_equal(*case)
+
+    @pytest.mark.parametrize("n", [100, 300, 1000])
+    def test_t1_channels(self, n):
+        ds = _t1_dataset(n)
+        queries = np.vstack([ds.curves[:20], np.round(_t1_dataset(21).curves, 1)])
+        for sample in (ds.curves, ds.derivatives, np.round(ds.curves, 1)):
+            self.assert_equal(sample, queries)
 
 
 @st.composite

@@ -6,6 +6,7 @@ the points' own depths and on outside queries, and stay the same bytes
 under exact maps of the plane and without NumPy's AVX-512 kernels."""
 
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -427,16 +428,22 @@ class TestBatchedKernel:
         m = ds.grid.m
         assert calls == [((m, 40, 2), None), ((m, 40, 2), (m, 7, 2))]
 
-    @pytest.mark.parametrize("keys", [1 << 14, 7 * 60])
-    def test_stack_equals_slices(self, keys, monkeypatch):
+    @pytest.mark.parametrize("name, keys", [
+        pytest.param("_HALFSPACE_BLOCK_KEYS", 1 << 14, id="16384"),
+        pytest.param("_HALFSPACE_BLOCK_KEYS", 7 * 60, id="420"),
+        pytest.param("_HALFSPACE_SLICE_KEYS", 7 * 60, id="slice-420"),
+    ])
+    def test_stack_equals_slices(self, name, keys, monkeypatch):
         # t-distributed slices, one on a lattice so that ties are common;
-        # 1 << 14 keys hold 9 slices' 1,770 pairs, 7 x 60 only 7 queries'
-        # 60 events, so the points' own depths are taken query by query too
+        # 1 << 14 block keys hold 9 slices' 1,770 pairs, 7 x 60 only 7
+        # queries' 60 events, so that each slice's pairs are a block of
+        # their own; 7 x 60 slice keys hold no slice's pairs, so the points'
+        # own depths are taken query by query too
         rng = np.random.default_rng(12)
         pts = rng.standard_t(1, size=(5, 60, 2))
         pts[2] = rng.integers(-2, 3, size=(60, 2))
         qs = np.concatenate([pts[:, :9], rng.standard_t(1, size=(5, 4, 2))], axis=1)
-        monkeypatch.setattr(fkwc.depths, "_HALFSPACE_BLOCK_KEYS", keys)
+        monkeypatch.setattr(fkwc.depths, name, keys)
         got = halfspace_depth_2d(pts, qs)
         own = halfspace_depth_2d(pts)
         assert got.shape == (5, 13) and own.shape == (5, 60)
@@ -460,14 +467,21 @@ class TestBatchedKernel:
         assert np.unique(a + np.pi).size == 2
         assert_exact(pts, qs)
 
-    def test_blocks_match_one_block(self, monkeypatch):
+    def test_blocks_match_one_block(self):
+        # 7 x 60 block keys: 7 queries' events, or the 1,770 pairs of the
+        # points' own depths as one block; 7 x 60 slice keys: the points'
+        # own depths query by query
         rng = np.random.default_rng(11)
         pts = rng.standard_t(1, size=(60, 2))
         qs = np.concatenate([pts, rng.standard_t(1, size=(13, 2))])
-        whole = halfspace_depth_2d(pts, qs)
-        monkeypatch.setattr(fkwc.depths, "_HALFSPACE_BLOCK_KEYS", 7 * 60)
-        assert np.array_equal(halfspace_depth_2d(pts, qs), whole)
+        whole, own = halfspace_depth_2d(pts, qs), halfspace_depth_2d(pts)
+        for name in ("_HALFSPACE_BLOCK_KEYS", "_HALFSPACE_SLICE_KEYS"):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fkwc.depths, name, 7 * 60)
+                assert np.array_equal(halfspace_depth_2d(pts, qs), whole), name
+                assert halfspace_depth_2d(pts).tobytes() == own.tobytes(), name
         assert np.array_equal(whole, sweep_reference(pts, qs))
+        assert own.tobytes() == whole[:60].tobytes()
 
     @pytest.mark.parametrize("scale", [2.0**-420, 2.0**520, 2.0**1022],
                              ids=["2^-420", "2^520", "2^1022"])
@@ -545,12 +559,18 @@ class TestCompiledSweep:
 
     def test_flags_keep_ieee_rounding_on_any_cpu(self):
         # the loops must round as NumPy's do, and the cache name knows only
-        # platform.machine(), so no CPU-specific build may land in it
+        # platform.machine(), so no CPU-specific build may land in it: each
+        # clone's target names a fixed level, not the building CPU
         flags = fkwc.compiled.FLAGS
+        clones = fkwc.compiled.CLONES
         assert "-ffp-contract=off" in flags
         banned = {"-ffast-math", "-Ofast", "-funsafe-math-optimizations",
-                  "-fassociative-math", "-march=native"}
+                  "-fassociative-math", "-march=native", "arch=native"}
         assert not banned & set(flags), flags
+        assert not banned & set(clones), clones
+        assert "default" in clones
+        assert "target_clones(" + ", ".join(f'"{c}"' for c in clones) + ")" in \
+            fkwc.compiled.SOURCE
 
     def test_kernel_takes_the_compiled_counts(self, kernels, monkeypatch):
         def refuse(*args, **kwargs):
@@ -663,6 +683,93 @@ class TestCompiledSweep:
         assert fkwc.compiled.load() is None
         want = counted_by(kernels, halfspace_depth_2d, pts, qs).tobytes()
         assert halfspace_depth_2d(pts, qs).tobytes() == want
+
+
+# the CPU features of each x86-64 level past the baseline, by their names
+# in /proc/cpuinfo (abm is lzcnt)
+_V3_FEATURES = ("cx16", "lahf_lm", "popcnt", "sse4_1", "sse4_2", "ssse3", "avx", "avx2", "bmi1",
+                "bmi2", "f16c", "fma", "abm", "movbe", "xsave")
+LEVEL_FEATURES = {
+    "x86-64": (),
+    "x86-64-v3": _V3_FEATURES,
+    "x86-64-v4": _V3_FEATURES + ("avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"),
+}
+
+
+def _cpu_features() -> set:
+    with open("/proc/cpuinfo") as fh:
+        for line in fh:
+            if line.startswith("flags"):
+                return set(line.split(":", 1)[1].split())
+    return set()
+
+
+def level_outputs(kernels) -> dict:
+    """The bytes the five compiled functions write on fixed t1 and lattice
+    inputs: the keys of the points' own pairs and of outside queries, their
+    sweeps (the ordered events too), and the ksd and spatial sums."""
+    rng = np.random.default_rng(31)
+    out = {}
+    for name, pts, qs in (
+            ("t1", rng.standard_t(1, size=(6, 2, 40)), rng.standard_t(1, size=(6, 2, 9))),
+            ("lattice", rng.integers(-2, 3, size=(6, 2, 40)).astype(float),
+             rng.integers(-2, 3, size=(6, 2, 9)).astype(float))):
+        k, _, n = pts.shape
+        bits = 2 * max(10, (n - 1).bit_length()) + 1
+        own = np.empty((k, n * (n - 1) // 2), dtype=np.uint64)
+        kernels.pair_keys(pts, 0, k, bits, own)
+        cells = np.empty((k * qs.shape[2], n), dtype=np.uint64)
+        kernels.query_keys(pts, qs, 0, cells.shape[0], bits, cells)
+        out[name, "keys"] = own.tobytes() + cells.tobytes()
+        for label, ev, q in (("own", own, None), ("queries", cells, qs)):
+            depths = np.empty((k, n if q is None else q.shape[2]))
+            ev.sort(axis=1)
+            kernels.halfspace_sweep(ev, pts, q, 0, bits, depths)
+            out[name, label] = ev.tobytes() + depths.tobytes()
+        grid = Grid(21)
+        sample = rng.standard_t(1, size=(30, 21))
+        if name == "lattice":
+            sample = np.round(sample)
+            sample[20:] = sample[:10]  # duplicates: ksd's gather
+        queries = np.vstack([sample[:5], rng.standard_t(1, size=(4, 21))])
+        gram = fkwc.depths._gaussian_gram(fkwc.depths._pairwise_sq_dists(sample, sample, grid),
+                                          7.0)
+        d2 = fkwc.depths._pairwise_sq_dists(queries, sample, grid)
+        gq = fkwc.depths._gaussian_gram(d2, 7.0)
+        out[name, "ksd"] = kernels.ksd_sums(gram, gram).tobytes() + \
+            kernels.ksd_sums(gram, gq).tobytes()
+        out[name, "spatial"] = kernels.spatial_sums(sample, queries, d2).tobytes()
+    return out
+
+
+class TestCpuLevels:
+    """The compiled loops write the same bytes built for each x86-64 level
+    the library is cloned for, one level at a time, as the cloned library
+    that the loader resolved for this CPU: IEEE operations round alike at
+    every vector width, and no flag lets GCC reorder them."""
+
+    @pytest.mark.parametrize("level", list(LEVEL_FEATURES))
+    def test_same_bytes_at_every_level(self, level, kernels, tmp_path):
+        if platform.machine() != "x86_64":
+            pytest.skip(f"x86-64 levels, on {platform.machine()}")
+        try:
+            features = _cpu_features()
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to read the CPU's features from")
+        missing = [f for f in LEVEL_FEATURES[level] if f not in features]
+        if missing:
+            pytest.skip(f"this CPU lacks {missing[0]}, which {level} needs")
+        path = tmp_path / f"{level}.so"
+        proc = subprocess.run(
+            [shutil.which("cc"), *fkwc.compiled.FLAGS, f"-march={level}", "-DFKWC_CLONES=",
+             "-x", "c", "-", "-o", str(path)],
+            input=fkwc.compiled.SOURCE, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got, want = level_outputs(fkwc.compiled.bind(path)), level_outputs(kernels)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key] == want[key], key
 
 
 class TestValidation:
