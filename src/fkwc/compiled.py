@@ -5,13 +5,21 @@ compiler is found:
 
 * ``pair_keys``, ``query_keys`` and ``halfspace_sweep``: the events of
   :func:`fkwc.depths.halfspace_depth_2d` (``mfhd'``), one uint64 per pair
-  of points (or of query and point), and the one pass over each sorted
+  of points (or of query and point), laid out to read as positive normal
+  doubles so that rows sort as doubles, and the one pass over each sorted
   row that counts the exact Tukey depths;
 * ``ksd_sums``: each query's sum of its (k, k) kernel-trick terms, for
   ``ksd``, formed 128 at a time on the stack and added in the pairwise
   order in which NumPy sums a contiguous array, so no (k, k) matrix is
   written;
 * ``spatial_sums``: each query's sum of unit vectors, for ``spatial``.
+  For the sample's own curves each pair's unit vector is formed once
+  where the pair's two distances have the same square root: the other
+  term is its exact negation, and every sum still adds its terms in
+  sample order, so half the divisions, which bound the loop, go;
+* ``sq_diffs``: a block of rows of squared differences (a_i - b_j)^2,
+  NumPy's subtract and then its multiply, for ``spatial`` and ``ksd``'s
+  distances, which NumPy integrates a block at a time.
 
 The first :func:`load` of a process compiles ``SOURCE`` with the system C
 compiler (``cc`` on ``PATH``) and caches the shared library under
@@ -29,7 +37,7 @@ paths.  ``FLAGS`` build at -O3, which vectorises the elementwise loops
 (GCC 12's -O2 does not), and keep -ffp-contract=off; a vector IEEE divide
 rounds as the scalar one does.
 
-The five exported functions are built once per level of ``CLONES``:
+The six exported functions are built once per level of ``CLONES``:
 x86-64-v4 (AVX-512), x86-64-v3 (AVX2 and FMA) and the baseline the flags
 target, and the loader picks the clone of the CPU when the library
 loads.  GCC 11 and later build the clones on x86-64 with glibc, whose
@@ -39,8 +47,10 @@ alike at every vector width; without fast-math GCC reassociates no
 floating-point sum, so every written order holds; -ffp-contract=off
 fuses no multiply and add in the FMA clones; and ``hs_sign`` calls
 ``fma`` by name for a product's error, which is exact in hardware and in
-libm alike.  One file thus suits every CPU of its machine type, which is
-all the cache name knows.  The clones double a cold build, to about
+libm alike.  A static helper that GCC does not inline is built for the
+baseline alone, so ``hs_row``, the sweep's body, is always inlined.  One
+file thus suits every CPU of its machine type, which is all the cache
+name knows.  The clones double a cold build, to about
 0.54 s of wall time.
 """
 
@@ -84,13 +94,16 @@ SOURCE = r"""
 
 /* mfhd': the exact bivariate Tukey depth by one sweep of pair directions.
    An event is the line through a first point f (a sample point, or the
-   row's one query) and a second point s: the 64 bits hold its direction's
-   pseudo-angle in [0, 2) as a fixed-point key of 64 - bits bits, then f and
-   s in ib = (bits - 1) / 2 bits each, then a flip bit, set when s lies
-   below f (dy < 0, or dy = 0 and dx < 0), so that w = flip ? f - s : s - f
-   is the direction, in [0, pi).  A pair of coincident points gets the
-   largest key, KMAX (from top = 2 - 2^(bits - 63)), which sorts last; the
-   others are capped at KMAX - 1 (from cap = 2 - 2^(bits - 62)). */
+   row's one query) and a second point s: the 64 bits hold a zero, a one
+   (bit 61), its direction's pseudo-angle in [0, 2) as a fixed-point key of
+   61 - bits bits, then f and s in ib = (bits - 1) / 2 bits each, then a
+   flip bit, set when s lies below f (dy < 0, or dy = 0 and dx < 0), so
+   that w = flip ? f - s : s - f is the direction, in [0, pi).  Read as a
+   double, an event is positive and normal (its exponent field starts 01),
+   and such doubles sort in the order of their bits.  A pair of coincident
+   points gets the largest key, KMAX (from top = 2 - 2^(bits - 60)), which
+   sorts last; the others are capped at KMAX - 1 (from
+   cap = 2 - 2^(bits - 59)). */
 static inline uint64_t hs_event(double dx, double dy, uint64_t idx, double cap, double top,
                                 int64_t bits)
 {
@@ -103,11 +116,12 @@ static inline uint64_t hs_event(double dx, double dy, uint64_t idx, double cap, 
     key = key < cap ? key : cap; /* a 0 / 0 too */
     key = (dx == 0.0) & (dy == 0.0) ? top : key;
     /* key + 2 in [2, 4): its low 52 bits are key 2^51, and their top
-       64 - bits bits the fixed-point key, truncated */
+       61 - bits bits the fixed-point key, truncated */
     double k2 = copysign(key + 2.0, sg);
     uint64_t kb;
     memcpy(&kb, &k2, sizeof kb);
-    return ((kb & ((UINT64_C(1) << 52) - 1)) >> (bits - 12)) << bits | idx | kb >> 63;
+    return ((kb & ((UINT64_C(1) << 52) - 1)) >> (bits - 9)) << bits | UINT64_C(1) << 61 | idx
+           | kb >> 63;
 }
 
 /* The n(n - 1)/2 events i < j of each slice t0 <= t < t1 of pts, a stack of
@@ -117,7 +131,7 @@ void fkwc_pair_keys(const double *pts, int64_t n, int64_t t0, int64_t t1, int64_
                     uint64_t *out)
 {
     int64_t ib = (bits - 1) / 2;
-    double cap = 2.0 - ldexp(1.0, (int)(bits - 62)), top = 2.0 - ldexp(1.0, (int)(bits - 63));
+    double cap = 2.0 - ldexp(1.0, (int)(bits - 59)), top = 2.0 - ldexp(1.0, (int)(bits - 60));
     for (int64_t t = t0; t < t1; t++) {
         const double *x = pts + t * 2 * n, *y = x + n;
         for (int64_t i = 0; i < n; i++) {
@@ -139,7 +153,7 @@ FKWC_CLONES
 void fkwc_query_keys(const double *pts, const double *qs, int64_t n, int64_t q, int64_t c0,
                      int64_t c1, int64_t bits, uint64_t *out)
 {
-    double cap = 2.0 - ldexp(1.0, (int)(bits - 62)), top = 2.0 - ldexp(1.0, (int)(bits - 63));
+    double cap = 2.0 - ldexp(1.0, (int)(bits - 59)), top = 2.0 - ldexp(1.0, (int)(bits - 60));
     for (int64_t c = c0; c < c1; c++) {
         const double *x = pts + c / q * 2 * n, *y = x + n;
         double qx = qs[c / q * 2 * q + c % q], qy = qs[c / q * 2 * q + q + c % q];
@@ -267,18 +281,21 @@ static inline void hs_read(uint64_t e, int64_t ib, uint64_t mask, int shared, co
    every pair of one sample), the first across the second's.  The sweep
    ends where it started, sides swapped, so D ends at -D0 and R at -2 D0:
    one pass gives D0 and the extremes of D.  Keys within 4 units of each
-   other are ordered, and grouped by equal direction, by hs_sign. */
-static void hs_row(uint64_t *ev, int64_t len, const struct hs_table *tb, int64_t slots,
-                   int shared, int64_t others, int64_t *R, int64_t *hi, int64_t *lo,
-                   int64_t *K, uint64_t *tmp)
+   other are ordered, and grouped by equal direction, by hs_sign.  Always
+   inlined: a static function GCC does not inline into a clone is built
+   for the baseline alone. */
+__attribute__((always_inline)) static inline void
+hs_row(uint64_t *ev, int64_t len, const struct hs_table *tb, int64_t slots, int shared,
+       int64_t others, int64_t *R, int64_t *hi, int64_t *lo, int64_t *K, uint64_t *tmp)
 {
     int64_t ib = tb->ib, bits = 2 * ib + 1;
-    uint64_t mask = (UINT64_C(1) << ib) - 1, kmax = (UINT64_C(1) << (64 - bits)) - 1;
+    /* ev >> bits of a coincident pair: bit 61 and KMAX */
+    uint64_t mask = (UINT64_C(1) << ib) - 1, last = (UINT64_C(1) << (62 - bits)) - 1;
     for (int64_t i = 0; i < slots; i++) {
         R[i] = hi[i] = lo[i] = 0;
         K[i] = others;
     }
-    for (; len > 0 && ev[len - 1] >> bits == kmax; len--) { /* coincident pairs */
+    for (; len > 0 && ev[len - 1] >> bits == last; len--) { /* coincident pairs */
         K[ev[len - 1] >> (ib + 1) & mask]--;
         if (shared)
             K[ev[len - 1] >> 1 & mask]--;
@@ -441,28 +458,61 @@ void fkwc_ksd_sums(const double *gram, int64_t n, const double *gq, int64_t q,
     }
 }
 
+/* acc[t] += (x[t] - s[t]) / nrm and, with other, other[t] -= the same */
+static inline void spatial_add(double *restrict acc, double *restrict other,
+                               const double *restrict x, const double *restrict s, double nrm,
+                               int64_t m)
+{
+    for (int64_t t = 0; t < m; t++) {
+        double u = (x[t] - s[t]) / nrm;
+        acc[t] += u;
+        if (other)
+            other[t] -= u;
+    }
+}
+
 /* For each of q queries, the m sums over the n sample curves X_j at a
    positive distance of (query - X_j) / sqrt(d2[j]): from 0.0, in sample
    order, as NumPy's axis-0 sum adds them.  d2 is q x n, one row of
-   squared distances per query. */
+   squared distances per query.  When the queries are the sample itself,
+   each pair i < j is formed once where sqrt(d2[i][j]) and sqrt(d2[j][i])
+   are the same bits: the (j, i) term is then the (i, j) one negated,
+   exactly, and each row still receives its terms in sample order (the
+   rows before it from their own passes, then its own). */
 FKWC_CLONES
 void fkwc_spatial_sums(const double *sample, const double *queries, const double *d2,
                        int64_t q, int64_t n, int64_t m, double *out)
 {
-    for (int64_t i = 0; i < q; i++) {
-        const double *restrict x = queries + i * m;
-        double *restrict acc = out + i * m;
-        for (int64_t t = 0; t < m; t++)
-            acc[t] = 0.0;
-        for (int64_t j = 0; j < n; j++) {
-            double nrm = sqrt(d2[i * n + j]);
-            if (!(nrm > 0.0))
-                continue;
-            const double *restrict s = sample + j * m;
-            for (int64_t t = 0; t < m; t++)
-                acc[t] += (x[t] - s[t]) / nrm;
+    int own = queries == sample && q == n;
+    for (int64_t i = 0; i < q * m; i++)
+        out[i] = 0.0;
+    for (int64_t i = 0; i < q; i++)
+        for (int64_t j = own ? i + 1 : 0; j < n; j++) {
+            const double *x = queries + i * m, *s = sample + j * m;
+            double nij = sqrt(d2[i * n + j]), nji = own ? sqrt(d2[j * n + i]) : 0.0;
+            if (nij > 0.0)
+                spatial_add(out + i * m, own && nji == nij ? out + j * m : NULL, x, s, nij, m);
+            if (nji > 0.0 && nji != nij)
+                spatial_add(out + j * m, NULL, s, x, nji, m);
         }
-    }
+}
+
+/* Rows i0 <= i < i1 of the squared differences of a, na x m, against b,
+   nb x m: out[i - i0][j][t] = (a[i][t] - b[j][t])^2, NumPy's subtract and
+   then its multiply. */
+FKWC_CLONES
+void fkwc_sq_diffs(const double *a, const double *b, int64_t i0, int64_t i1, int64_t nb,
+                   int64_t m, double *out)
+{
+    for (int64_t i = i0; i < i1; i++)
+        for (int64_t j = 0; j < nb; j++) {
+            const double *restrict x = a + i * m, *restrict y = b + j * m;
+            double *restrict o = out + ((i - i0) * nb + j) * m;
+            for (int64_t t = 0; t < m; t++) {
+                double d = x[t] - y[t];
+                o[t] = d * d;
+            }
+        }
 }
 """
 
@@ -511,6 +561,7 @@ class Kernels(NamedTuple):
     halfspace_sweep: Callable
     ksd_sums: Callable
     spatial_sums: Callable
+    sq_diffs: Callable
 
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
@@ -520,6 +571,7 @@ _SIGNATURES = {
     "fkwc_halfspace_sweep": (_P, _I, _I, _P, _P, _I, _I, _I, _I, _P, _P, _P),
     "fkwc_ksd_sums": (_P, _I, _P, _I, _P, _P, _P),
     "fkwc_spatial_sums": (_P, _P, _P, _I, _I, _I, _P),
+    "fkwc_sq_diffs": (_P, _P, _I, _I, _I, _I, _P),
 }
 
 
@@ -606,4 +658,11 @@ def bind(path) -> Kernels:
                                  q, n, m, out.ctypes.data)
         return out
 
-    return Kernels(pair_keys, query_keys, halfspace_sweep, ksd_sums, spatial_sums)
+    def sq_diffs(a: np.ndarray, b: np.ndarray, i0: int, i1: int, out: np.ndarray) -> None:
+        """The squared differences of rows i0 <= i < i1 of the contiguous
+        (na, m) ``a`` against every row of the contiguous (nb, m) ``b`` into
+        the contiguous (i1 - i0, nb, m) ``out``."""
+        fns["fkwc_sq_diffs"](a.ctypes.data, b.ctypes.data, i0, i1, b.shape[0], b.shape[1],
+                             out.ctypes.data)
+
+    return Kernels(pair_keys, query_keys, halfspace_sweep, ksd_sums, spatial_sums, sq_diffs)

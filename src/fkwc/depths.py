@@ -304,22 +304,29 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
         return DepthVector(depth / spec.num_projections, spec)
     n = ds.n_curves
     depth = np.zeros(chans[0][1].shape[0])
-    # identical sample rows (a single row too) leave a channel without spread
-    # in every direction; the per-direction test below also drops projections
-    # whose spread is at rounding level (blocked matmuls perturb identical
-    # rows by ulps)
-    varying = [(s, q) for s, q in chans if not np.all(s == s[0])]
+    # per channel, the (P, N) and (P, q) projections on all directions, which
+    # of them have spread, and their standard deviations; identical sample
+    # rows (a single row too) leave a channel without spread in every
+    # direction, and a spread at rounding level counts as none (blocked
+    # matmuls perturb identical rows by ulps)
+    stats = []
+    for s, q in chans:
+        if np.all(s == s[0]):
+            continue
+        zs = ds.grid.inner_rows(s, dirs)
+        zq = zs if q is s else ds.grid.inner_rows(q, dirs)
+        spread = np.ptp(zs, axis=1) > 1e-12 * np.maximum(np.abs(zs).max(axis=1), 1e-300)
+        stats.append((zs, zq, spread, zs.std(axis=1, ddof=1)))
     for k in range(spec.num_projections):
-        live = [(ds.grid.inner(s, dirs[k]), ds.grid.inner(q, dirs[k])) for s, q in varying]
-        live = [(zs, zq) for zs, zq in live if np.ptp(zs) > 1e-12 * max(np.abs(zs).max(), 1e-300)]
+        live = [(zs[k], zq[k], sd[k]) for zs, zq, spread, sd in stats if spread[k]]
         if not live:
             depth += 1.0
             continue
         # (2 pi)^(d/2) h_1 ... h_d, the d-variate product-Gaussian normaliser
         norm = math.sqrt(2.0 * math.pi) if len(live) == 1 else 2.0 * math.pi
         sq = None
-        for zs, zq in live:
-            h = zs.std(ddof=1) * n ** (-1.0 / (4 + len(live)))
+        for zs, zq, sd in live:
+            h = sd * n ** (-1.0 / (4 + len(live)))
             diff = zq[:, None] - zs[None, :]
             diff /= h
             diff *= diff
@@ -366,6 +373,10 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) ->
     the line through both, keyed by a division-only pseudo-angle in [0, 2)
     and packed with the pair's indices into a uint64, so that one row sort
     orders a slice's events for all of its points and one pass counts.
+    Bit 61 is set and bits 62 and 63 clear, so that an event read as a
+    double is positive and normal: the rows sort as doubles (faster in
+    NumPy than as uint64), in the order of their bits, with or without
+    flush-to-zero.
     Keys within 4 units of each other, which the roundings of the
     differences, the division and the packing could misorder, are ordered
     and grouped by the exact sign of the cross product of their
@@ -394,7 +405,7 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) ->
     # (k, 2, n) and (k, 2, q): each slice's x and y as contiguous rows
     pts = np.ascontiguousarray(pts.transpose(0, 2, 1))
     qs = pts if queries is None else np.ascontiguousarray(qs.transpose(0, 2, 1))
-    # two indices of at least 10 bits and a flip bit below the key
+    # two indices of at least 10 bits and a flip bit below the 61 - bits of key
     bits = 2 * max(10, (n - 1).bit_length()) + 1
     kernels = compiled.load() if _in_exact_range(pts, qs) else None
     pairs = n * (n - 1) // 2
@@ -412,7 +423,7 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) ->
             sweep.pair_keys(pts, c0, c1, bits, ev)
         else:
             sweep.query_keys(pts, qs, c0, c1, bits, ev)
-        ev.sort(axis=1)
+        ev.view(np.float64).sort(axis=1)
         sweep.halfspace_sweep(ev, pts, None if shared else qs, c0, bits, out)
     return out
 
@@ -445,7 +456,7 @@ class _NumpySweep:
         """The compiled ``hs_event`` of every (query, point) pair of cells
         c0 <= c < c1, f = 0."""
         t, r = np.divmod(np.arange(c0, c1), qs.shape[2])
-        kmax = (1 << (64 - bits)) - 1
+        kmax = (1 << (61 - bits)) - 1
         dx, dy, key = (b[:out.size].reshape(out.shape) for b in (self.dx, self.dy, self.key))
         with np.errstate(over="ignore", invalid="ignore"):  # a huge block; 0 / 0
             for d, c in ((dx, 0), (dy, 1)):
@@ -463,14 +474,14 @@ class _NumpySweep:
             np.divide(dx, key, out=dx)
         coincident = key == 0.0
         np.add(dx, ~right, out=key)
-        key *= 2.0 ** (63 - bits)
+        key *= 2.0 ** (60 - bits)
         np.minimum(key, kmax - 1, out=key)
         if huge:
             key[...] = 0.0
         key[coincident] = kmax
         np.copyto(out, key, casting="unsafe")
         out <<= np.uint64(bits)
-        out |= np.arange(out.shape[1], dtype=np.uint64) << np.uint64(1)
+        out |= np.arange(out.shape[1], dtype=np.uint64) << np.uint64(1) | np.uint64(1 << 61)
         out |= flip
 
     def halfspace_sweep(self, ev, pts, qs, c0, bits, out):
@@ -480,7 +491,7 @@ class _NumpySweep:
         q = qs.shape[2]
         run = self.run[:ev.size].reshape(ev.shape)
         kint = np.right_shift(ev, np.uint64(bits), out=run.view(np.uint64))
-        valid = kint != (1 << (64 - bits)) - 1
+        valid = kint != (1 << (62 - bits)) - 1  # bit 61 and KMAX: a coincident pair
         gaps = np.subtract(kint[:, 1:], kint[:, :-1],
                            out=self.key.view(np.uint64)[:rows * (n - 1)].reshape(rows, n - 1))
         # joined: in the group of the event before, by the exact order of
@@ -612,19 +623,18 @@ def _spatial_channel(sample, qs, grid, sample_d2=None) -> np.ndarray:
     n = sample.shape[0]
     kernels = compiled.load()
     if kernels is None:
-        sums = (_spatial_sum(sample, q, grid) for q in qs)
+        sums = np.empty(qs.shape)
+        for i, q in enumerate(qs):
+            sums[i] = _spatial_sum(sample, q, grid)
     else:
         if qs is sample and sample_d2 is not None:
             d2 = sample_d2()
         else:
             d2 = _pairwise_sq_dists(qs, sample, grid)
         sums = kernels.spatial_sums(sample, qs, d2)
-    out = np.empty(qs.shape[0])
-    for i, total in enumerate(sums):
-        # a query at a time: one gemv over all the rows rounds differently
-        mean_vec = total / n
-        out[i] = 1.0 - math.sqrt(max(float(grid.integrate(mean_vec * mean_vec)), 0.0))
-    return out
+    mean = sums / n
+    # a sum of squares: never negative
+    return 1.0 - np.sqrt(grid.integrate_rows(mean * mean))
 
 
 def _spatial_sum(sample, q, grid) -> np.ndarray:
@@ -643,15 +653,33 @@ def spatial_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> Depth
                           shared=("sample_d2", _pairwise_sq_dists, ds.grid))
 
 
+# doubles of squared differences _pairwise_sq_dists holds at a time: a block
+# of rows of (a_i - b_j)^2, one row (nb x m) at least
+_DIFF_BLOCK = 1 << 15
+
+
 def _pairwise_sq_dists(a, b, grid) -> np.ndarray:
-    # direct differences: identical curves yield exactly zero, which the
-    # s(0) = 0 convention relies on; one difference buffer serves every row
-    out = np.empty((a.shape[0], b.shape[0]))
-    diff = np.empty(b.shape)
-    for i in range(a.shape[0]):
-        np.subtract(a[i], b, out=diff)
-        diff *= diff
-        out[i] = grid.integrate(diff)
+    """The squared L2 distances of each row of ``a`` to each row of ``b``.
+
+    Direct differences: identical curves give exactly zero, which the s(0) =
+    0 convention relies on.  They are squared a block of rows at a time, in
+    the compiled loop or by NumPy broadcasting (the same subtract and
+    multiply), and each block is integrated in one stacked matmul: a gemv
+    per row of ``a``, the bits of that row on its own."""
+    a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))
+    (na, m), nb = a.shape, b.shape[0]
+    rows = max(1, _DIFF_BLOCK // max(nb * m, 1))
+    kernels = compiled.load()
+    out = np.empty((na, nb))
+    diff = np.empty((min(rows, na), nb, m))
+    for i0 in range(0, na, rows):
+        block = diff[:min(rows, na - i0)]
+        if kernels is None:
+            np.subtract(a[i0:i0 + rows, None], b, out=block)
+            block *= block
+        else:
+            kernels.sq_diffs(a, b, i0, i0 + block.shape[0], block)
+        out[i0:i0 + rows] = grid.integrate(block)
     return out
 
 

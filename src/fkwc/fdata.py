@@ -66,6 +66,26 @@ class Grid:
         """The L2 inner products <f_i, g_j> of the rows of ``f`` and ``g``."""
         return f @ (g * self.trapezoid_weights).T
 
+    # One BLAS call over all rows rounds differently from a call per row:
+    # a gemv's tail rows and a gemm take other kernels.  The two forms below
+    # give the bits of the per-row call, for every row, in one NumPy call.
+
+    def integrate_rows(self, values) -> np.ndarray:
+        """``integrate`` of each row of ``values`` on its own: one dot
+        product per row."""
+        return np.vecdot(values, self.trapezoid_weights)
+
+    def inner_rows(self, f, g) -> np.ndarray:
+        """The (k, n) inner products <f_i, g_k>, row k the ``inner(f, g[k])``
+        of each row g_k of ``g`` on its own: one gemv of ``f`` per row, in
+        one stacked matmul.  Each weighted g_k starts on a 16-byte boundary,
+        as the fresh array of ``inner`` does: for an ``f`` of one row the
+        product is a dot, which OpenBLAS's SSE kernels sum in an order that
+        depends on where that operand starts."""
+        u = np.empty((len(g), self.m + self.m % 2))[:, :self.m]
+        np.multiply(g, self.trapezoid_weights, out=u)
+        return (f[None] @ u[:, :, None])[..., 0]
+
 
 def _as_curves(values, grid: Grid, what: str = "curve") -> np.ndarray:
     arr = np.asarray(values, dtype=float)

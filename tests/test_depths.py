@@ -57,12 +57,25 @@ def make_ds(curves, groups=None, grid=None):
     return FunctionalDataset(grid, curves, groups)
 
 
+def pairwise_loop_reference(a, b, grid) -> np.ndarray:
+    """The squared distances of each row of ``a`` to each row of ``b`` the
+    way they were first written: a row of ``a`` at a time, its squared
+    differences integrated in one gemv."""
+    out = np.empty((a.shape[0], b.shape[0]))
+    diff = np.empty(b.shape)
+    for i in range(a.shape[0]):
+        np.subtract(a[i], b, out=diff)
+        diff *= diff
+        out[i] = grid.integrate(diff)
+    return out
+
+
 def ksd_loop_reference(sample, qs, grid, bandwidth) -> np.ndarray:
     """One ksd channel the way it was first written: a fresh (k, k) matrix
     per query, gathered with ``np.ix_`` from the sample Gram matrix.  The
     kernel must reproduce it bit for bit."""
     n = sample.shape[0]
-    d2_ss = _pairwise_sq_dists(sample, sample, grid)
+    d2_ss = pairwise_loop_reference(sample, sample, grid)
     if bandwidth == MEDIAN_HEURISTIC:
         iu = np.triu_indices(n, k=1)
         pair = d2_ss[iu]
@@ -75,7 +88,7 @@ def ksd_loop_reference(sample, qs, grid, bandwidth) -> np.ndarray:
     if qs is sample:  # the sample's own curves: the same matrix, bit for bit
         gram_qs = gram_ss
     else:
-        gram_qs = np.exp(-_pairwise_sq_dists(qs, sample, grid) / sigma2)
+        gram_qs = np.exp(-pairwise_loop_reference(qs, sample, grid) / sigma2)
     out = np.empty(qs.shape[0])
     for i in range(qs.shape[0]):
         feat_sq = np.maximum(2.0 - 2.0 * gram_qs[i], 0.0)
@@ -717,6 +730,23 @@ class TestCompiledChannels:
             mp.setattr(fkwc.compiled, "load", lambda: None)
             self.assert_same_bits(*case)
 
+    @pytest.mark.parametrize("n", [35, 101])
+    def test_spatial_own_sums_where_distances_differ(self, n):
+        # at these n some d2[i, j] and d2[j, i] differ in their last bits
+        # (the gemv's tail rows), their square roots too, and the compiled
+        # in-sample sums must form each of those two terms from its own
+        # distance; at n = 35 the depths move too where they do not
+        kernels = fkwc.compiled.load()
+        if kernels is None:
+            pytest.skip("the compiled library is not available")
+        ds = _t1_dataset(n)
+        d2 = _pairwise_sq_dists(ds.curves, ds.curves, ds.grid)
+        assert (np.sqrt(d2) != np.sqrt(d2.T)).any()
+        want = np.array([fkwc.depths._spatial_sum(ds.curves, q, ds.grid) for q in ds.curves])
+        assert kernels.spatial_sums(ds.curves, ds.curves, d2).tobytes() == want.tobytes()
+        got = _spatial_channel(ds.curves, ds.curves, ds.grid, sample_d2=lambda: d2)
+        assert got.tobytes() == spatial_loop_reference(ds.curves, ds.curves, ds.grid).tobytes()
+
     @pytest.mark.parametrize("load", ["compiled", "fallback"])
     def test_t1_channels_at_n_200(self, load):
         ds = _t1_dataset(200)
@@ -726,6 +756,68 @@ class TestCompiledChannels:
                 mp.setattr(fkwc.compiled, "load", lambda: None)
             for sample in (ds.curves, ds.derivatives):
                 self.assert_same_bits(sample, queries, ds.grid, MEDIAN_HEURISTIC)
+
+
+@st.composite
+def sq_dists_cases(draw):
+    """Sample and query curves for the distances: heavy-tailed or smooth,
+    as drawn or rounded to integers with some zeros negated, some rows
+    duplicated; n from 1 to 30 and q != n queries that mix sample rows and
+    new ones; and a block bound that holds one row, a few, or the default."""
+    n = draw(st.integers(1, 30))
+    q = draw(st.integers(0, 30).filter(lambda q: q != n))
+    m = draw(st.sampled_from([3, 4, 7, 21, 101]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        curves = rng.standard_t(1, size=(n + q, m))
+    else:
+        curves = rng.normal(size=(n + q, m)).cumsum(axis=1)
+    if draw(st.booleans()):
+        curves = np.round(curves)
+        curves[(curves == 0.0) & (rng.random(size=curves.shape) < 0.5)] = -0.0
+    sample, queries = curves[:n], curves[n:]
+    if draw(st.booleans()):
+        sample[rng.integers(0, n, size=n // 2)] = sample[0]
+        queries[:q // 2] = sample[rng.integers(0, n, size=q // 2)]
+    block = draw(st.sampled_from([1, 2 * n * m + 1, 5 * max(n, q) * m, fkwc.depths._DIFF_BLOCK]))
+    return sample, queries, Grid(m), block
+
+
+class TestPairwiseSqDists:
+    """``_pairwise_sq_dists`` equals its row loop byte for byte, in blocks
+    of any size, with the compiled differences and with NumPy's."""
+
+    @staticmethod
+    def assert_same_bits(sample, queries, grid, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fkwc.depths, "_DIFF_BLOCK", block)
+            for a, b in ((sample, sample), (queries, sample), (sample, queries)):
+                got = _pairwise_sq_dists(a, b, grid)
+                assert got.tobytes() == pairwise_loop_reference(a, b, grid).tobytes()
+
+    @given(sq_dists_cases())
+    @settings(max_examples=200)
+    @example((np.full((2, 3), -0.0), np.zeros((1, 3)), Grid(3), 1))
+    def test_compiled(self, case):
+        self.assert_same_bits(*case)
+
+    @given(sq_dists_cases())
+    @settings(max_examples=100)
+    def test_numpy_fallback(self, case):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fkwc.compiled, "load", lambda: None)
+            self.assert_same_bits(*case)
+
+    @pytest.mark.parametrize("load", ["compiled", "fallback"])
+    def test_t1_at_n_300_in_single_rows(self, load):
+        ds = _t1_dataset(300)
+        with pytest.MonkeyPatch.context() as mp:
+            if load == "fallback":
+                mp.setattr(fkwc.compiled, "load", lambda: None)
+            # the default bound holds one 300 x 101 row, as the row loop did
+            assert fkwc.depths._DIFF_BLOCK // (300 * 101) == 1
+            got = _pairwise_sq_dists(ds.curves, ds.curves, ds.grid)
+        assert got.tobytes() == pairwise_loop_reference(ds.curves, ds.curves, ds.grid).tobytes()
 
 
 @st.composite

@@ -1,8 +1,13 @@
 """Grid geometry, dataset validation, quadrature, differentiation, IO."""
 
 import copy
+import os
 import pickle
+import platform
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +123,20 @@ class TestInnerProduct:
         got = Grid(m).integrate(values.T)
         assert got.tobytes() == Grid(m).integrate(values.T.copy()).tobytes()
 
+    @pytest.mark.parametrize("n, m", [(1, 3), (1, 101), (7, 21), (30, 101), (101, 101)])
+    def test_row_forms_are_the_per_row_calls(self, n, m):
+        # the one-call forms give the bits of a call per row, which a gemv
+        # over all rows (``integrate``) or a gemm (``inner``) need not give
+        rng = np.random.default_rng(n * m)
+        grid, f, dirs = Grid(m), rng.standard_t(1, size=(n, m)), rng.normal(size=(20, m))
+        want = np.array([grid.integrate(row.copy()) for row in f])
+        assert grid.integrate_rows(f).tobytes() == want.tobytes()
+        want = np.array([grid.inner(f, d) for d in dirs])
+        assert grid.inner_rows(f, dirs).tobytes() == want.tobytes()
+        stack = rng.standard_t(1, size=(3, n, m))
+        want = np.array([grid.integrate(s.copy()) for s in stack])
+        assert grid.integrate(stack).tobytes() == want.tobytes()
+
     def test_weights_cached_read_only_and_kept_out_of_equality_and_pickles(self):
         g = Grid(21)
         w = g.trapezoid_weights
@@ -130,6 +149,82 @@ class TestInnerProduct:
             assert "trapezoid_weights" not in vars(back)
             assert not back.trapezoid_weights.flags.writeable
             assert back.trapezoid_weights.tobytes() == w.tobytes()
+
+
+BLOCK_FORMS = """
+import numpy as np
+from fkwc import Grid
+
+rng = np.random.default_rng(23)
+for n in (1, 3, 7, 30, 101):
+    for m in (3, 21, 101):
+        grid = Grid(m)
+        f, dirs = rng.standard_t(1, size=(n, m)), rng.normal(size=(20, m))
+        stack = rng.standard_t(1, size=(3, n, m)) ** 2
+        z = grid.inner_rows(f, dirs)
+        # the loops call BLAS on fresh arrays, as the loops the block forms
+        # replace did: some kernels sum by where an operand starts
+        pairs = {
+            "stacked matmul": (grid.integrate(stack), [grid.integrate(s.copy()) for s in stack]),
+            "vecdot": (grid.integrate_rows(f), [grid.integrate(row.copy()) for row in f]),
+            "stacked gemv": (z, [grid.inner(f, d) for d in dirs]),
+            "ptp": (np.ptp(z, axis=1), [np.ptp(row) for row in z]),
+            "max": (np.abs(z).max(axis=1), [np.abs(row).max() for row in z]),
+        }
+        if n > 1:
+            pairs["std"] = (z.std(axis=1, ddof=1), [row.std(ddof=1) for row in z])
+        for name, (block, rows) in pairs.items():
+            if block.tobytes() != np.array(rows).tobytes():
+                print(name, n, m)
+print("done")
+"""
+
+# OpenBLAS kernel sets and the /proc/cpuinfo flag each needs
+CORETYPES = {"Prescott": "pni", "Haswell": "avx2", "Zen": "avx2", "SkylakeX": "avx512f"}
+
+
+def _blas_name() -> str:
+    try:
+        return str(np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"])
+    except (KeyError, TypeError, ValueError):
+        return "unknown"
+
+
+class TestBlockFormsPortability:
+    """The one-call forms the depths use equal their per-row loops on the
+    kernels another CPU would run: each OpenBLAS core type, and NumPy
+    without its AVX-512 (X86_V4) loops.  Three NumPy facts carry them: a
+    stacked matmul makes one gemv per matrix, ``np.vecdot`` one dot per
+    row, and ``std``, ``ptp`` and ``max`` along axis 1 reduce each row as
+    the 1-d call does.  A NumPy or BLAS that breaks one fails here, rather
+    than moving the bits of a depth."""
+
+    @staticmethod
+    def run(**env):
+        env = dict(os.environ, PYTHONPATH=str(Path(fkwc.fdata.__file__).parents[1]), **env)
+        proc = subprocess.run([sys.executable, "-c", BLOCK_FORMS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["done"]
+
+    @pytest.mark.parametrize("coretype", list(CORETYPES))
+    def test_openblas_core_types(self, coretype):
+        blas = _blas_name()
+        if "openblas" not in blas.lower():
+            pytest.skip(f"NumPy's BLAS is {blas!r}, not OpenBLAS: no OPENBLAS_CORETYPE")
+        if platform.machine() not in ("x86_64", "AMD64"):
+            pytest.skip(f"x86-64 core types, on {platform.machine()}")
+        try:
+            with open("/proc/cpuinfo") as fh:
+                flags = next((line for line in fh if line.startswith("flags")), "").split()
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to read the CPU's features from")
+        if CORETYPES[coretype] not in flags:
+            pytest.skip(f"this CPU lacks {CORETYPES[coretype]}, which {coretype} needs")
+        self.run(OPENBLAS_CORETYPE=coretype)
+
+    def test_without_numpy_avx512_loops(self):
+        self.run(NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4")
 
 
 def ltr_norms(curves, grid):

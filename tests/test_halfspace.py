@@ -618,9 +618,10 @@ class TestCompiledSweep:
         'PATH={path} exec {cc} -Dfkwc_halfspace_sweep=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_ksd_sums=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_spatial_sums=fkwc_renamed "$@"',
+        'PATH={path} exec {cc} -Dfkwc_sq_diffs=fkwc_renamed "$@"',
     ], ids=["compiler-fails", "library-unloadable", "function-missing", "pair-keys-missing",
             "query-keys-missing", "halfspace-sweep-missing", "ksd-sums-missing",
-            "spatial-sums-missing"])
+            "spatial-sums-missing", "sq-diffs-missing"])
     def test_failed_build_falls_back(self, compiler, kernels, fresh_load, tmp_path,
                                      monkeypatch):
         bin_dir = tmp_path / "bin"
@@ -683,6 +684,59 @@ class TestCompiledSweep:
         assert fkwc.compiled.load() is None
         want = counted_by(kernels, halfspace_depth_2d, pts, qs).tobytes()
         assert halfspace_depth_2d(pts, qs).tobytes() == want
+
+
+def layout_cases(n):
+    """One slice of n points on a small lattice, with (0, 0), (1, 0) and
+    (-1, 2^-50) first: directions of key 0 (horizontal), of the top key
+    (coincident pairs, from n = 1,024) and of a capped key (from (0, 0) to
+    (-1, 2^-50)); queries at (0, 0), the top key, at (-1, 0), key 0, and
+    at (1, -2^-50), capped.  As (1, 2, n) and (1, 2, 3) stacks, with the
+    key width ``bits``."""
+    rng = np.random.default_rng(n)
+    pts = np.vstack([[(0.0, 0.0), (1.0, 0.0), (-1.0, 2.0**-50)],
+                     rng.integers(-3, 4, size=(max(n - 3, 0), 2))])[:n]
+    qs = np.array([(0.0, 0.0), (-1.0, 0.0), (1.0, -(2.0**-50))])
+    bits = 2 * max(10, (n - 1).bit_length()) + 1
+    return pts.T[None].copy(), qs.T[None].copy(), bits
+
+
+def assert_positive_normal_doubles(events, bits, keys):
+    """Each event, read as a double, is positive and normal, and a row
+    sorted as doubles is the row sorted as uint64; ``keys`` names the keys
+    that must occur: 0, "top" or "capped"."""
+    as_float = events.view(np.float64)
+    assert np.isfinite(as_float).all()
+    assert (as_float >= np.finfo(np.float64).smallest_normal).all()
+    assert (np.sort(as_float, axis=1).view(np.uint64) == np.sort(events, axis=1)).all()
+    kmax = (1 << (61 - bits)) - 1
+    seen = set((events >> np.uint64(bits) & np.uint64(kmax)).ravel().tolist())
+    assert {{0: 0, "top": kmax, "capped": kmax - 1}[k] for k in keys} <= seen
+
+
+class TestEventLayout:
+    """The events of ``mfhd'``, from the compiled keys and from the NumPy
+    ones, read as doubles, are positive and normal, so that their rows sort
+    as doubles in the order of their bits."""
+
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1025])
+    def test_compiled_events(self, n, kernels):
+        pts, qs, bits = layout_cases(n)
+        own = np.empty((1, n * (n - 1) // 2), dtype=np.uint64)
+        kernels.pair_keys(pts, 0, 1, bits, own)
+        cells = np.empty((qs.shape[2], n), dtype=np.uint64)
+        kernels.query_keys(pts, qs, 0, cells.shape[0], bits, cells)
+        # one point has no pairs; two have one, of key 0
+        own_keys = [] if n == 1 else [0] if n == 2 else [0, "top", "capped"]
+        assert_positive_normal_doubles(own, bits, own_keys)
+        assert_positive_normal_doubles(cells, bits, [0, "top", "capped"])
+
+    @pytest.mark.parametrize("n", [1, 2, 1024, 1025])
+    def test_numpy_events(self, n):
+        pts, qs, bits = layout_cases(n)
+        cells = np.empty((qs.shape[2], n), dtype=np.uint64)
+        fkwc.depths._NumpySweep(cells.size).query_keys(pts, qs, 0, cells.shape[0], bits, cells)
+        assert_positive_normal_doubles(cells, bits, [0, "top", "capped"])
 
 
 # the CPU features of each x86-64 level past the baseline, by their names
@@ -770,6 +824,41 @@ class TestCpuLevels:
         assert list(got) == list(want)
         for key in want:
             assert got[key] == want[key], key
+
+
+class TestCpuLevelsOfBlockLoops:
+    """The compiled squared differences and the sample's own spatial sums
+    (each pair formed once where its two distances agree), which
+    ``level_outputs`` does not reach, write the same bytes built for each
+    x86-64 level as the cloned library."""
+
+    @pytest.mark.parametrize("level", list(LEVEL_FEATURES))
+    def test_same_bytes_at_every_level(self, level, kernels, tmp_path):
+        if platform.machine() != "x86_64":
+            pytest.skip(f"x86-64 levels, on {platform.machine()}")
+        try:
+            missing = [f for f in LEVEL_FEATURES[level] if f not in _cpu_features()]
+        except OSError:
+            pytest.skip("no /proc/cpuinfo to read the CPU's features from")
+        if missing:
+            pytest.skip(f"this CPU lacks {missing[0]}, which {level} needs")
+        path = tmp_path / f"{level}.so"
+        proc = subprocess.run(
+            [shutil.which("cc"), *fkwc.compiled.FLAGS, f"-march={level}", "-DFKWC_CLONES=",
+             "-x", "c", "-", "-o", str(path)],
+            input=fkwc.compiled.SOURCE, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rng = np.random.default_rng(35)
+        t1 = rng.standard_t(1, size=(35, 21))
+        for sample in (t1, np.round(t1)):
+            d2 = fkwc.depths._pairwise_sq_dists(sample, sample, Grid(21))
+            outs = []
+            for lib in (fkwc.compiled.bind(path), kernels):
+                diffs = np.empty((35, 35, 21))
+                lib.sq_diffs(sample, sample, 0, 35, diffs)
+                outs.append(diffs.tobytes() + lib.spatial_sums(sample, sample, d2).tobytes())
+            assert outs[0] == outs[1]
 
 
 class TestValidation:
