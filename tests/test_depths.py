@@ -730,22 +730,33 @@ class TestCompiledChannels:
             mp.setattr(fkwc.compiled, "load", lambda: None)
             self.assert_same_bits(*case)
 
-    @pytest.mark.parametrize("n", [35, 101])
+    @pytest.mark.parametrize("n", [3, 6, 35, 101])
     def test_spatial_own_sums_where_distances_differ(self, n):
-        # at these n some d2[i, j] and d2[j, i] differ in their last bits
-        # (the gemv's tail rows), their square roots too, and the compiled
-        # in-sample sums must form each of those two terms from its own
-        # distance; at n = 35 the depths move too where they do not
+        # where sqrt(d2[i, j]) and sqrt(d2[j, i]) differ (the gemv's tail
+        # rows can make them so), the compiled in-sample sums must form each
+        # of the two terms from its own distance; the asymmetry is made here,
+        # by stepping d2[j, i] up until its square root moves, so that the
+        # branch runs whatever the BLAS rounds alike
         kernels = fkwc.compiled.load()
         if kernels is None:
             pytest.skip("the compiled library is not available")
-        ds = _t1_dataset(n)
-        d2 = _pairwise_sq_dists(ds.curves, ds.curves, ds.grid)
-        assert (np.sqrt(d2) != np.sqrt(d2.T)).any()
-        want = np.array([fkwc.depths._spatial_sum(ds.curves, q, ds.grid) for q in ds.curves])
-        assert kernels.spatial_sums(ds.curves, ds.curves, d2).tobytes() == want.tobytes()
-        got = _spatial_channel(ds.curves, ds.curves, ds.grid, sample_d2=lambda: d2)
-        assert got.tobytes() == spatial_loop_reference(ds.curves, ds.curves, ds.grid).tobytes()
+        sample = _t1_dataset(n).curves.copy()
+        sample[-1] = sample[0]  # a coincident pair: d2 = 0 one way, > 0 the other
+        d2 = _pairwise_sq_dists(sample, sample, Grid(101))
+        rng = np.random.default_rng(n)
+        upper = np.transpose(np.triu_indices(n, 1))
+        for i, j in [(0, 1), (0, n - 1), *upper[rng.random(len(upper)) < 0.3]]:
+            while np.sqrt(d2[j, i]) == np.sqrt(d2[i, j]):
+                d2[j, i] = np.nextafter(d2[j, i], np.inf)
+        want = np.empty(sample.shape)
+        for i in range(n):
+            diff = sample[i][None, :] - sample
+            norms = np.sqrt(d2[i])
+            keep = norms > 0.0
+            want[i] = (diff[keep] / norms[keep, None]).sum(axis=0)
+        assert kernels.spatial_sums(sample, sample, d2).tobytes() == want.tobytes()
+        # the same queries in another array take the one-sided path
+        assert kernels.spatial_sums(sample, sample.copy(), d2).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("load", ["compiled", "fallback"])
     def test_t1_channels_at_n_200(self, load):
