@@ -29,13 +29,15 @@ file and renames it into place, so processes that build at once leave one
 whole library, and a cached file that does not load (junk, or cut short)
 is built again, once.  Without a compiler, when the build or the load
 fails, or when the library lacks any of its functions, :func:`load`
-returns None and every loop runs in NumPy in ``depths``.  Either way the
-choice is made once per process, and the results are the same bits: the
-``ksd`` and ``spatial`` functions do the IEEE operations of their NumPy
-loops, in the same order, and the halfspace counts are exact on both
-paths.  ``FLAGS`` build at -O3, which vectorises the elementwise loops
-(GCC 12's -O2 does not), and keep -ffp-contract=off; a vector IEEE divide
-rounds as the scalar one does.
+returns None, and ``depths._loops`` hands out the plain NumPy form of
+each loop, which takes the same arguments (``pair_keys`` excepted: there
+the points' own depths are taken as those of outside queries).  Either
+way the choice is made once per process, and the results are the same
+bits: the ``ksd`` and ``spatial`` functions do the IEEE operations of
+their NumPy forms, in the same order, and the halfspace counts are exact
+on both paths.  ``FLAGS`` build at -O3, which vectorises the elementwise
+loops (GCC 12's -O2 does not), and keep -ffp-contract=off; a vector IEEE
+divide rounds as the scalar one does.
 
 The six exported functions are built once per level of ``CLONES``:
 x86-64-v4 (AVX-512), x86-64-v3 (AVX2 and FMA) and the baseline the flags
@@ -554,7 +556,8 @@ def _build(path: Path) -> bool:
 
 
 class Kernels(NamedTuple):
-    """The compiled loops; see the module docstring."""
+    """The loops, compiled, or in NumPy as ``depths._NUMPY_LOOPS``; see the
+    module docstring."""
 
     pair_keys: Callable
     query_keys: Callable

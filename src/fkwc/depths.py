@@ -380,9 +380,10 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) ->
     Keys within 4 units of each other, which the roundings of the
     differences, the division and the packing could misorder, are ordered
     and grouped by the exact sign of the cross product of their
-    directions.  The counts are exact, so both paths, the compiled one of
-    :mod:`fkwc.compiled` and :class:`_NumpySweep` (which takes the points'
-    own depths as outside queries), give the same bytes.
+    directions.  The counts are exact, so both paths that :func:`_loops`
+    chooses between, the compiled one of :mod:`fkwc.compiled` and the NumPy
+    one (which takes the points' own depths as outside queries), give the
+    same bytes.
 
     Cost: O(k n^2 log n) time for the points' own depths, O(k q n log n)
     for q queries, in blocks of at most ``_HALFSPACE_BLOCK_KEYS`` events,
@@ -407,24 +408,22 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) ->
     qs = pts if queries is None else np.ascontiguousarray(qs.transpose(0, 2, 1))
     # two indices of at least 10 bits and a flip bit below the 61 - bits of key
     bits = 2 * max(10, (n - 1).bit_length()) + 1
-    kernels = compiled.load() if _in_exact_range(pts, qs) else None
+    loops = _loops(pts) if qs is pts else _loops(pts, qs)
     pairs = n * (n - 1) // 2
-    shared = queries is None and pairs <= _HALFSPACE_SLICE_KEYS and kernels is not None
+    shared = queries is None and pairs <= _HALFSPACE_SLICE_KEYS and loops.pair_keys is not None
     step, length, total = ((max(1, _HALFSPACE_BLOCK_KEYS // max(pairs, 1)), pairs, k) if shared
                            else (max(1, _HALFSPACE_BLOCK_KEYS // n), n, k * q))
-    size = min(step, total) * length
-    sweep = _NumpySweep(size) if kernels is None else kernels
-    events = np.empty(size, dtype=np.uint64)
+    events = np.empty(min(step, total) * length, dtype=np.uint64)
     out = np.empty((k, q))
     for c0 in range(0, total, step):
         c1 = min(total, c0 + step)
         ev = events[:(c1 - c0) * length].reshape(c1 - c0, length)
         if shared:
-            sweep.pair_keys(pts, c0, c1, bits, ev)
+            loops.pair_keys(pts, c0, c1, bits, ev)
         else:
-            sweep.query_keys(pts, qs, c0, c1, bits, ev)
+            loops.query_keys(pts, qs, c0, c1, bits, ev)
         ev.view(np.float64).sort(axis=1)
-        sweep.halfspace_sweep(ev, pts, None if shared else qs, c0, bits, out)
+        loops.halfspace_sweep(ev, pts, None if shared else qs, c0, bits, out)
     return out
 
 
@@ -438,88 +437,72 @@ def _in_exact_range(*arrays) -> bool:
     return True
 
 
-class _NumpySweep:
-    """The NumPy form of the compiled ``query_keys`` and ``halfspace_sweep``
-    on outside queries, which :func:`halfspace_depth_2d` also gives it the
-    points' own depths as: a row is one query's n events, so its sweep is a
-    cumulative sum along the row.  Its buffers are made once per call, for
-    ``size`` events.  Near ties are decided in Fraction arithmetic, so any
-    finite input is exact; where some |dx| + |dy| reaches 2^1020 (a
+def _loops(*coords) -> compiled.Kernels:
+    """The compiled loops of :mod:`fkwc.compiled`, or ``_NUMPY_LOOPS``, their
+    NumPy forms, where the library cannot be had or an array of halfspace
+    ``coords`` leaves ``_EXACT_RANGE``: the one place the path is chosen."""
+    loops = compiled.load()
+    if loops is None or not _in_exact_range(*coords):
+        return _NUMPY_LOOPS
+    return loops
+
+
+def _query_keys(pts, qs, c0, c1, bits, out):
+    """The NumPy form of the compiled ``query_keys``: the events of the
+    (query, point) pairs of cells c0 <= c < c1, f = 0, into the rows of
+    ``out``.  Where some |dx| + |dy| of the block reaches 2^1020 (a
     difference may have overflowed), every event of the block is one near
     tie."""
+    t, r = np.divmod(np.arange(c0, c1), qs.shape[2])
+    kmax = (1 << (61 - bits)) - 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge block; 0 / 0
+        dx = pts[t, 0] - qs[t, 0, r][:, None]
+        dy = pts[t, 1] - qs[t, 1, r][:, None]
+        flip = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0))
+        # w = +-(dx, dy) has |dx| and |dy| as |wx| and wy, and wx > 0
+        # where dx and dy have opposite signs but for dy = 0, dx < 0
+        right = ((dx > 0.0) & (dy >= 0.0)) | ((dx < 0.0) & (dy <= 0.0))
+        total = np.abs(dx) + np.abs(dy)
+        # the numerator: wy, or |wx|
+        key = np.minimum((np.abs(np.where(right, dy, dx)) / total + ~right) * 2.0 ** (60 - bits),
+                         kmax - 1)
+    if total.max(initial=0.0) >= 2.0**1020:
+        key[...] = 0.0
+    key[total == 0.0] = kmax
+    out[...] = (key.astype(np.uint64) << np.uint64(bits) | np.uint64(1 << 61)
+                | np.arange(out.shape[1], dtype=np.uint64) << np.uint64(1) | flip)
 
-    def __init__(self, size: int):
-        self.dx, self.dy, self.key = np.empty(size), np.empty(size), np.empty(size)
-        self.run = np.empty(size, dtype=np.int64)
 
-    def query_keys(self, pts, qs, c0, c1, bits, out):
-        """The compiled ``hs_event`` of every (query, point) pair of cells
-        c0 <= c < c1, f = 0."""
-        t, r = np.divmod(np.arange(c0, c1), qs.shape[2])
-        kmax = (1 << (61 - bits)) - 1
-        dx, dy, key = (b[:out.size].reshape(out.shape) for b in (self.dx, self.dy, self.key))
-        with np.errstate(over="ignore", invalid="ignore"):  # a huge block; 0 / 0
-            for d, c in ((dx, 0), (dy, 1)):
-                np.take(pts[:, c], t, axis=0, out=d, mode="clip")
-                d -= qs[t, c, r][:, None]
-            flip = (dy < 0.0) | ((dy == 0.0) & (dx < 0.0))
-            # w = +-(dx, dy) has |dx| and |dy| as |wx| and wy, and wx > 0
-            # where dx and dy have opposite signs but for dy = 0, dx < 0
-            right = ((dx > 0.0) & (dy >= 0.0)) | ((dx < 0.0) & (dy <= 0.0))
-            np.abs(dx, out=dx)
-            np.abs(dy, out=dy)
-            np.add(dx, dy, out=key)
-            huge = key.max(initial=0.0) >= 2.0**1020
-            np.copyto(dx, dy, where=right)  # the numerator: wy, or |wx|
-            np.divide(dx, key, out=dx)
-        coincident = key == 0.0
-        np.add(dx, ~right, out=key)
-        key *= 2.0 ** (60 - bits)
-        np.minimum(key, kmax - 1, out=key)
-        if huge:
-            key[...] = 0.0
-        key[coincident] = kmax
-        np.copyto(out, key, casting="unsafe")
-        out <<= np.uint64(bits)
-        out |= np.arange(out.shape[1], dtype=np.uint64) << np.uint64(1) | np.uint64(1 << 61)
-        out |= flip
-
-    def halfspace_sweep(self, ev, pts, qs, c0, bits, out):
-        """The depths of the queries of cells c0, c0 + 1, ... from their
-        sorted rows of events."""
-        rows, n = ev.shape
-        q = qs.shape[2]
-        run = self.run[:ev.size].reshape(ev.shape)
-        kint = np.right_shift(ev, np.uint64(bits), out=run.view(np.uint64))
-        valid = kint != (1 << (62 - bits)) - 1  # bit 61 and KMAX: a coincident pair
-        gaps = np.subtract(kint[:, 1:], kint[:, :-1],
-                           out=self.key.view(np.uint64)[:rows * (n - 1)].reshape(rows, n - 1))
-        # joined: in the group of the event before, by the exact order of
-        # the runs of near-equal keys
-        joined = np.zeros((rows, n + 1), dtype=bool)
-        near = np.zeros((rows, n + 1), dtype=np.int8)
-        near[:, 1:n] = (gaps < 4) & valid[:, 1:]
-        edges = np.diff(near, axis=1)
-        for r, lo, hi in zip(*np.nonzero(edges == 1), np.nonzero(edges == -1)[1] + 1):
-            t, i = divmod(c0 + r, q)
-            ev[r, lo:hi], starts = _exact_order(ev[r, lo:hi], qs[t, :, i:i + 1], pts[t],
-                                                (bits - 1) // 2)
-            joined[r, lo:hi] = ~np.array(starts)
-        # D = 2 L - K, L counting the points left of the line through the
-        # query, moves by -2 as a point above passes and +2 below; read
-        # where each group of events ends
-        np.bitwise_and(ev, np.uint64(1), out=run.view(np.uint64))
-        run *= 4
-        run -= 2
-        run *= valid
-        count = np.count_nonzero(valid, axis=1)
-        d0 = count - np.count_nonzero(run > 0, axis=1) * 2
-        np.cumsum(run, axis=1, out=run)
-        run += d0[:, None]
-        np.abs(run, out=run)
-        run *= valid & ~joined[:, 1:]
-        best = np.maximum(np.abs(d0), run.max(axis=1, initial=0))
-        out.reshape(-1)[c0:c0 + rows] = (n - (count + best) // 2) / n
+def _halfspace_sweep(ev, pts, qs, c0, bits, out):
+    """The NumPy form of the compiled ``halfspace_sweep`` on outside
+    queries: the depths of the queries of cells c0, c0 + 1, ... from their
+    sorted rows of events, a row's sweep a cumulative sum along it.  Near
+    ties are decided in Fraction arithmetic, so any finite input is
+    exact."""
+    rows, n = ev.shape
+    q = qs.shape[2]
+    kint = ev >> np.uint64(bits)
+    valid = kint != (1 << (62 - bits)) - 1  # bit 61 and KMAX: a coincident pair
+    # joined: in the group of the event before, by the exact order of the
+    # runs of near-equal keys
+    joined = np.zeros((rows, n + 1), dtype=bool)
+    near = np.zeros((rows, n + 1), dtype=np.int8)
+    near[:, 1:n] = (np.diff(kint, axis=1) < 4) & valid[:, 1:]
+    edges = np.diff(near, axis=1)
+    for r, lo, hi in zip(*np.nonzero(edges == 1), np.nonzero(edges == -1)[1] + 1):
+        t, i = divmod(c0 + r, q)
+        ev[r, lo:hi], starts = _exact_order(ev[r, lo:hi], qs[t, :, i:i + 1], pts[t],
+                                            (bits - 1) // 2)
+        joined[r, lo:hi] = ~np.array(starts)
+    # D = 2 L - K, L counting the points left of the line through the
+    # query, moves by -2 as a point above passes and +2 below; read where
+    # each group of events ends
+    step = ((ev & np.uint64(1)).astype(np.int64) * 4 - 2) * valid
+    count = np.count_nonzero(valid, axis=1)
+    d0 = count - np.count_nonzero(step > 0, axis=1) * 2
+    run = np.abs(np.cumsum(step, axis=1) + d0[:, None]) * (valid & ~joined[:, 1:])
+    best = np.maximum(np.abs(d0), run.max(axis=1, initial=0))
+    out.reshape(-1)[c0:c0 + rows] = (n - (count + best) // 2) / n
 
 
 def _exact_order(events, first, second, ib):
@@ -563,10 +546,12 @@ def mfhd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
         else:
             below, above = _strict_counts(sample, qs)
         return DepthVector(ds.grid.integrate(np.minimum(n - above, n - below) / n), spec)
-    # the (value, derivative) pairs of each grid point, as (m, N, 2) and
-    # (m, q, 2) views of contiguous (m, 2, N) and (m, 2, q) stacks
-    pts, qpts = (np.stack((c.T, d.T), axis=1).transpose(0, 2, 1) for c, d in zip(*chans))
-    depths = halfspace_depth_2d(pts, None if queries is None else qpts)
+    # the (value, derivative) pairs of each grid point, as an (m, N, 2) view
+    # of a contiguous (m, 2, N) stack, and for outside queries (m, q, 2)
+    d_sample, d_qs = chans[1]
+    pts = np.stack((sample.T, d_sample.T), axis=1).transpose(0, 2, 1)
+    qpts = None if queries is None else np.stack((qs.T, d_qs.T), axis=1).transpose(0, 2, 1)
+    depths = halfspace_depth_2d(pts, qpts)
     return DepthVector(ds.grid.integrate(depths.T), spec)
 
 
@@ -615,35 +600,29 @@ def mbd(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
 def _spatial_channel(sample, qs, grid, sample_d2=None) -> np.ndarray:
     """1 - || mean_j s(q - X_j) || with s the unit map, s(0) = 0.
 
-    The sums over j run in the compiled loop of :mod:`fkwc.compiled`, on
-    the squared distances of one :func:`_pairwise_sq_dists` call (for the
-    sample's own curves, those ``sample_d2`` returns when given), or, where
-    it cannot be built, a query at a time in :func:`_spatial_sum`: the same
-    float operations in the same order, so the same bits."""
+    The sums over j run in the ``spatial_sums`` loop :func:`_loops` picks,
+    on the squared distances of one :func:`_pairwise_sq_dists` call (for
+    the sample's own curves, those ``sample_d2`` returns when given)."""
     n = sample.shape[0]
-    kernels = compiled.load()
-    if kernels is None:
-        sums = np.empty(qs.shape)
-        for i, q in enumerate(qs):
-            sums[i] = _spatial_sum(sample, q, grid)
+    if qs is sample and sample_d2 is not None:
+        d2 = sample_d2()
     else:
-        if qs is sample and sample_d2 is not None:
-            d2 = sample_d2()
-        else:
-            d2 = _pairwise_sq_dists(qs, sample, grid)
-        sums = kernels.spatial_sums(sample, qs, d2)
-    mean = sums / n
+        d2 = _pairwise_sq_dists(qs, sample, grid)
+    mean = _loops().spatial_sums(sample, qs, d2) / n
     # a sum of squares: never negative
     return 1.0 - np.sqrt(grid.integrate_rows(mean * mean))
 
 
-def _spatial_sum(sample, q, grid) -> np.ndarray:
-    """sum_j s(q - X_j) for one query ``q``: the NumPy form of the
-    compiled sums."""
-    diff = q[None, :] - sample
-    norms = np.sqrt(grid.integrate(diff * diff))
-    keep = norms > 0.0
-    return (diff[keep] / norms[keep, None]).sum(axis=0)
+def _spatial_sums(sample, queries, d2) -> np.ndarray:
+    """The NumPy form of the compiled ``spatial_sums``: per query i, the
+    sum of (q_i - X_j) / sqrt(d2[i, j]) over the sample curves at a
+    positive distance, added in sample order; (q, m)."""
+    sums = np.empty(queries.shape)
+    for i, q in enumerate(queries):
+        norms = np.sqrt(d2[i])
+        keep = norms > 0.0
+        sums[i] = ((q - sample[keep]) / norms[keep, None]).sum(axis=0)
+    return sums
 
 
 def spatial_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
@@ -662,25 +641,29 @@ def _pairwise_sq_dists(a, b, grid) -> np.ndarray:
     """The squared L2 distances of each row of ``a`` to each row of ``b``.
 
     Direct differences: identical curves give exactly zero, which the s(0) =
-    0 convention relies on.  They are squared a block of rows at a time, in
-    the compiled loop or by NumPy broadcasting (the same subtract and
-    multiply), and each block is integrated in one stacked matmul: a gemv
-    per row of ``a``, the bits of that row on its own."""
+    0 convention relies on.  They are squared a block of rows at a time by
+    the ``sq_diffs`` loop :func:`_loops` picks, and each block is integrated
+    in one stacked matmul: a gemv per row of ``a``, the bits of that row on
+    its own."""
     a, b = (np.ascontiguousarray(x, dtype=float) for x in (a, b))
     (na, m), nb = a.shape, b.shape[0]
     rows = max(1, _DIFF_BLOCK // max(nb * m, 1))
-    kernels = compiled.load()
+    loops = _loops()
     out = np.empty((na, nb))
     diff = np.empty((min(rows, na), nb, m))
     for i0 in range(0, na, rows):
         block = diff[:min(rows, na - i0)]
-        if kernels is None:
-            np.subtract(a[i0:i0 + rows, None], b, out=block)
-            block *= block
-        else:
-            kernels.sq_diffs(a, b, i0, i0 + block.shape[0], block)
+        loops.sq_diffs(a, b, i0, i0 + block.shape[0], block)
         out[i0:i0 + rows] = grid.integrate(block)
     return out
+
+
+def _sq_diffs(a, b, i0, i1, out) -> None:
+    """The NumPy form of the compiled ``sq_diffs``: the squared differences
+    of rows i0 <= i < i1 of ``a`` against every row of ``b`` into ``out``,
+    NumPy's subtract and then its multiply."""
+    np.subtract(a[i0:i1, None], b, out=out)
+    out *= out
 
 
 def _gaussian_gram(d2, sigma2, out=None) -> np.ndarray:
@@ -698,9 +681,8 @@ def _ksd_channel(sample, qs, grid, bandwidth, sample_d2=None) -> np.ndarray:
 
     The sample distances are those ``sample_d2`` returns, read-only, or, when
     it is None, a matrix of the channel's own, over which the Gram matrix is
-    then written.  Each query's sum of terms runs in the compiled loop of
-    :mod:`fkwc.compiled`, or, where it cannot be built, in
-    :func:`_ksd_sums`: the same bits."""
+    then written.  Each query's sum of terms runs in the ``ksd_sums`` loop
+    :func:`_loops` picks."""
     n = sample.shape[0]
     d2 = _pairwise_sq_dists(sample, sample, grid) if sample_d2 is None else sample_d2()
     if bandwidth == MEDIAN_HEURISTIC:
@@ -719,66 +701,26 @@ def _ksd_channel(sample, qs, grid, bandwidth, sample_d2=None) -> np.ndarray:
     else:
         d2_qs = _pairwise_sq_dists(qs, sample, grid)
         gram_qs = _gaussian_gram(d2_qs, sigma2, out=d2_qs)
-    kernels = compiled.load()
-    sums = _ksd_sums(gram_ss, gram_qs) if kernels is None else kernels.ksd_sums(gram_ss, gram_qs)
+    sums = _loops().ksd_sums(gram_ss, gram_qs)
     return 1.0 - np.sqrt(np.maximum(sums, 0.0)) / n
 
 
-# queries whose distances _ksd_sums holds at a time
-_KSD_QUERY_BLOCK = 32
-
-
 def _ksd_sums(gram_ss, gram_qs) -> np.ndarray:
-    """Per query (row of ``gram_qs``), the sum of its (k, k) terms: the
-    NumPy form of the compiled sums.  Each query's matrix is built by
-    :func:`_ksd_terms` in one reused buffer and summed as a contiguous
-    view, so NumPy's pairwise summation, and with it every bit, is that
-    of a freshly allocated matrix."""
-    n = gram_ss.shape[0]
-    inner_buf, tmp_buf = np.empty(n * n), np.empty(n * n)
+    """The NumPy form of the compiled ``ksd_sums``: per query (row g of
+    ``gram_qs``), the sum of its (k, k) matrix ((1 - g_a) - g_b + G_ab) /
+    (d_a d_b) over the k sample curves a, b at a positive feature distance
+    d.  The matrix is a fresh contiguous array, so ``.sum()`` adds it in
+    NumPy's pairwise order, the order the compiled loop copies."""
     sums = np.empty(gram_qs.shape[0])
-    for lo in range(0, gram_qs.shape[0], _KSD_QUERY_BLOCK):
-        # feature-space distances a block of queries at a time: far fewer
-        # NumPy calls than row by row, far less memory than q x N
-        block = gram_qs[lo:lo + _KSD_QUERY_BLOCK]
-        dist = np.sqrt(np.maximum(2.0 - 2.0 * block, 0.0))
-        keep = dist > 0.0
-        for b, k in enumerate(np.count_nonzero(keep, axis=1)):
-            inner = inner_buf[:k * k].reshape(k, k)
-            _ksd_terms(gram_ss, block[b], dist[b], keep[b], inner, tmp_buf)
-            sums[lo + b] = inner.sum()
+    for i, row in enumerate(gram_qs):
+        d = np.sqrt(np.maximum(2.0 - 2.0 * row, 0.0))
+        keep = d > 0.0
+        g, d = row[keep], d[keep]
+        inner = gram_ss[np.ix_(keep, keep)]
+        inner += (1.0 - g)[:, None] - g[None, :]
+        inner /= d[:, None] * d[None, :]
+        sums[i] = inner.sum()
     return sums
-
-
-def _ksd_terms(gram_ss, g_row, d_row, keep, inner, tmp_buf) -> None:
-    """One query's (k, k) matrix ((1 - g_a) - g_b + G_ab) / (d_a d_b) over
-    the k curves a, b it keeps, written into ``inner``: the NumPy form of
-    the compiled terms, with ``tmp_buf`` (at least k * k doubles) for the
-    temporaries.
-
-    The query drops the sample curves at distance 0: none for an outside
-    query, one (itself) for a sample curve, more only for duplicates.  A
-    fancy-index gather of ``gram_ss`` costs about 8x its slice copies at
-    N = 300, so only duplicates take it.
-    """
-    n, k = gram_ss.shape[0], inner.shape[0]
-    if k >= n - 1:
-        # the one dropped curve, or none: then j = n and the first slice is
-        # all of gram_ss, the other three empty
-        j = int(np.argmin(keep)) if k < n else n
-        inner[:j, :j] = gram_ss[:j, :j]
-        inner[:j, j:] = gram_ss[:j, j + 1:]
-        inner[j:, :j] = gram_ss[j + 1:, :j]
-        inner[j:, j:] = gram_ss[j + 1:, j + 1:]
-    else:
-        inner[...] = gram_ss[np.ix_(keep, keep)]
-    g = g_row[keep]
-    dk = d_row[keep]
-    tmp = tmp_buf[:k * k].reshape(k, k)
-    np.subtract(1.0 - g[:, None], g[None, :], out=tmp)
-    inner += tmp
-    np.multiply(dk[:, None], dk[None, :], out=tmp)
-    inner /= tmp
 
 
 def ksd_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVector:
@@ -786,6 +728,14 @@ def ksd_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVect
     the kernel trick; primed variant averages per-channel depths."""
     return _channel_depth(ds, spec, queries, _ksd_channel, spec.kernel_bandwidth,
                           shared=("sample_d2", _pairwise_sq_dists, ds.grid))
+
+
+# the NumPy forms of the compiled loops, which _loops hands out where those
+# cannot run; pair_keys is None, so a slice's own depths are taken as those
+# of outside queries
+_NUMPY_LOOPS = compiled.Kernels(pair_keys=None, query_keys=_query_keys,
+                                halfspace_sweep=_halfspace_sweep, ksd_sums=_ksd_sums,
+                                spatial_sums=_spatial_sums, sq_diffs=_sq_diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -311,8 +311,12 @@ def run_study(spec: StudySpec, n_jobs: int = 1) -> StudyResult:
     if n_jobs < 1:
         raise ParameterError(f"n_jobs (--threads) must be >= 1, got {n_jobs!r}")
     reps = range(spec.replications)
-    chunks = math.ceil(spec.replications / _STUDY_CHUNK)
-    workers = min(n_jobs, chunks, len(os.sched_getaffinity(0)))
+    workers = min(n_jobs, math.ceil(spec.replications / _STUDY_CHUNK))
+    if workers > 1:
+        # the usable CPUs: os.sched_getaffinity exists only on some platforms
+        # (Linux among them), os.process_cpu_count only from Python 3.13
+        getaffinity = getattr(os, "sched_getaffinity", None)
+        workers = min(workers, len(getaffinity(0)) if getaffinity else os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

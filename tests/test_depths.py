@@ -855,9 +855,9 @@ def ksd_sums_cases(draw):
 
 class TestKsdSums:
     """The compiled ``ksd`` sums equal the NumPy form, each query's (k, k)
-    terms by ``_ksd_terms`` summed by ``inner.sum()``, byte for byte: the C
-    adds in NumPy's pairwise order, so these tests guard against a NumPy
-    that sums otherwise."""
+    terms gathered by ``np.ix_`` into a fresh matrix and summed by
+    ``inner.sum()``, byte for byte: the C adds in NumPy's pairwise order,
+    so these tests guard against a NumPy that sums otherwise."""
 
     @staticmethod
     def assert_same_bits(sample, qs, sigma2):
@@ -901,7 +901,8 @@ class TestKsdMemory:
     differences, and the median heuristic selects in place in a copy of the
     N(N - 1)/2 pairs, the larger of the two at N = 300 and m = 101.  The
     compiled sums then need O(N) more and no (k, k) matrix of terms; the
-    NumPy sums hold two N x N buffers for it, three N x N arrays in all."""
+    NumPy sums hold each query's gathered (k, k) matrix and one temporary
+    of its size, three N x N arrays in all."""
 
     @staticmethod
     def peak(traced_peak, bandwidth, q):

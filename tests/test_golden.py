@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+import fkwc.compiled
 from fkwc import (DepthSpec, FunctionalDataset, Grid, ProcessModel, compute_depth, generate,
                   save_csv)
 from fkwc.cli import main
@@ -108,6 +109,13 @@ def test_same_items(outputs, recorded):
                          + ["simulate"])
 def test_output_matches_recording(name, outputs, recorded):
     assert _same(outputs[name], recorded[name]), name
+
+
+def test_same_bytes_without_the_compiled_library(outputs, tmp_path, monkeypatch):
+    """Every output of the NumPy forms of the compiled loops equals, exactly,
+    the output of the compiled loops (where the library loads)."""
+    monkeypatch.setattr(fkwc.compiled, "load", lambda: None)
+    assert _outputs(tmp_path) == outputs
 
 
 if __name__ == "__main__":

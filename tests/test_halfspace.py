@@ -576,7 +576,7 @@ class TestCompiledSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("NumPy counts ran")
 
-        monkeypatch.setattr(fkwc.depths, "_NumpySweep", refuse)
+        monkeypatch.setattr(fkwc.depths, "_NUMPY_LOOPS", fkwc.compiled.Kernels(*[refuse] * 6))
         pts, qs = self._t1_slices()
         assert halfspace_depth_2d(pts, qs).shape == (101, 40)
         assert halfspace_depth_2d(pts).shape == (101, 40)
@@ -647,8 +647,10 @@ class TestCompiledSweep:
                 return fn(*args, **kwargs)
             return run
 
-        for name in ("_NumpySweep", "_ksd_terms", "_spatial_sum"):
-            monkeypatch.setattr(fkwc.depths, name, spy(name, getattr(fkwc.depths, name)))
+        numpy_loops = fkwc.depths._NUMPY_LOOPS
+        monkeypatch.setattr(fkwc.depths, "_NUMPY_LOOPS", numpy_loops._replace(**{
+            name: spy(name, getattr(numpy_loops, name))
+            for name in ("halfspace_sweep", "ksd_sums", "spatial_sums")}))
         got = halfspace_depth_2d(pts, qs)
         assert got.tobytes() == counted_by(kernels, halfspace_depth_2d, pts, qs).tobytes()
         ds = _t1_dataset(30)
@@ -657,7 +659,7 @@ class TestCompiledSweep:
             got = compute_depth(ds, spec, ds.curves).values
             assert got.tobytes() == counted_by(kernels, compute_depth, ds, spec,
                                                ds.curves).values.tobytes()
-        assert ran == {"_NumpySweep", "_ksd_terms", "_spatial_sum"}
+        assert ran == {"halfspace_sweep", "ksd_sums", "spatial_sums"}
 
     def test_damaged_cached_library_is_rebuilt(self, kernels, fresh_load, tmp_path,
                                                monkeypatch):
@@ -672,7 +674,7 @@ class TestCompiledSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("NumPy counts ran")
 
-        monkeypatch.setattr(fkwc.depths, "_NumpySweep", refuse)
+        monkeypatch.setattr(fkwc.depths, "_NUMPY_LOOPS", fkwc.compiled.Kernels(*[refuse] * 6))
         assert halfspace_depth_2d(pts, qs).tobytes() == want
         assert [f.name for f in path.parent.iterdir()] == [path.name]
 
@@ -735,7 +737,7 @@ class TestEventLayout:
     def test_numpy_events(self, n):
         pts, qs, bits = layout_cases(n)
         cells = np.empty((qs.shape[2], n), dtype=np.uint64)
-        fkwc.depths._NumpySweep(cells.size).query_keys(pts, qs, 0, cells.shape[0], bits, cells)
+        fkwc.depths._NUMPY_LOOPS.query_keys(pts, qs, 0, cells.shape[0], bits, cells)
         assert_positive_normal_doubles(cells, bits, [0, "top", "capped"])
 
 

@@ -430,3 +430,36 @@ def test_compiled_library_owned_by_one_module():
                 compiled_importers.add(path.name)
     assert ctypes_importers == {"compiled.py"}, ctypes_importers
     assert compiled_importers == loaders == {"depths.py"}, (compiled_importers, loaders)
+
+
+def test_loops_chosen_only_in_loops():
+    """In depths.py only ``_loops`` calls ``compiled.load``, and no other
+    function compares a loop table (``compiled.load()``, ``_loops(...)``
+    or a name bound to either) with None: each kernel runs the table that
+    ``_loops`` hands it, compiled or NumPy, without branching on which."""
+
+    def is_table(node, names):
+        if isinstance(node, ast.Name):
+            return node.id in names
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None) == "_loops"
+            or (getattr(node.func, "attr", None) == "load"
+                and getattr(node.func.value, "id", None) == "compiled"))
+
+    loaders, branches = set(), []
+    for top in ast.parse((SRC / "fkwc" / "depths.py").read_text()).body:
+        name = getattr(top, "name", f"line {top.lineno}")
+        names = {t.id for node in ast.walk(top) if isinstance(node, ast.Assign)
+                 and is_table(node.value, set()) for t in node.targets
+                 if isinstance(t, ast.Name)}
+        for node in ast.walk(top):
+            if is_table(node, set()) and getattr(node.func, "attr", None) == "load":
+                loaders.add(name)
+            if (name != "_loops" and isinstance(node, ast.Compare)
+                    and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)):
+                operands = [node.left, *node.comparators]
+                if (any(isinstance(o, ast.Constant) and o.value is None for o in operands)
+                        and any(is_table(o, names) for o in operands)):
+                    branches.append(f"{name} at line {node.lineno}")
+    assert loaders == {"_loops"}, loaders
+    assert not branches, branches

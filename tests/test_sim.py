@@ -1,6 +1,7 @@
 """Process generators and the replicated study harness."""
 
 import concurrent.futures
+import os
 import pickle
 from dataclasses import replace
 
@@ -435,6 +436,15 @@ class TestRunStudy:
         assert started == ([] if workers is None else [workers])
         want = run_study(spec, n_jobs=1)
         np.testing.assert_array_equal(got.rejection_rates, want.rejection_rates)
+
+    def test_runs_without_sched_getaffinity(self, grid21, monkeypatch):
+        # os.sched_getaffinity exists only on some platforms (not on macOS or
+        # Windows): there a study caps its workers by os.cpu_count()
+        spec = self._small_spec(grid21)
+        want = run_study(spec).rejection_rates
+        monkeypatch.delattr(os, "sched_getaffinity")
+        for n_jobs in (1, 2):
+            np.testing.assert_array_equal(run_study(spec, n_jobs=n_jobs).rejection_rates, want)
 
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_n_jobs_below_one_refused(self, n_jobs, grid21):
