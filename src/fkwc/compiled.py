@@ -3,11 +3,11 @@
 The loops of three depths of :mod:`fkwc.depths` run here when a C
 compiler is found:
 
-* ``pair_keys``, ``query_keys`` and ``halfspace_sweep``: the events of
+* ``query_keys`` and ``halfspace_sweep``: the events of
   :func:`fkwc.depths.halfspace_depth_2d` (``mfhd'``), one uint64 per pair
-  of points (or of query and point), laid out to read as positive normal
-  doubles so that rows sort as doubles, and the one pass over each sorted
-  row that counts the exact Tukey depths;
+  of query and point, laid out to read as positive normal doubles so that
+  rows sort as doubles, and the one pass over each query's sorted row that
+  counts its exact Tukey depth;
 * ``ksd_sums``: each query's sum of its (k, k) kernel-trick terms, for
   ``ksd``, formed 128 at a time on the stack and added in the pairwise
   order in which NumPy sums a contiguous array, so no (k, k) matrix is
@@ -30,16 +30,15 @@ whole library, and a cached file that does not load (junk, or cut short)
 is built again, once.  Without a compiler, when the build or the load
 fails, or when the library lacks any of its functions, :func:`load`
 returns None, and ``depths._loops`` hands out the plain NumPy form of
-each loop, which takes the same arguments (``pair_keys`` excepted: there
-the points' own depths are taken as those of outside queries).  Either
-way the choice is made once per process, and the results are the same
-bits: the ``ksd`` and ``spatial`` functions do the IEEE operations of
-their NumPy forms, in the same order, and the halfspace counts are exact
-on both paths.  ``FLAGS`` build at -O3, which vectorises the elementwise
-loops (GCC 12's -O2 does not), and keep -ffp-contract=off; a vector IEEE
-divide rounds as the scalar one does.
+each loop, which takes the same arguments.  Either way the choice is
+made once per process, and the results are the same bits: the ``ksd``
+and ``spatial`` functions do the IEEE operations of their NumPy forms,
+in the same order, and the halfspace counts are exact on both paths.
+``FLAGS`` build at -O3, which vectorises the elementwise loops (GCC 12's
+-O2 does not), and keep -ffp-contract=off; a vector IEEE divide rounds
+as the scalar one does.
 
-The six exported functions are built once per level of ``CLONES``:
+The five exported functions are built once per level of ``CLONES``:
 x86-64-v4 (AVX-512), x86-64-v3 (AVX2 and FMA) and the baseline the flags
 target, and the loader picks the clone of the CPU when the library
 loads.  GCC 11 and later build the clones on x86-64 with glibc, whose
@@ -94,18 +93,18 @@ SOURCE = r"""
 #endif
 #endif
 
-/* mfhd': the exact bivariate Tukey depth by one sweep of pair directions.
-   An event is the line through a first point f (a sample point, or the
-   row's one query) and a second point s: the 64 bits hold a zero, a one
-   (bit 61), its direction's pseudo-angle in [0, 2) as a fixed-point key of
-   61 - bits bits, then f and s in ib = (bits - 1) / 2 bits each, then a
-   flip bit, set when s lies below f (dy < 0, or dy = 0 and dx < 0), so
-   that w = flip ? f - s : s - f is the direction, in [0, pi).  Read as a
-   double, an event is positive and normal (its exponent field starts 01),
-   and such doubles sort in the order of their bits.  A pair of coincident
-   points gets the largest key, KMAX (from top = 2 - 2^(bits - 60)), which
-   sorts last; the others are capped at KMAX - 1 (from
-   cap = 2 - 2^(bits - 59)). */
+/* mfhd': the exact bivariate Tukey depth by one sweep of each query's
+   directions.  An event is the line through a first point f, the row's
+   query (f is 0), and a second point s, a sample point: the 64 bits hold
+   a zero, a one (bit 61), its direction's pseudo-angle in [0, 2) as a
+   fixed-point key of 61 - bits bits, then f and s in ib = (bits - 1) / 2
+   bits each, then a flip bit, set when s lies below f (dy < 0, or dy = 0
+   and dx < 0), so that w = flip ? f - s : s - f is the direction, in
+   [0, pi).  Read as a double, an event is positive and normal (its
+   exponent field starts 01), and such doubles sort in the order of their
+   bits.  A pair of coincident points gets the largest key, KMAX (from
+   top = 2 - 2^(bits - 60)), which sorts last; the others are capped at
+   KMAX - 1 (from cap = 2 - 2^(bits - 59)). */
 static inline uint64_t hs_event(double dx, double dy, uint64_t idx, double cap, double top,
                                 int64_t bits)
 {
@@ -124,28 +123,6 @@ static inline uint64_t hs_event(double dx, double dy, uint64_t idx, double cap, 
     memcpy(&kb, &k2, sizeof kb);
     return ((kb & ((UINT64_C(1) << 52) - 1)) >> (bits - 9)) << bits | UINT64_C(1) << 61 | idx
            | kb >> 63;
-}
-
-/* The n(n - 1)/2 events i < j of each slice t0 <= t < t1 of pts, a stack of
-   (2, n) coordinate slices, one row of out per slice. */
-FKWC_CLONES
-void fkwc_pair_keys(const double *pts, int64_t n, int64_t t0, int64_t t1, int64_t bits,
-                    uint64_t *out)
-{
-    int64_t ib = (bits - 1) / 2;
-    double cap = 2.0 - ldexp(1.0, (int)(bits - 59)), top = 2.0 - ldexp(1.0, (int)(bits - 60));
-    for (int64_t t = t0; t < t1; t++) {
-        const double *x = pts + t * 2 * n, *y = x + n;
-        for (int64_t i = 0; i < n; i++) {
-            double xi = x[i], yi = y[i];
-            uint64_t fi = (uint64_t)i << (ib + 1);
-            uint64_t *restrict o = out;
-            for (int64_t j = i + 1; j < n; j++)
-                o[j - i - 1] = hs_event(x[j] - xi, y[j] - yi, fi | (uint64_t)j << 1, cap, top,
-                                        bits);
-            out += n - i - 1;
-        }
-    }
 }
 
 /* The n events of each cell c0 <= c < c1, the query c % q of slice c / q of
@@ -250,62 +227,31 @@ static void hs_sort(uint64_t *ev, int64_t len, uint64_t *tmp, const struct hs_ta
         ev[x] = tmp[x];
 }
 
-/* Moves first point f's line past its second point s and, when shared,
-   s's past f: R[i] is D[i] - D0[i], where D = 2 L - K and L counts the
-   points left of the line through i, and hi[i] and lo[i] its extremes at
-   the ends of groups, read by hs_read. */
-static inline void hs_move(uint64_t e, int64_t ib, uint64_t mask, int shared, int64_t *R)
+/* The most points an open halfplane through one query holds, from its row
+   of len ascending events.  K counts the points not coincident with the
+   query, and L of them lie left of the line through the query that
+   rotates from just before direction 0 (a point is left when above) to
+   just before pi; with D = 2 L - K, max(L, K - L) = (K + |D|) / 2.  An
+   event moves its point across the line, and R = D - D0 is read at the
+   end of each group of events of one direction.  The sweep ends where it
+   started, sides swapped, so D ends at -D0 and R at -2 D0: one pass gives
+   D0 and the extremes of D.  Keys within 4 units of each other are
+   ordered, and grouped by equal direction, by hs_sign.  Always inlined: a
+   static function GCC does not inline into a clone is built for the
+   baseline alone. */
+__attribute__((always_inline)) static inline int64_t
+hs_row(uint64_t *ev, int64_t len, const struct hs_table *tb, uint64_t *tmp)
 {
-    int64_t f = e >> (ib + 1) & mask, s = e >> 1 & mask, d = 4 * (int64_t)(e & 1) - 2;
-    R[f] += d;
-    if (shared)
-        R[s] -= d;
-}
-
-static inline void hs_read(uint64_t e, int64_t ib, uint64_t mask, int shared, const int64_t *R,
-                           int64_t *hi, int64_t *lo)
-{
-    int64_t f = e >> (ib + 1) & mask, s = e >> 1 & mask;
-    hi[f] = R[f] > hi[f] ? R[f] : hi[f];
-    lo[f] = R[f] < lo[f] ? R[f] : lo[f];
-    if (shared) {
-        hi[s] = R[s] > hi[s] ? R[s] : hi[s];
-        lo[s] = R[s] < lo[s] ? R[s] : lo[s];
-    }
-}
-
-/* One row of ascending events: K[i] counts the points not coincident with
-   first point i, and ends as the most of them that an open halfplane
-   through i holds.  L[i] of them lie left of the line through i that rotates from just
-   before direction 0 (a point is left when above) to just before pi; with
-   D = 2 L - K, max(L, K - L) = (K + |D|) / 2.  An event moves its second
-   point across its first point's line and, when shared (the row holds
-   every pair of one sample), the first across the second's.  The sweep
-   ends where it started, sides swapped, so D ends at -D0 and R at -2 D0:
-   one pass gives D0 and the extremes of D.  Keys within 4 units of each
-   other are ordered, and grouped by equal direction, by hs_sign.  Always
-   inlined: a static function GCC does not inline into a clone is built
-   for the baseline alone. */
-__attribute__((always_inline)) static inline void
-hs_row(uint64_t *ev, int64_t len, const struct hs_table *tb, int64_t slots, int shared,
-       int64_t others, int64_t *R, int64_t *hi, int64_t *lo, int64_t *K, uint64_t *tmp)
-{
-    int64_t ib = tb->ib, bits = 2 * ib + 1;
+    int64_t bits = 2 * tb->ib + 1, K = len, R = 0, hi = 0, lo = 0;
     /* ev >> bits of a coincident pair: bit 61 and KMAX */
-    uint64_t mask = (UINT64_C(1) << ib) - 1, last = (UINT64_C(1) << (62 - bits)) - 1;
-    for (int64_t i = 0; i < slots; i++) {
-        R[i] = hi[i] = lo[i] = 0;
-        K[i] = others;
-    }
-    for (; len > 0 && ev[len - 1] >> bits == last; len--) { /* coincident pairs */
-        K[ev[len - 1] >> (ib + 1) & mask]--;
-        if (shared)
-            K[ev[len - 1] >> 1 & mask]--;
-    }
+    uint64_t last = (UINT64_C(1) << (62 - bits)) - 1;
+    for (; len > 0 && ev[len - 1] >> bits == last; len--) /* coincident points */
+        K--;
     for (int64_t e = 0; e < len; e++) {
         if (e + 1 == len || (ev[e + 1] >> bits) - (ev[e] >> bits) >= 4) {
-            hs_move(ev[e], ib, mask, shared, R); /* the one event of its direction */
-            hs_read(ev[e], ib, mask, shared, R, hi, lo);
+            R += 4 * (int64_t)(ev[e] & 1) - 2; /* the one event of its direction */
+            hi = R > hi ? R : hi;
+            lo = R < lo ? R : lo;
             continue;
         }
         int64_t c = e + 2;
@@ -316,42 +262,29 @@ hs_row(uint64_t *ev, int64_t len, const struct hs_table *tb, int64_t slots, int 
             int64_t h = g + 1;
             while (h < c && hs_sign(tb, ev[h - 1], ev[h]) == 0)
                 h++;
-            for (int64_t x = g; x < h; x++)
-                hs_move(ev[x], ib, mask, shared, R);
-            for (int64_t x = g; x < h; x++)
-                hs_read(ev[x], ib, mask, shared, R, hi, lo);
-            g = h;
+            for (; g < h; g++)
+                R += 4 * (int64_t)(ev[g] & 1) - 2;
+            hi = R > hi ? R : hi;
+            lo = R < lo ? R : lo;
         }
         e = c - 1;
     }
-    for (int64_t i = 0; i < slots; i++) {
-        int64_t d0 = -R[i] / 2, up = d0 + hi[i], down = -(d0 + lo[i]);
-        K[i] = (K[i] + (up > down ? up : down)) / 2;
-    }
+    int64_t d0 = -R / 2, up = d0 + hi, down = -(d0 + lo);
+    return (K + (up > down ? up : down)) / 2;
 }
 
-/* Depths (n - best) / n from rows of len ascending events: with qs NULL,
-   row r holds every pair of slice c0 + r of pts and writes its n depths to
-   out[(c0 + r) n ...]; else row r is cell c = c0 + r of fkwc_query_keys
-   and writes out[c].  work holds 4n int64, tmp len events. */
+/* Depths (n - best) / n of cells c0, c0 + 1, ... of fkwc_query_keys from
+   their rows of n ascending events, one row per cell, into out[c]; tmp
+   holds n events. */
 FKWC_CLONES
-void fkwc_halfspace_sweep(uint64_t *events, int64_t rows, int64_t len, const double *pts,
-                          const double *qs, int64_t n, int64_t q, int64_t c0, int64_t bits,
-                          int64_t *work, uint64_t *tmp, double *out)
+void fkwc_halfspace_sweep(uint64_t *events, int64_t rows, const double *pts, const double *qs,
+                          int64_t n, int64_t q, int64_t c0, int64_t bits, uint64_t *tmp,
+                          double *out)
 {
-    for (int64_t r = 0; r < rows; r++) {
-        int64_t c = c0 + r, t = qs ? c / q : c, slots = qs ? 1 : n;
-        struct hs_table tb;
-        tb.px = pts + t * 2 * n;
-        tb.py = tb.px + n;
-        tb.qx = qs ? qs + t * 2 * q + c % q : tb.px;
-        tb.qy = qs ? tb.qx + q : tb.py;
-        tb.ib = (bits - 1) / 2;
-        hs_row(events + r * len, len, &tb, slots, !qs, qs ? n : n - 1, work, work + n,
-               work + 2 * n, work + 3 * n, tmp);
-        double *o = qs ? out + c : out + c * n;
-        for (int64_t i = 0; i < slots; i++)
-            o[i] = (double)(n - work[3 * n + i]) / (double)n;
+    for (int64_t c = c0; c < c0 + rows; c++) {
+        const double *qx = qs + c / q * 2 * q + c % q, *px = pts + c / q * 2 * n;
+        struct hs_table tb = {qx, qx + q, px, px + n, (bits - 1) / 2};
+        out[c] = (double)(n - hs_row(events + (c - c0) * n, n, &tb, tmp)) / (double)n;
     }
 }
 
@@ -559,7 +492,6 @@ class Kernels(NamedTuple):
     """The loops, compiled, or in NumPy as ``depths._NUMPY_LOOPS``; see the
     module docstring."""
 
-    pair_keys: Callable
     query_keys: Callable
     halfspace_sweep: Callable
     ksd_sums: Callable
@@ -569,9 +501,8 @@ class Kernels(NamedTuple):
 
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 _SIGNATURES = {
-    "fkwc_pair_keys": (_P, _I, _I, _I, _I, _P),
     "fkwc_query_keys": (_P, _P, _I, _I, _I, _I, _I, _P),
-    "fkwc_halfspace_sweep": (_P, _I, _I, _P, _P, _I, _I, _I, _I, _P, _P, _P),
+    "fkwc_halfspace_sweep": (_P, _I, _P, _P, _I, _I, _I, _I, _P, _P),
     "fkwc_ksd_sums": (_P, _I, _P, _I, _P, _P, _P),
     "fkwc_spatial_sums": (_P, _P, _P, _I, _I, _I, _P),
     "fkwc_sq_diffs": (_P, _P, _I, _I, _I, _I, _P),
@@ -606,11 +537,6 @@ def bind(path) -> Kernels:
         fns[name].argtypes = argtypes
         fns[name].restype = None
 
-    def pair_keys(pts: np.ndarray, t0: int, t1: int, bits: int, out: np.ndarray) -> None:
-        """The events of every pair of each slice t0 <= t < t1 of the
-        contiguous (k, 2, n) ``pts`` into the rows of ``out``."""
-        fns["fkwc_pair_keys"](pts.ctypes.data, pts.shape[2], t0, t1, bits, out.ctypes.data)
-
     def query_keys(pts: np.ndarray, qs: np.ndarray, c0: int, c1: int, bits: int,
                    out: np.ndarray) -> None:
         """The events of cells c0 <= c < c1 (query c % q of slice c // q of
@@ -618,20 +544,15 @@ def bind(path) -> Kernels:
         fns["fkwc_query_keys"](pts.ctypes.data, qs.ctypes.data, pts.shape[2], qs.shape[2],
                                c0, c1, bits, out.ctypes.data)
 
-    def halfspace_sweep(events: np.ndarray, pts: np.ndarray, qs, c0: int, bits: int,
-                        out: np.ndarray) -> None:
-        """The depths of the sorted rows of ``events`` into the contiguous
-        (k, q) ``out``: slices c0, c0 + 1, ... of ``pts`` when ``qs`` is
-        None, else cells c0, c0 + 1, ...; ``events`` is reordered where
-        keys tie."""
-        rows, length = events.shape
-        n = pts.shape[2]
-        work = np.empty(4 * n, dtype=np.int64)
-        tmp = np.empty(length, dtype=np.uint64)
-        fns["fkwc_halfspace_sweep"](events.ctypes.data, rows, length, pts.ctypes.data,
-                                    None if qs is None else qs.ctypes.data, n,
-                                    0 if qs is None else qs.shape[2], c0, bits,
-                                    work.ctypes.data, tmp.ctypes.data, out.ctypes.data)
+    def halfspace_sweep(events: np.ndarray, pts: np.ndarray, qs: np.ndarray, c0: int,
+                        bits: int, out: np.ndarray) -> None:
+        """The depths of cells c0, c0 + 1, ... from their sorted rows of
+        ``events`` into the contiguous (k, q) ``out``; ``events`` is
+        reordered where keys tie."""
+        rows, n = events.shape
+        tmp = np.empty(n, dtype=np.uint64)
+        fns["fkwc_halfspace_sweep"](events.ctypes.data, rows, pts.ctypes.data, qs.ctypes.data,
+                                    n, qs.shape[2], c0, bits, tmp.ctypes.data, out.ctypes.data)
 
     def ksd_sums(gram: np.ndarray, gq: np.ndarray) -> np.ndarray:
         """Per row of the (q, n) kernel values ``gq``, the sum of its
@@ -668,4 +589,4 @@ def bind(path) -> Kernels:
         fns["fkwc_sq_diffs"](a.ctypes.data, b.ctypes.data, i0, i1, b.shape[0], b.shape[1],
                              out.ctypes.data)
 
-    return Kernels(pair_keys, query_keys, halfspace_sweep, ksd_sums, spatial_sums, sq_diffs)
+    return Kernels(query_keys, halfspace_sweep, ksd_sums, spatial_sums, sq_diffs)

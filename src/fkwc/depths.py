@@ -343,13 +343,8 @@ def rp_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVecto
 # ---------------------------------------------------------------------------
 
 # events a halfspace_depth_2d call holds at a time, 8 bytes each: blocks of
-# slices while one slice's n(n - 1)/2 pairs fit (n <= 362), else blocks of
 # queries, n events each (past n = 65,536, one query's n)
 _HALFSPACE_BLOCK_KEYS = 1 << 16
-# a slice's pairs, keyed once each for the points' own depths, are held in
-# one block of their own up to this many (4 MB, n <= 1,024), not keyed
-# twice as outside queries
-_HALFSPACE_SLICE_KEYS = 1 << 19
 
 # the compiled predicates are exact on coordinates of magnitude 0 or within
 # these bounds, where no error-free product under- or overflows; other
@@ -363,16 +358,16 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) ->
     ``points`` (n, 2) and ``queries`` (q, 2) give the q depths; stacks of
     k such slices, (k, n, 2) and (k, q, 2), give (k, q), slice t of the
     queries against slice t of the points.  Without ``queries`` the points
-    are their own queries, and each pair of points serves both.
+    are their own queries.
 
     The depth of q is (n - the most points an open halfplane through q
     holds) / n.  A line turning about q carries a point from one side to
     the other as it passes the point's direction; Rousseeuw & Ruts (AS 307,
-    1996) sort those directions for each query and sweep them.  Here each
-    pair of points (or of query and point) is one event, the direction of
-    the line through both, keyed by a division-only pseudo-angle in [0, 2)
-    and packed with the pair's indices into a uint64, so that one row sort
-    orders a slice's events for all of its points and one pass counts.
+    1996) sort those directions for each query and sweep them, as here:
+    each pair of query and point is one event, the direction of the line
+    through both, keyed by a division-only pseudo-angle in [0, 2) and
+    packed with the point's index into a uint64, so that one row sort
+    orders a query's events and one pass over the row counts.
     Bit 61 is set and bits 62 and 63 clear, so that an event read as a
     double is positive and normal: the rows sort as doubles (faster in
     NumPy than as uint64), in the order of their bits, with or without
@@ -382,48 +377,41 @@ def halfspace_depth_2d(points: np.ndarray, queries: np.ndarray | None = None) ->
     and grouped by the exact sign of the cross product of their
     directions.  The counts are exact, so both paths that :func:`_loops`
     chooses between, the compiled one of :mod:`fkwc.compiled` and the NumPy
-    one (which takes the points' own depths as outside queries), give the
-    same bytes.
+    one, give the same bytes.
 
-    Cost: O(k n^2 log n) time for the points' own depths, O(k q n log n)
-    for q queries, in blocks of at most ``_HALFSPACE_BLOCK_KEYS`` events,
-    or one slice's n(n - 1)/2 where those exceed it, up to
-    ``_HALFSPACE_SLICE_KEYS``; shapes and finiteness are checked once per
-    call.
+    Cost: O(k q n log n) time for q queries (q = n for the points' own
+    depths), in blocks of at most ``_HALFSPACE_BLOCK_KEYS`` events, or one
+    query's n where those exceed it; shapes and finiteness are checked
+    once per call and distinct array.
     """
     pts = np.asarray(points, dtype=float)
     qs = pts if queries is None else np.asarray(queries, dtype=float)
     if pts.ndim == qs.ndim == 2:
-        return halfspace_depth_2d(pts[None], None if queries is None else qs[None])[0]
+        return halfspace_depth_2d(pts[None], None if qs is pts else qs[None])[0]
     if (pts.ndim != 3 or qs.ndim != 3 or pts.shape[::2] != qs.shape[::2]
             or pts.shape[1] < 1 or pts.shape[2] != 2):
         raise DataError(f"points and queries must have shapes ([k,] n >= 1, 2) and "
                         f"([k,] q, 2), got {pts.shape} and {qs.shape}")
-    if not (np.isfinite(pts).all() and np.isfinite(qs).all()):
-        raise DataError("points and queries must be finite")
     k, n, _ = pts.shape
     q = qs.shape[1]
-    # (k, 2, n) and (k, 2, q): each slice's x and y as contiguous rows
-    pts = np.ascontiguousarray(pts.transpose(0, 2, 1))
-    qs = pts if queries is None else np.ascontiguousarray(qs.transpose(0, 2, 1))
+    # (k, 2, n) and (k, 2, q): each slice's x and y as contiguous rows, made
+    # and checked once per distinct array
+    coords = [np.ascontiguousarray(a.transpose(0, 2, 1))
+              for a in ((pts,) if qs is pts else (pts, qs))]
+    if not all(np.isfinite(a).all() for a in coords):
+        raise DataError("points and queries must be finite")
+    pts, qs = coords[0], coords[-1]
+    loops = _loops(*coords)
     # two indices of at least 10 bits and a flip bit below the 61 - bits of key
     bits = 2 * max(10, (n - 1).bit_length()) + 1
-    loops = _loops(pts) if qs is pts else _loops(pts, qs)
-    pairs = n * (n - 1) // 2
-    shared = queries is None and pairs <= _HALFSPACE_SLICE_KEYS and loops.pair_keys is not None
-    step, length, total = ((max(1, _HALFSPACE_BLOCK_KEYS // max(pairs, 1)), pairs, k) if shared
-                           else (max(1, _HALFSPACE_BLOCK_KEYS // n), n, k * q))
-    events = np.empty(min(step, total) * length, dtype=np.uint64)
+    step = max(1, _HALFSPACE_BLOCK_KEYS // n)
+    events = np.empty(min(step, k * q) * n, dtype=np.uint64)
     out = np.empty((k, q))
-    for c0 in range(0, total, step):
-        c1 = min(total, c0 + step)
-        ev = events[:(c1 - c0) * length].reshape(c1 - c0, length)
-        if shared:
-            loops.pair_keys(pts, c0, c1, bits, ev)
-        else:
-            loops.query_keys(pts, qs, c0, c1, bits, ev)
+    for c0 in range(0, k * q, step):
+        ev = events[:min(step, k * q - c0) * n].reshape(-1, n)
+        loops.query_keys(pts, qs, c0, c0 + ev.shape[0], bits, ev)
         ev.view(np.float64).sort(axis=1)
-        loops.halfspace_sweep(ev, pts, None if shared else qs, c0, bits, out)
+        loops.halfspace_sweep(ev, pts, qs, c0, bits, out)
     return out
 
 
@@ -731,11 +719,10 @@ def ksd_depth(ds: FunctionalDataset, spec: DepthSpec, queries=None) -> DepthVect
 
 
 # the NumPy forms of the compiled loops, which _loops hands out where those
-# cannot run; pair_keys is None, so a slice's own depths are taken as those
-# of outside queries
-_NUMPY_LOOPS = compiled.Kernels(pair_keys=None, query_keys=_query_keys,
-                                halfspace_sweep=_halfspace_sweep, ksd_sums=_ksd_sums,
-                                spatial_sums=_spatial_sums, sq_diffs=_sq_diffs)
+# cannot run
+_NUMPY_LOOPS = compiled.Kernels(query_keys=_query_keys, halfspace_sweep=_halfspace_sweep,
+                                ksd_sums=_ksd_sums, spatial_sums=_spatial_sums,
+                                sq_diffs=_sq_diffs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ under exact maps of the plane and without NumPy's AVX-512 kernels."""
 
 import os
 import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -343,9 +344,9 @@ def _t1_dataset(n):
 
 
 def assert_exact(pts, qs):
-    """Both count paths give the oracle's depths at ``qs``, and the points'
-    own depths (each pair shared by its two points) are the bytes of the
-    points queried as outside queries."""
+    """Both count paths give the oracle's depths at ``qs`` and at the points
+    themselves, each point's depth from its own row of events, whether the
+    points are passed once or also as the queries."""
     want, want_own = stacked_oracle(pts, qs), stacked_oracle(pts)
     for load in (fkwc.compiled.load(), None):
         got = counted_by(load, halfspace_depth_2d, pts, qs)
@@ -431,14 +432,11 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("name, keys", [
         pytest.param("_HALFSPACE_BLOCK_KEYS", 1 << 14, id="16384"),
         pytest.param("_HALFSPACE_BLOCK_KEYS", 7 * 60, id="420"),
-        pytest.param("_HALFSPACE_SLICE_KEYS", 7 * 60, id="slice-420"),
     ])
     def test_stack_equals_slices(self, name, keys, monkeypatch):
         # t-distributed slices, one on a lattice so that ties are common;
-        # 1 << 14 block keys hold 9 slices' 1,770 pairs, 7 x 60 only 7
-        # queries' 60 events, so that each slice's pairs are a block of
-        # their own; 7 x 60 slice keys hold no slice's pairs, so the points'
-        # own depths are taken query by query too
+        # 1 << 14 block keys hold 273 queries' 60 events, blocks that span
+        # slices, 7 x 60 only 7 queries' events
         rng = np.random.default_rng(12)
         pts = rng.standard_t(1, size=(5, 60, 2))
         pts[2] = rng.integers(-2, 3, size=(60, 2))
@@ -468,18 +466,16 @@ class TestBatchedKernel:
         assert_exact(pts, qs)
 
     def test_blocks_match_one_block(self):
-        # 7 x 60 block keys: 7 queries' events, or the 1,770 pairs of the
-        # points' own depths as one block; 7 x 60 slice keys: the points'
-        # own depths query by query
+        # 7 x 60 block keys: 7 queries' events, for outside queries and for
+        # the points' own depths alike
         rng = np.random.default_rng(11)
         pts = rng.standard_t(1, size=(60, 2))
         qs = np.concatenate([pts, rng.standard_t(1, size=(13, 2))])
         whole, own = halfspace_depth_2d(pts, qs), halfspace_depth_2d(pts)
-        for name in ("_HALFSPACE_BLOCK_KEYS", "_HALFSPACE_SLICE_KEYS"):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(fkwc.depths, name, 7 * 60)
-                assert np.array_equal(halfspace_depth_2d(pts, qs), whole), name
-                assert halfspace_depth_2d(pts).tobytes() == own.tobytes(), name
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fkwc.depths, "_HALFSPACE_BLOCK_KEYS", 7 * 60)
+            assert np.array_equal(halfspace_depth_2d(pts, qs), whole)
+            assert halfspace_depth_2d(pts).tobytes() == own.tobytes()
         assert np.array_equal(whole, sweep_reference(pts, qs))
         assert own.tobytes() == whole[:60].tobytes()
 
@@ -496,6 +492,14 @@ class TestBatchedKernel:
         want = stacked_oracle(pts / scale)
         with np.errstate(all="raise"):
             assert halfspace_depth_2d(pts).tolist() == want.tolist()
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_own_depths_memory_bound(self, n, kernels, traced_peak):
+        # a block of events and the sweep's scratch copy of one row, then
+        # 32 bytes a point for the stack of points and the depths
+        pts = np.random.default_rng(n).standard_t(1, size=(3, n, 2))
+        peak = traced_peak(lambda: halfspace_depth_2d(pts))
+        assert peak <= 2 * 8 * fkwc.depths._HALFSPACE_BLOCK_KEYS + 32 * 3 * n
 
     def test_no_queries(self):
         out = halfspace_depth_2d(np.zeros((3, 2)), np.zeros((0, 2)))
@@ -572,11 +576,20 @@ class TestCompiledSweep:
         assert "target_clones(" + ", ".join(f'"{c}"' for c in clones) + ")" in \
             fkwc.compiled.SOURCE
 
+    def test_one_table_of_loops(self):
+        # each exported loop is cloned, bound and a field of Kernels: none
+        # of the three lists keeps a loop the others dropped
+        cloned = set(re.findall(r"^FKWC_CLONES\n[^(]*?(\w+)\(", fkwc.compiled.SOURCE, re.M))
+        assert cloned
+        assert cloned == set(fkwc.compiled._SIGNATURES)
+        assert cloned == {"fkwc_" + f for f in fkwc.compiled.Kernels._fields}
+
     def test_kernel_takes_the_compiled_counts(self, kernels, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("NumPy counts ran")
 
-        monkeypatch.setattr(fkwc.depths, "_NUMPY_LOOPS", fkwc.compiled.Kernels(*[refuse] * 6))
+        monkeypatch.setattr(fkwc.depths, "_NUMPY_LOOPS",
+                            fkwc.compiled.Kernels(*[refuse] * len(fkwc.compiled.Kernels._fields)))
         pts, qs = self._t1_slices()
         assert halfspace_depth_2d(pts, qs).shape == (101, 40)
         assert halfspace_depth_2d(pts).shape == (101, 40)
@@ -613,15 +626,14 @@ class TestCompiledSweep:
         'for a; do out=$a; done; echo junk > "$out"',
         'for a; do out=$a; done; PATH={path} {cc} -shared -fPIC -x c /dev/null -o "$out"',
         # the source with one function renamed: the library lacks that one
-        'PATH={path} exec {cc} -Dfkwc_pair_keys=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_query_keys=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_halfspace_sweep=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_ksd_sums=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_spatial_sums=fkwc_renamed "$@"',
         'PATH={path} exec {cc} -Dfkwc_sq_diffs=fkwc_renamed "$@"',
-    ], ids=["compiler-fails", "library-unloadable", "function-missing", "pair-keys-missing",
-            "query-keys-missing", "halfspace-sweep-missing", "ksd-sums-missing",
-            "spatial-sums-missing", "sq-diffs-missing"])
+    ], ids=["compiler-fails", "library-unloadable", "function-missing", "query-keys-missing",
+            "halfspace-sweep-missing", "ksd-sums-missing", "spatial-sums-missing",
+            "sq-diffs-missing"])
     def test_failed_build_falls_back(self, compiler, kernels, fresh_load, tmp_path,
                                      monkeypatch):
         bin_dir = tmp_path / "bin"
@@ -674,7 +686,8 @@ class TestCompiledSweep:
         def refuse(*args, **kwargs):
             raise AssertionError("NumPy counts ran")
 
-        monkeypatch.setattr(fkwc.depths, "_NUMPY_LOOPS", fkwc.compiled.Kernels(*[refuse] * 6))
+        monkeypatch.setattr(fkwc.depths, "_NUMPY_LOOPS",
+                            fkwc.compiled.Kernels(*[refuse] * len(fkwc.compiled.Kernels._fields)))
         assert halfspace_depth_2d(pts, qs).tobytes() == want
         assert [f.name for f in path.parent.iterdir()] == [path.name]
 
@@ -724,12 +737,13 @@ class TestEventLayout:
     @pytest.mark.parametrize("n", [1, 2, 1024, 1025])
     def test_compiled_events(self, n, kernels):
         pts, qs, bits = layout_cases(n)
-        own = np.empty((1, n * (n - 1) // 2), dtype=np.uint64)
-        kernels.pair_keys(pts, 0, 1, bits, own)
+        own = np.empty((n, n), dtype=np.uint64)
+        kernels.query_keys(pts, pts, 0, n, bits, own)
         cells = np.empty((qs.shape[2], n), dtype=np.uint64)
         kernels.query_keys(pts, qs, 0, cells.shape[0], bits, cells)
-        # one point has no pairs; two have one, of key 0
-        own_keys = [] if n == 1 else [0] if n == 2 else [0, "top", "capped"]
+        # each point's own event is coincident, of the top key; two points
+        # add a horizontal pair, of key 0
+        own_keys = ["top"] if n == 1 else ["top", 0] if n == 2 else [0, "top", "capped"]
         assert_positive_normal_doubles(own, bits, own_keys)
         assert_positive_normal_doubles(cells, bits, [0, "top", "capped"])
 
@@ -761,9 +775,10 @@ def _cpu_features() -> set:
 
 
 def level_outputs(kernels) -> dict:
-    """The bytes the five compiled functions write on fixed t1 and lattice
-    inputs: the keys of the points' own pairs and of outside queries, their
-    sweeps (the ordered events too), and the ksd and spatial sums."""
+    """The bytes the compiled functions but ``sq_diffs`` write on fixed t1
+    and lattice inputs: the keys of the points' own rows and of outside
+    queries, their sweeps (the ordered events too), and the ksd and spatial
+    sums."""
     rng = np.random.default_rng(31)
     out = {}
     for name, pts, qs in (
@@ -772,13 +787,13 @@ def level_outputs(kernels) -> dict:
              rng.integers(-2, 3, size=(6, 2, 9)).astype(float))):
         k, _, n = pts.shape
         bits = 2 * max(10, (n - 1).bit_length()) + 1
-        own = np.empty((k, n * (n - 1) // 2), dtype=np.uint64)
-        kernels.pair_keys(pts, 0, k, bits, own)
+        own = np.empty((k * n, n), dtype=np.uint64)
+        kernels.query_keys(pts, pts, 0, own.shape[0], bits, own)
         cells = np.empty((k * qs.shape[2], n), dtype=np.uint64)
         kernels.query_keys(pts, qs, 0, cells.shape[0], bits, cells)
         out[name, "keys"] = own.tobytes() + cells.tobytes()
-        for label, ev, q in (("own", own, None), ("queries", cells, qs)):
-            depths = np.empty((k, n if q is None else q.shape[2]))
+        for label, ev, q in (("own", own, pts), ("queries", cells, qs)):
+            depths = np.empty((k, q.shape[2]))
             ev.sort(axis=1)
             kernels.halfspace_sweep(ev, pts, q, 0, bits, depths)
             out[name, label] = ev.tobytes() + depths.tobytes()
